@@ -2,14 +2,19 @@
 
 Library layout:
 
-* :mod:`demandmatch.demand` -- demand models, instances, sampling.
+* :mod:`demandmatch.demand` -- demand models, instances, sampling.  Survival
+  and truncated expectations are methods of ``DemandDistribution``.
 * :mod:`demandmatch.linprog` -- dense two-phase simplex in one normal form.
 * :mod:`demandmatch.relaxations` -- fluid, subset-tightened, and conditional
-  LPs, with the knapsack separation oracle and cutting-plane loop.
+  LPs, with the knapsack separation oracle and cutting-plane loop.  The
+  fluid and subset-tightened LPs, and the offline optimum in
+  :mod:`demandmatch.oracles`, share one builder, ``transportation_lp``.
 * :mod:`demandmatch.rounding` -- lossless rounding of feasible columns into
-  routing distributions with exact marginals.
+  routing distributions with exact marginals; one replay of the stage
+  decisions serves branch tracking, support expansion and sampling.
 * :mod:`demandmatch.policies` -- the guaranteed threshold and horizon
   policies, contention-resolution schedules, the static-bar baseline.
+  Policies run through their state objects' ``step`` methods.
 * :mod:`demandmatch.oracles` -- offline optima, the optimal online DP,
   exact policy values, adversarial-order search.
 * :mod:`demandmatch.experiments` -- named instance families, ratio
@@ -30,8 +35,6 @@ from .demand import (
     sample_demand,
     sample_horizon_path,
     sample_random_order,
-    survival,
-    truncated_expectation,
     truncated_poisson,
 )
 from .linprog import LinearProgram, LpSolution, LpStatus, solve_lp
@@ -49,7 +52,6 @@ from .rounding import (
     RoundingState,
     RoutingDistribution,
     SegmentPartition,
-    stage_advance,
     typeround,
     verify_marginals,
 )
@@ -58,16 +60,11 @@ from .policies import (
     IndepAdvPlan,
     OcrsPlan,
     TraceEvent,
-    build_horizon_policy,
-    build_indep_adv_policy,
     best_static_threshold,
-    horizon_policy_step,
     ocrs_plan,
     plan_horizon_policy,
     plan_indep_adv_policy,
-    static_threshold_policy,
     static_threshold_value,
-    threshold_policy_step,
     trace_to_csv,
 )
 from .oracles import (

@@ -34,6 +34,7 @@ from .oracles import (
 )
 from .policies import best_static_threshold, plan_horizon_policy_for, plan_indep_adv_policy
 from .relaxations import (
+    build_conditional_lp,
     build_fluid_lp,
     build_truncated_lp,
     enumerate_violated_cut,
@@ -268,7 +269,7 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionRes
         inst = random_horizon_instance(trial_rng(seed, trial), max_horizon=4, max_n=3, max_m=3)
         model = horizon_model_of(inst)
         opt = optimal_online_dp(model, inst).value
-        lp = solve_lp_cond(model, inst)
+        lp = build_conditional_lp(model, inst).objective_value
         worst = max(worst, opt - lp)
         if opt > lp + TOL:
             ok = False
@@ -280,12 +281,6 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionRes
         ok,
         f"worst violation {worst:.3e}",
     )
-
-
-def solve_lp_cond(model, inst) -> float:
-    from .relaxations import build_conditional_lp
-
-    return build_conditional_lp(model, inst).objective_value
 
 
 def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> CriterionResult:
@@ -369,7 +364,7 @@ def check_conditional_tightness() -> CriterionResult:
     for big in (5, 10, 20):
         inst = gen_counterexample("rare_long_horizon", {"N": big})
         model = horizon_model_of(inst)
-        lp = solve_lp_cond(model, inst)
+        lp = build_conditional_lp(model, inst).objective_value
         opt = optimal_online_dp(model, inst).value
         ratios.append(opt / lp)
         ok = ok and lp >= 2 - 1.0 / big**3 - TOL

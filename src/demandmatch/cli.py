@@ -34,15 +34,11 @@ from .experiments import (
     POLICIES,
     ExperimentConfig,
     gen_counterexample,
-    random_feasible_column,
-    random_horizon_instance,
-    random_indep_instance,
     report,
     run_experiment,
 )
 from .io import InstanceFormatError, load_instance
 from .linprog import format_tableau, solution_to_csv, solve_lp
-from .oracles import expected_offline, optimal_online_dp
 from .policies import ocrs_plan, plan_indep_adv_policy
 from .relaxations import (
     UnsupportedDemandModel,
@@ -50,9 +46,7 @@ from .relaxations import (
     build_fluid_lp,
     build_truncated_lp,
     conditional_lp,
-    enumerate_violated_cut,
     horizon_model_of,
-    separation_oracle,
 )
 from .rounding import RoundingState, typeround, verify_marginals
 
@@ -208,56 +202,13 @@ def _cmd_verify_invariants(args: argparse.Namespace) -> int:
         if not ok:
             failures.append(label)
 
-    # rounding invariants on random feasible columns
-    bad = ""
-    for trial in range(args.samples):
-        rng = trial_rng(seed, trial)
-        n = int(rng.integers(1, 9))
-        column, dist = random_feasible_column(rng, n)
-        state = RoundingState(dist, n, track_branches=True)
-        for idx in range(n):
-            state.advance(column[state.order[state.stage]])
-            problems = state.check_invariants()
-            if problems:
-                bad = f"trial {trial}: {problems[0]}"
-                break
-        if bad:
-            break
-    check(f"rounding invariants ({args.samples} columns)", not bad, bad)
-
-    # LP ordering chains
-    bad = ""
-    for trial in range(50):
-        inst = random_indep_instance(trial_rng(seed + 1, trial))
-        off = expected_offline(inst).value
-        trunc = build_truncated_lp(inst).solution.objective_value
-        fluid = solve_lp(build_fluid_lp(inst)).objective_value
-        if off > trunc + 1e-9 or trunc > fluid + 1e-9:
-            bad = f"trial {trial}: off={off}, trunc={trunc}, fluid={fluid}"
-            break
-    check("offline <= trunc <= fluid (50 instances)", not bad, bad)
-
-    bad = ""
-    for trial in range(50):
-        inst = random_horizon_instance(trial_rng(seed + 2, trial))
-        model = horizon_model_of(inst)
-        opt = optimal_online_dp(model, inst).value
-        lp = build_conditional_lp(model, inst).objective_value
-        if opt > lp + 1e-9:
-            bad = f"trial {trial}: opt={opt}, cond={lp}"
-            break
-    check("online optimum <= conditional LP (50 horizons)", not bad, bad)
-
-    # separation oracle equivalence
-    bad = ""
-    for trial in range(50):
-        rng = trial_rng(seed + 3, trial)
-        inst = random_indep_instance(rng, max_n=10, max_m=2, max_support=3, max_value=4)
-        x = rng.uniform(0.0, 1.2, size=inst.n * inst.m)
-        if (separation_oracle(x, inst) is None) != (enumerate_violated_cut(x, inst) is None):
-            bad = f"trial {trial}"
-            break
-    check("separation oracle matches subset enumeration (50 candidates)", not bad, bad)
+    for result in (
+        acceptance.check_rounding_properties(count=args.samples, seed=seed),
+        acceptance.check_lp_ordering(50, seed + 1),
+        acceptance.check_online_lp_ordering(50, seed + 2),
+        acceptance.check_oracle_equivalence(50, seed + 3),
+    ):
+        check(result.description, result.passed, result.detail)
 
     # acceptance schedules keep every step at exactly gamma * rate
     bad = ""

@@ -170,18 +170,6 @@ class DemandDistribution:
         return self.items[-1][0]
 
 
-def survival(dist: DemandDistribution, ell: int) -> Prob:
-    """Pr[D >= ell] for ``ell >= 1``.  Nonincreasing in ``ell``."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
-    return dist.survival(ell)
-
-
-def truncated_expectation(dist: DemandDistribution, cap: int) -> Prob:
-    """E[min(D, cap)]; equals E[D] once ``cap`` covers the whole support."""
-    return dist.truncated_expectation(cap)
-
-
 def _check_prob_vector(probs: Sequence[Prob], what: str, target: str = "one") -> None:
     total: Prob = 0
     for idx, p in enumerate(probs):
@@ -305,16 +293,6 @@ class StochasticHorizonModel:
 DemandModel = Union[IndepDemandModel, CorrelDemandModel, StochasticHorizonModel]
 
 
-def model_kind(model: DemandModel) -> str:
-    if isinstance(model, IndepDemandModel):
-        return "indep"
-    if isinstance(model, CorrelDemandModel):
-        return "correl"
-    if isinstance(model, StochasticHorizonModel):
-        return "horizon"
-    raise TypeError(f"not a demand model: {model!r}")
-
-
 @dataclass(frozen=True)
 class Instance:
     """A matching instance: rewards, capacities, demand model, arrival tag."""
@@ -356,14 +334,9 @@ class Instance:
     def total_capacity(self) -> int:
         return sum(self.capacities)
 
-    def reward_array(self) -> np.ndarray:
-        return np.array([[float(r) for r in row] for row in self.rewards])
-
 
 def _model_type_count(model: DemandModel) -> int:
-    if isinstance(model, IndepDemandModel):
-        return model.m
-    if isinstance(model, (CorrelDemandModel, StochasticHorizonModel)):
+    if isinstance(model, (IndepDemandModel, CorrelDemandModel, StochasticHorizonModel)):
         return model.m
     raise TypeError(f"not a demand model: {model!r}")
 

@@ -27,8 +27,9 @@ from .demand import (
     sample_demand,
     trial_rng,
 )
-from .linprog import LinearProgram, LpStatus, solve_lp
+from .linprog import LpStatus, solve_lp
 from .policies import HorizonPlan, IndepAdvPlan, run_threshold_trial
+from .relaxations import transportation_lp
 
 #: exact-expectation guardrails (keep the acceptance suite interactive)
 SUPPORT_CAP = 10**6
@@ -54,27 +55,11 @@ def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> 
     by an integral matching.
     """
     counts = d.counts if isinstance(d, RealizedDemand) else tuple(d)
-    n, m = inst.n, inst.m
     if sum(counts) == 0:
         return 0.0
-    num = n * m
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for i in range(n):
-        row = [0.0] * num
-        for j in range(m):
-            row[i * m + j] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(inst.capacities[i]))
-    for j in range(m):
-        row = [0.0] * num
-        for i in range(n):
-            row[i * m + j] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(counts[j]))
-    objective = tuple(float(inst.rewards[i][j]) for i in range(n) for j in range(m))
-    solution = solve_lp(LinearProgram(objective=objective, rows=tuple(rows), rhs=tuple(rhs)))
-    assert solution.status is LpStatus.OPTIMAL
+    solution = solve_lp(transportation_lp(inst, counts))
+    if solution.status is not LpStatus.OPTIMAL:
+        raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
     return solution.objective_value
 
 
@@ -331,7 +316,7 @@ def mc_policy_value(
 # ---------------------------------------------------------------------------
 
 
-def horizon_policy_value_dp(plan: HorizonPlan) -> float:
+def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
     """Exact horizon-policy value by a forward pass over capacity states.
 
     Independent of the plan's own closed-form accounting: the joint law of
@@ -371,9 +356,4 @@ def horizon_policy_value_dp(plan: HorizonPlan) -> float:
                         moved += accept
             push(caps, w * (1.0 - moved))
         states = nxt
-    return value
-
-
-def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
-    """Exact horizon-policy value (forward capacity DP)."""
-    return OracleValue(value=horizon_policy_value_dp(plan), mode="exact")
+    return OracleValue(value=value, mode="exact")

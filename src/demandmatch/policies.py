@@ -191,18 +191,6 @@ class ThresholdPolicyState:
         return ThresholdDecision(resource=target, reward=reward, rank=rank)
 
 
-def build_indep_adv_policy(
-    inst: Instance, rng_seed: Union[int, np.random.Generator]
-) -> ThresholdPolicyState:
-    """Plan plus one sampled routing per type: a runnable policy."""
-    return plan_indep_adv_policy(inst).sample(rng_seed)
-
-
-def threshold_policy_step(state: ThresholdPolicyState, j: int) -> ThresholdDecision:
-    """Feed one type-``j`` arrival to the policy; see ThresholdPolicyState (mutates)."""
-    return state.step(j)
-
-
 def run_threshold_trial(
     plan: IndepAdvPlan,
     order: Sequence[int],
@@ -258,6 +246,24 @@ class OcrsPlan:
         return len(self.rates)
 
 
+def _accept_step(counts: list[float], hazard: float) -> list[float]:
+    """Law of the accepted count after one step.
+
+    ``counts[a]`` is Pr[a accepted so far], for ``a = 0..k``.  While capacity
+    remains (``a < k``) the step accepts with probability ``hazard``.
+    """
+    if hazard <= 0.0:
+        return counts
+    k = len(counts) - 1
+    nxt = [0.0] * (k + 1)
+    for a in range(k + 1):
+        stay = counts[a] * (1.0 - hazard) if a < k else counts[a]
+        nxt[a] = stay
+        if a > 0:
+            nxt[a] += counts[a - 1] * hazard
+    return nxt
+
+
 def _ocrs_schedule(rates: Sequence[float], k: int, gamma: float) -> Optional[tuple[list[float], list[float]]]:
     """Accept probabilities and availabilities at rate ``gamma``, or None."""
     counts = [1.0] + [0.0] * k  # law of the number accepted so far
@@ -279,15 +285,7 @@ def _ocrs_schedule(rates: Sequence[float], k: int, gamma: float) -> Optional[tup
         else:
             c = min(1.0, gamma / available) if available > 0.0 else 0.0
         cs.append(c)
-        hazard = y * c
-        if hazard > 0.0:
-            nxt = [0.0] * (k + 1)
-            for a in range(k + 1):
-                stay = counts[a] * (1.0 - hazard) if a < k else counts[a]
-                nxt[a] = stay
-                if a > 0:
-                    nxt[a] += counts[a - 1] * hazard
-            counts = nxt
+        counts = _accept_step(counts, y * c)
     return cs, avail
 
 
@@ -430,11 +428,15 @@ class HorizonPolicyState:
     ) -> HorizonDecision:
         """Handle step ``t``: route the arrival (if any), then ask the
         resource's acceptance schedule."""
+        model = self.plan.model
+        if not 1 <= t <= model.horizon:
+            raise ValueError(f"step {t} is outside the horizon 1..{model.horizon}")
         if j is None:
             return HorizonDecision(routed_to=None, accepted=False, reward=0.0)
-        assert float(self.plan.model.probs[t - 1][j]) > 0.0, (
-            f"type {j} cannot arrive at step {t}"
-        )
+        if not 0 <= j < model.m:
+            raise ValueError(f"type {j} is outside 0..{model.m - 1}")
+        if float(model.probs[t - 1][j]) <= 0.0:
+            raise ValueError(f"type {j} cannot arrive at step {t}")
         rng = as_generator(rng_seed)
         u = rng.random()
         acc = 0.0
@@ -453,20 +455,6 @@ class HorizonPolicyState:
             self.collected += reward
             return HorizonDecision(routed_to=routed, accepted=True, reward=reward)
         return HorizonDecision(routed_to=routed, accepted=False, reward=0.0)
-
-
-def build_horizon_policy(model: StochasticHorizonModel, inst: Instance) -> HorizonPolicyState:
-    return HorizonPolicyState(plan=plan_horizon_policy(model, inst))
-
-
-def horizon_policy_step(
-    state: HorizonPolicyState,
-    t: int,
-    j: Optional[int],
-    rng_seed: Union[int, np.random.Generator],
-) -> HorizonDecision:
-    """Feed step ``t`` (type ``j`` or no query) to the policy (mutates)."""
-    return state.step(t, j, rng_seed)
 
 
 def plan_horizon_policy_for(inst: Instance) -> HorizonPlan:
@@ -528,10 +516,6 @@ class StaticThresholdPolicy:
         return False
 
 
-def static_threshold_policy(threshold: float, k: int) -> StaticThresholdPolicy:
-    return StaticThresholdPolicy(threshold=threshold, capacity=k)
-
-
 def static_threshold_value(
     model: StochasticHorizonModel, inst: Instance, threshold: float
 ) -> float:
@@ -557,14 +541,7 @@ def static_threshold_value(
         )
         available = 1.0 - counts[k]
         value += s * available * gain
-        if hazard > 0.0:
-            nxt = [0.0] * (k + 1)
-            for a in range(k + 1):
-                stay = counts[a] * (1.0 - hazard) if a < k else counts[a]
-                nxt[a] = stay
-                if a > 0:
-                    nxt[a] += counts[a - 1] * hazard
-            counts = nxt
+        counts = _accept_step(counts, hazard)
     return value
 
 

@@ -48,14 +48,14 @@ def type_marginal(inst: Instance, j: int) -> DemandDistribution:
     )
 
 
-def build_fluid_lp(inst: Instance) -> LinearProgram:
-    """Relaxation with capacity rows and expected-demand rows only."""
-    model = inst.demand
-    if isinstance(model, StochasticHorizonModel):
-        raise UnsupportedDemandModel(
-            "fluid LP needs per-type demand means; use the conditional LP "
-            "for stochastic horizons"
-        )
+def transportation_lp(inst: Instance, demand_rhs: Sequence[float]) -> LinearProgram:
+    """The bipartite capacity/demand LP shared by the demand-vector relaxations.
+
+    One row per resource caps its total matches at ``k_i``; one row per type
+    caps that type's matches at ``demand_rhs[j]``.  The fluid LP, the
+    subset-tightened LP's starting relaxation, and the per-realization
+    offline optimum differ only in that right-hand side.
+    """
     n, m = inst.n, inst.m
     num = n * m
     rows: list[tuple[float, ...]] = []
@@ -71,10 +71,20 @@ def build_fluid_lp(inst: Instance) -> LinearProgram:
         for i in range(n):
             row[i * m + j] = 1.0
         rows.append(tuple(row))
-        rhs.append(float(type_marginal(inst, j).mean()))
+        rhs.append(float(demand_rhs[j]))
     objective = tuple(float(inst.rewards[i][j]) for i in range(n) for j in range(m))
     names = tuple(f"x[{i},{j}]" for i in range(n) for j in range(m))
     return LinearProgram(objective=objective, rows=tuple(rows), rhs=tuple(rhs), var_names=names)
+
+
+def build_fluid_lp(inst: Instance) -> LinearProgram:
+    """Relaxation with capacity rows and expected-demand rows only."""
+    if isinstance(inst.demand, StochasticHorizonModel):
+        raise UnsupportedDemandModel(
+            "fluid LP needs per-type demand means; use the conditional LP "
+            "for stochastic horizons"
+        )
+    return transportation_lp(inst, [type_marginal(inst, j).mean() for j in range(inst.m)])
 
 
 @dataclass(frozen=True)
@@ -190,26 +200,10 @@ class TruncatedLpResult:
 
 def truncated_lp_base(inst: Instance) -> LinearProgram:
     """Starting relaxation: capacity rows plus the full-set demand row per type."""
-    n, m = inst.n, inst.m
-    num = n * m
     total_cap = sum(inst.capacities)
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for i in range(n):
-        row = [0.0] * num
-        for j in range(m):
-            row[i * m + j] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(inst.capacities[i]))
-    for j in range(m):
-        row = [0.0] * num
-        for i in range(n):
-            row[i * m + j] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(type_marginal(inst, j).truncated_expectation(total_cap)))
-    objective = tuple(float(inst.rewards[i][j]) for i in range(n) for j in range(m))
-    names = tuple(f"x[{i},{j}]" for i in range(n) for j in range(m))
-    return LinearProgram(objective=objective, rows=tuple(rows), rhs=tuple(rhs), var_names=names)
+    return transportation_lp(
+        inst, [type_marginal(inst, j).truncated_expectation(total_cap) for j in range(inst.m)]
+    )
 
 
 def build_truncated_lp(inst: Instance) -> TruncatedLpResult:

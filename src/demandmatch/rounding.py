@@ -24,13 +24,18 @@ segment": the branch that routes there parks the resource on a query that
 never arrives.  This keeps the one-idle-per-segment structure exact on every
 branch, which both the stage invariants and the final marginals rely on.
 
+One replay of the recorded stage decisions, ``_apply_decision``, spawns the
+zero-probability rank, splits each branch on the stage coin and merges the two
+segments.  The branch set tracked while rounding, the full support expansion
+(``RoutingDistribution.branches``) and the draw of a single routing
+(``RoutingDistribution.sample``) all go through it.
+
 All arithmetic stays in `fractions.Fraction` when the inputs are rational,
 so the worked-example distributions reproduce exactly.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -193,9 +198,6 @@ class RoundingState:
         """Survival curve of the residual demand, one entry per segment."""
         return tuple(self.segment_survival(s) for s in range(len(self.segments)))
 
-    def survival_of_rank(self, rank: int) -> Prob:
-        return self.rank_survival[rank - 1]
-
     # -- the stage step --------------------------------------------------
 
     def _coerce(self, x: Prob) -> Prob:
@@ -236,22 +238,26 @@ class RoundingState:
             )
 
         spawned = chosen == len(self.segments) - 1
+        zero: Prob = Fraction(0) if self.exact else 0.0
+        one: Prob = Fraction(1) if self.exact else 1.0
         if spawned:
-            self._spawn_virtual_rank()
+            self.rank_survival.append(zero)
+            self.idle_prob.append(one)
 
         s_here = survivals[chosen]
-        s_next = (
-            self.segment_survival(chosen + 1)
-            if not spawned
-            else (Fraction(0) if self.exact else 0.0)
-        )
+        s_next = zero if spawned else self.segment_survival(chosen + 1)
         lam = (x - s_next) / (s_here - s_next)
         if not self.exact:
             lam = min(1.0, max(0.0, lam))
 
-        lo_a, hi_a = self.segments[chosen]
-        lo_b, hi_b = self.segments[chosen + 1]
-        one: Prob = Fraction(1) if self.exact else 1.0
+        decision = StageDecision(
+            resource=resource, x=x, skip=False, segment=chosen, lam=lam, spawned=spawned
+        )
+        hi_a = self.segments[chosen][1]
+        branches = _apply_decision(decision, self.segments, self.branches or [], one)
+        if self.branches is not None:
+            self.branches = branches
+        lo_a, hi_b = self.segments[chosen]
 
         pairs: list[tuple[int, Prob]] = []
         for rank in range(lo_a, hi_a + 1):
@@ -259,55 +265,15 @@ class RoundingState:
             if prob != 0:
                 pairs.append((rank, prob))
             self.idle_prob[rank - 1] = (one - lam) * self.idle_prob[rank - 1]
-        for rank in range(lo_b, hi_b + 1):
+        for rank in range(hi_a + 1, hi_b + 1):
             prob = (one - lam) * self.idle_prob[rank - 1]
             if prob != 0:
                 pairs.append((rank, prob))
             self.idle_prob[rank - 1] = lam * self.idle_prob[rank - 1]
         self.assign_pairs[resource] = pairs
-
-        if self.branches is not None:
-            self._split_branches(resource, chosen, lam)
-
-        self.segments[chosen] = (lo_a, hi_b)
-        del self.segments[chosen + 1]
-        self.decisions.append(
-            StageDecision(resource=resource, x=x, skip=False, segment=chosen, lam=lam, spawned=spawned)
-        )
+        self.decisions.append(decision)
         self.targets[resource] = x
         self.stage += 1
-
-    def _spawn_virtual_rank(self) -> None:
-        zero: Prob = Fraction(0) if self.exact else 0.0
-        one: Prob = Fraction(1) if self.exact else 1.0
-        self.rank_survival.append(zero)
-        self.idle_prob.append(one)
-        new_rank = len(self.rank_survival)
-        self.segments.append((new_rank, new_rank))
-        if self.branches is not None:
-            for assignment, _ in self.branches:
-                assignment.append(None)
-
-    def _split_branches(self, resource: int, seg: int, lam: Prob) -> None:
-        assert self.branches is not None
-        one: Prob = Fraction(1) if self.exact else 1.0
-        updated: list[tuple[list[Optional[int]], Prob]] = []
-        for assignment, prob in self.branches:
-            if lam != 0:
-                routed = list(assignment)
-                routed[self._idle_rank_in(assignment, seg) - 1] = resource
-                updated.append((routed, prob * lam))
-            if lam != one:
-                parked = list(assignment)
-                parked[self._idle_rank_in(assignment, seg + 1) - 1] = resource
-                updated.append((parked, prob * (one - lam)))
-        self.branches = updated
-
-    def _idle_rank_in(self, assignment: list[Optional[int]], seg: int) -> int:
-        lo, hi = self.segments[seg]
-        idle = [rank for rank in range(lo, hi + 1) if assignment[rank - 1] is None]
-        assert len(idle) == 1, f"segment {self.segments[seg]} holds {len(idle)} idle ranks"
-        return idle[0]
 
     # -- invariants -------------------------------------------------------
 
@@ -395,17 +361,6 @@ class RoundingState:
                 problems.append(f"resource {res} spreads across segments {sorted(homes)}")
         return problems
 
-    def copy(self) -> "RoundingState":
-        return copy.deepcopy(self)
-
-
-def stage_advance(state: RoundingState, x_next: Prob) -> RoundingState:
-    """Functional wrapper over one stage: returns the advanced copy."""
-    advanced = state.copy()
-    advanced.advance(x_next)
-    return advanced
-
-
 @dataclass(frozen=True)
 class RoutingDistribution:
     """Compact encoding of the rounded distribution over routings.
@@ -452,9 +407,6 @@ class RoutingDistribution:
         )
         return 1 << splits
 
-    def _replay_universe(self) -> int:
-        return self.length + sum(1 for d in self.decisions if d.spawned)
-
     def branches(self, max_support: int = 1 << 16) -> tuple[tuple[Routing, Prob], ...]:
         """Expand the full weighted support (projected to real ranks).
 
@@ -469,30 +421,9 @@ class RoutingDistribution:
             )
         one: Prob = Fraction(1) if self.exact else 1.0
         segments = [(k, k) for k in range(1, self.length + 1)]
-        universe = self.length
         work: list[tuple[list[Optional[int]], Prob]] = [([None] * self.length, one)]
         for dec in self.decisions:
-            if dec.skip:
-                continue
-            if dec.spawned:
-                universe += 1
-                segments.append((universe, universe))
-                for assignment, _ in work:
-                    assignment.append(None)
-            seg = dec.segment
-            updated: list[tuple[list[Optional[int]], Prob]] = []
-            for assignment, prob in work:
-                if dec.lam != 0:
-                    routed = list(assignment)
-                    routed[_unique_idle(assignment, segments[seg]) - 1] = dec.resource
-                    updated.append((routed, prob * dec.lam))
-                if dec.lam != one:
-                    parked = list(assignment)
-                    parked[_unique_idle(assignment, segments[seg + 1]) - 1] = dec.resource
-                    updated.append((parked, prob * (one - dec.lam)))
-            work = updated
-            segments[seg] = (segments[seg][0], segments[seg + 1][1])
-            del segments[seg + 1]
+            work = _apply_decision(dec, segments, work, one)
         merged: dict[tuple[Optional[int], ...], Prob] = {}
         for assignment, prob in work:
             key = tuple(assignment[: self.length])
@@ -509,31 +440,59 @@ class RoutingDistribution:
     def sample(self, rng_seed: Union[int, np.random.Generator]) -> Routing:
         """Draw one routing by replaying the stage coins."""
         rng = as_generator(rng_seed)
+        one: Prob = Fraction(1) if self.exact else 1.0
         segments = [(k, k) for k in range(1, self.length + 1)]
-        universe = self.length
         assignment: list[Optional[int]] = [None] * self.length
         for dec in self.decisions:
-            if dec.skip:
-                continue
-            if dec.spawned:
-                universe += 1
-                segments.append((universe, universe))
-                assignment.append(None)
-            seg = dec.segment
-            into_chosen = float(dec.lam) == 1.0 or (
-                float(dec.lam) > 0.0 and rng.random() < float(dec.lam)
-            )
-            target = segments[seg] if into_chosen else segments[seg + 1]
-            assignment[_unique_idle(assignment, target) - 1] = dec.resource
-            segments[seg] = (segments[seg][0], segments[seg + 1][1])
-            del segments[seg + 1]
+            children = _apply_decision(dec, segments, [(assignment, one)], one)
+            coin = float(dec.lam)
+            into_chosen = coin == 1.0 or (coin > 0.0 and rng.random() < coin)
+            assignment = children[0 if into_chosen else -1][0]
         return Routing(tuple(assignment[: self.length]))
+
+
+def _apply_decision(
+    dec: StageDecision,
+    segments: list[tuple[int, int]],
+    branches: list[tuple[list[Optional[int]], Prob]],
+    one: Prob,
+) -> list[tuple[list[Optional[int]], Prob]]:
+    """Replay one stage decision: the only place ranks are spawned, branches
+    split on the coin, and segments merged.
+
+    ``segments`` is updated in place.  Each branch yields a child that routes
+    the resource to its idle rank in the chosen segment (weight ``lam``) and
+    then one that routes it to its idle rank in the next segment (weight
+    ``1 - lam``); a child of weight zero is left out.
+    """
+    if dec.skip:
+        return branches
+    if dec.spawned:
+        rank = segments[-1][1] + 1
+        segments.append((rank, rank))
+        for assignment, _ in branches:
+            assignment.append(None)
+    seg = dec.segment
+    children: list[tuple[list[Optional[int]], Prob]] = []
+    for assignment, prob in branches:
+        if dec.lam != 0:
+            routed = list(assignment)
+            routed[_unique_idle(assignment, segments[seg]) - 1] = dec.resource
+            children.append((routed, prob * dec.lam))
+        if dec.lam != one:
+            parked = list(assignment)
+            parked[_unique_idle(assignment, segments[seg + 1]) - 1] = dec.resource
+            children.append((parked, prob * (one - dec.lam)))
+    segments[seg] = (segments[seg][0], segments[seg + 1][1])
+    del segments[seg + 1]
+    return children
 
 
 def _unique_idle(assignment: list[Optional[int]], span: tuple[int, int]) -> int:
     lo, hi = span
     idle = [rank for rank in range(lo, hi + 1) if assignment[rank - 1] is None]
-    assert len(idle) == 1, f"span {span} holds {len(idle)} idle ranks"
+    if len(idle) != 1:
+        raise ValueError(f"span {span} holds {len(idle)} idle ranks; the decisions do not replay")
     return idle[0]
 
 

@@ -25,19 +25,15 @@ THREE_POINT = dm.DemandDistribution.from_pmf(
 
 class TestSurvival:
     def test_three_point_at_two(self):
-        assert dm.survival(THREE_POINT, 2) == Fraction(1, 2)
+        assert THREE_POINT.survival(2) == Fraction(1, 2)
 
     def test_beyond_support_is_zero(self):
-        assert dm.survival(THREE_POINT, THREE_POINT.max_support + 1) == 0
+        assert THREE_POINT.survival(THREE_POINT.max_support + 1) == 0
 
     def test_sparse_support(self):
         dist = dm.DemandDistribution.from_pmf({0: 0.9, 4: 0.1})
-        assert dm.survival(dist, 1) == pytest.approx(0.1, abs=1e-15)
-        assert dm.survival(dist, 4) == pytest.approx(0.1, abs=1e-15)
-
-    def test_requires_positive_level(self):
-        with pytest.raises(ValueError):
-            dm.survival(THREE_POINT, 0)
+        assert dist.survival(1) == pytest.approx(0.1, abs=1e-15)
+        assert dist.survival(4) == pytest.approx(0.1, abs=1e-15)
 
     def test_nonincreasing_and_bounded(self):
         rng = np.random.default_rng(5)
@@ -49,24 +45,24 @@ class TestSurvival:
             probs = [float(p) for p in w]
             probs[0] += 1.0 - sum(probs)
             dist = dm.DemandDistribution.from_pmf(dict(zip(values, probs)))
-            assert dm.survival(dist, 1) <= 1 + 1e-12
+            assert dist.survival(1) <= 1 + 1e-12
             prev = 1.0
             for ell in range(1, dist.max_support + 2):
-                s = float(dm.survival(dist, ell))
+                s = float(dist.survival(ell))
                 assert s <= prev + 1e-12
                 prev = s
 
 
 class TestTruncatedExpectation:
     def test_three_point_values(self):
-        assert dm.truncated_expectation(THREE_POINT, 2) == Fraction(3, 2)
-        assert dm.truncated_expectation(THREE_POINT, 3) == Fraction(7, 4)
+        assert THREE_POINT.truncated_expectation(2) == Fraction(3, 2)
+        assert THREE_POINT.truncated_expectation(3) == Fraction(7, 4)
 
     def test_cap_zero(self):
-        assert dm.truncated_expectation(THREE_POINT, 0) == 0
+        assert THREE_POINT.truncated_expectation(0) == 0
 
     def test_matches_mean_beyond_support(self):
-        assert dm.truncated_expectation(THREE_POINT, 10) == THREE_POINT.mean()
+        assert THREE_POINT.truncated_expectation(10) == THREE_POINT.mean()
 
     @given(
         pmf=st.dictionaries(
@@ -86,7 +82,7 @@ class TestTruncatedExpectation:
             direct = sum(
                 prob * min(value, cap) for value, prob in dist.items
             )
-            telescoped = dm.truncated_expectation(dist, cap)
+            telescoped = dist.truncated_expectation(cap)
             assert direct == telescoped
 
 

@@ -58,6 +58,12 @@ class TestOfflineOptimum:
         )
         assert offline_optimum(inst, (1, 1)) == pytest.approx(5.0, abs=1e-9)
 
+    def test_unsolvable_lp_raises(self):
+        # a negative count makes the demand row infeasible
+        inst = random_indep_instance(np.random.default_rng(0), max_m=1)
+        with pytest.raises(RuntimeError, match="did not solve"):
+            offline_optimum(inst, (-1,))
+
     @pytest.mark.parametrize("trial", range(30))
     def test_matches_assignment_enumeration(self, trial):
         rng = trial_rng(2100, trial)

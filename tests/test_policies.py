@@ -13,9 +13,10 @@ from demandmatch.experiments import (
     random_horizon_instance,
     random_indep_instance,
 )
-from demandmatch.oracles import horizon_policy_value, horizon_policy_value_dp
+from demandmatch.oracles import horizon_policy_value
 from demandmatch.policies import (
     HorizonPolicyState,
+    StaticThresholdPolicy,
     ThresholdPolicyState,
     best_static_threshold,
     ocrs_plan,
@@ -23,7 +24,6 @@ from demandmatch.policies import (
     plan_horizon_policy_for,
     plan_indep_adv_policy,
     run_horizon_trial,
-    static_threshold_policy,
     static_threshold_value,
 )
 from demandmatch.relaxations import horizon_model_of
@@ -215,7 +215,7 @@ class TestHorizonPolicy:
     def test_dp_value_matches_gamma_weighted_objective(self, trial):
         inst = random_horizon_instance(trial_rng(1500, trial), max_horizon=4)
         plan = plan_horizon_policy_for(inst)
-        assert horizon_policy_value_dp(plan) == pytest.approx(
+        assert horizon_policy_value(plan).value == pytest.approx(
             plan.expected_value(), abs=1e-9
         )
 
@@ -258,7 +258,7 @@ class TestHorizonPolicy:
             return value
 
         brute = walk(1, tuple(plan.instance.capacities), 1.0)
-        assert horizon_policy_value_dp(plan) == pytest.approx(brute, abs=1e-9)
+        assert horizon_policy_value(plan).value == pytest.approx(brute, abs=1e-9)
 
     def test_per_step_acceptance_monte_carlo(self):
         """Unconditional acceptance at (resource, step) meets the survival-
@@ -282,7 +282,9 @@ class TestHorizonPolicy:
                 se = math.sqrt(max(target * (1 - target), 1e-12) / trials)
                 assert observed >= target - 4 * se - 1e-9
 
-    def test_step_asserts_on_impossible_type(self):
+    @staticmethod
+    def _one_step_state():
+        # type 1 never arrives
         model = dm.StochasticHorizonModel(
             total=dm.DemandDistribution.point_mass(1), probs=((0.5, 0.0),)
         )
@@ -290,9 +292,22 @@ class TestHorizonPolicy:
             rewards=((1.0, 1.0),), capacities=(1,), demand=model,
             arrival=dm.Arrival.RANDOM_ORDER,
         )
-        state = HorizonPolicyState(plan=plan_horizon_policy(model, inst))
-        with pytest.raises(AssertionError):
-            state.step(1, 1, 0)
+        return HorizonPolicyState(plan=plan_horizon_policy(model, inst))
+
+    def test_step_asserts_on_impossible_type(self):
+        with pytest.raises(ValueError, match="cannot arrive"):
+            self._one_step_state().step(1, 1, 0)
+
+    @pytest.mark.parametrize("t", [0, 2])
+    def test_step_rejects_step_outside_horizon(self, t):
+        # t = 0 would otherwise read the last step's row through probs[-1]
+        with pytest.raises(ValueError, match="outside the horizon"):
+            self._one_step_state().step(t, 0, 0)
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_step_rejects_unknown_type(self, j):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            self._one_step_state().step(1, j, 0)
 
     def test_full_ratio_routes_deterministically(self):
         model = dm.StochasticHorizonModel(
@@ -362,23 +377,14 @@ class TestTraces:
         rewards = sum(float(line.split(",")[6]) for line in lines[1:])
         assert rewards == pytest.approx(collected, abs=1e-12)
 
-    def test_step_aliases_match_methods(self):
-        from demandmatch.policies import threshold_policy_step
-
-        dist = dm.DemandDistribution.point_mass(1)
-        inst = indep_instance(((1.0,),), (1,), [dist])
-        plan = plan_indep_adv_policy(inst)
-        state = ThresholdPolicyState(plan=plan, pis=(dm.Routing((0,)),))
-        assert threshold_policy_step(state, 0).resource == 0
-
 
 class TestStaticThreshold:
     def test_zero_bar_accepts_first_k(self):
-        policy = static_threshold_policy(0.0, 2)
+        policy = StaticThresholdPolicy(threshold=0.0, capacity=2)
         assert [policy.step(r) for r in (0.0, 1.0, 5.0)] == [True, True, False]
 
     def test_infinite_bar_accepts_nothing(self):
-        policy = static_threshold_policy(float("inf"), 2)
+        policy = StaticThresholdPolicy(threshold=float("inf"), capacity=2)
         assert not any(policy.step(r) for r in (1.0, 100.0))
 
     def test_exact_value_matches_simulation_tree(self):
@@ -403,7 +409,7 @@ class TestStaticThreshold:
                         w *= float(model.no_query_mass(t)) if j is None else float(row[j])
                     if w <= 0:
                         continue
-                    policy = static_threshold_policy(threshold, 1)
+                    policy = StaticThresholdPolicy(threshold=threshold, capacity=1)
                     gained = 0.0
                     for j in seq:
                         if j is not None and policy.step(inst.rewards[0][j]):

@@ -13,7 +13,7 @@ from demandmatch.experiments import random_feasible_column
 from demandmatch.rounding import (
     InfeasibleColumnError,
     RoundingState,
-    stage_advance,
+    _unique_idle,
     typeround,
     verify_marginals,
 )
@@ -110,15 +110,10 @@ class TestStageState:
             (perm(1, 0), Fraction(1))
         ]
 
-    def test_stage_advance_is_functional(self):
-        state = RoundingState(DEMO3.dist, 3, track_branches=True)
-        advanced = stage_advance(state, DEMO3.column[0])
-        assert state.stage == 0 and advanced.stage == 1
-
     def test_functional_and_compact_paths_agree(self):
         state = RoundingState(DEMO3.dist, 3, track_branches=True)
         for x in DEMO3.column:
-            state = stage_advance(state, x)
+            state.advance(x)
         rd = typeround(DEMO3.column, DEMO3.dist)
         # the explicit state keeps appended never-arriving ranks; project
         got = {tuple(a[: state.real_length]): p for a, p in state.branches}
@@ -208,6 +203,11 @@ class TestSampling:
     def test_support_bound(self):
         rd = typeround(DEMO3.column, DEMO3.dist)
         assert len(rd.branches()) <= rd.support_bound() <= 2**3
+
+    @pytest.mark.parametrize("assignment", [[0, None, None], [0, 1, 2]])
+    def test_replay_rejects_span_without_one_idle_rank(self, assignment):
+        with pytest.raises(ValueError, match="idle ranks"):
+            _unique_idle(assignment, (1, 3))
 
 
 class TestRoutingType:

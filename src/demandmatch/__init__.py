@@ -4,11 +4,13 @@ Library layout:
 
 * :mod:`demandmatch.demand` -- demand models, instances, sampling.  Survival
   and truncated expectations are methods of ``DemandDistribution``.
-* :mod:`demandmatch.linprog` -- dense two-phase simplex in one normal form.
+* :mod:`demandmatch.linprog` -- dense two-phase simplex in one normal form;
+  every LP is numpy arrays ``(c, A, b)`` from builder to solver.
 * :mod:`demandmatch.relaxations` -- fluid, subset-tightened, and conditional
   LPs, with the knapsack separation oracle and cutting-plane loop.  The
-  fluid and subset-tightened LPs, and the offline optimum in
-  :mod:`demandmatch.oracles`, share one builder, ``transportation_lp``.
+  fluid LP, the subset-tightened LP's starting relaxation, the offline
+  optimum in :mod:`demandmatch.oracles` (all through ``transportation_lp``)
+  and the conditional LP share one builder of the capacity/demand rows.
 * :mod:`demandmatch.rounding` -- lossless rounding of feasible columns into
   routing distributions with exact marginals; one replay of the stage
   decisions serves branch tracking, support expansion and sampling.

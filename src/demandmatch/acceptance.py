@@ -61,13 +61,13 @@ def _result(key: str, description: str, started: float, ok: bool, detail: str) -
         description=description,
         passed=ok,
         detail=detail,
-        seconds=time.time() - started,
+        seconds=time.perf_counter() - started,
     )
 
 
 def check_fluid_gap() -> CriterionResult:
     """Exact prophet/fluid ratio equals eps on the two-point family."""
-    started = time.time()
+    started = time.perf_counter()
     rows = []
     ok = True
     for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
@@ -82,7 +82,7 @@ def check_fluid_gap() -> CriterionResult:
 
 def check_fluid_gap_capped() -> CriterionResult:
     """Demand capped by total capacity: fluid still loose, tightened LP exact."""
-    started = time.time()
+    started = time.perf_counter()
     rows = []
     ok = True
     for n in (5, 10):
@@ -104,7 +104,7 @@ def check_fluid_gap_capped() -> CriterionResult:
 
 def check_lp_ordering(count: int = 500, seed: int = 1001) -> CriterionResult:
     """off <= tightened <= fluid on random independent-demand instances."""
-    started = time.time()
+    started = time.perf_counter()
     worst = 0.0
     ok = True
     for trial in range(count):
@@ -127,7 +127,7 @@ def check_lp_ordering(count: int = 500, seed: int = 1001) -> CriterionResult:
 
 def check_rounding_golden() -> CriterionResult:
     """Both worked rounding examples reproduce exactly in rational mode."""
-    started = time.time()
+    started = time.perf_counter()
     problems: list[str] = []
 
     ex = EXAMPLES["demo3"]
@@ -173,7 +173,7 @@ def check_rounding_golden() -> CriterionResult:
 def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> CriterionResult:
     """Stage invariants, feasibility of every stage, and exact marginals
     on random rational feasible columns."""
-    started = time.time()
+    started = time.perf_counter()
     worst_detail = ""
     ok = True
     for trial in range(count):
@@ -207,7 +207,7 @@ def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> Criterio
 
 def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> CriterionResult:
     """Exact worst-order policy value clears half the tightened LP."""
-    started = time.time()
+    started = time.perf_counter()
     worst_ratio = float("inf")
     ok = True
     detail = ""
@@ -239,7 +239,7 @@ def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> Criterion
 
 def check_capacity_tightness() -> CriterionResult:
     """Two-stage-reward family: prophet worth (2-eps)k1, online capped at k1."""
-    started = time.time()
+    started = time.perf_counter()
     eps = 0.05
     rows = []
     ok = True
@@ -262,7 +262,7 @@ def check_capacity_tightness() -> CriterionResult:
 
 def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionResult:
     """Optimal online value never exceeds the conditional LP."""
-    started = time.time()
+    started = time.perf_counter()
     worst = 0.0
     ok = True
     for trial in range(count):
@@ -285,7 +285,7 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionRes
 
 def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> CriterionResult:
     """Horizon policy clears cond/2, and the capacity-k floor with k in {2,4}."""
-    started = time.time()
+    started = time.perf_counter()
     ok = True
     detail = ""
     worst_half = float("inf")
@@ -330,7 +330,7 @@ def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> CriterionResu
 
 def check_static_threshold_gap() -> CriterionResult:
     """Escalating rewards: every fixed bar stalls near 4, adaptivity scales."""
-    started = time.time()
+    started = time.perf_counter()
     eps = 0.1
     ok = True
     rows = []
@@ -357,7 +357,7 @@ def check_static_threshold_gap() -> CriterionResult:
 
 def check_conditional_tightness() -> CriterionResult:
     """Rare-long-horizon family: cond LP nearly 2, online optimum near 1."""
-    started = time.time()
+    started = time.perf_counter()
     ok = True
     rows = []
     ratios = []
@@ -382,7 +382,7 @@ def check_conditional_tightness() -> CriterionResult:
 
 def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> CriterionResult:
     """Knapsack separation verdict matches full subset enumeration."""
-    started = time.time()
+    started = time.perf_counter()
     ok = True
     detail = ""
     for trial in range(count):

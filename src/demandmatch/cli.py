@@ -42,7 +42,6 @@ from .linprog import format_tableau, solution_to_csv, solve_lp
 from .policies import ocrs_plan, plan_indep_adv_policy
 from .relaxations import (
     UnsupportedDemandModel,
-    build_conditional_lp,
     build_fluid_lp,
     build_truncated_lp,
     conditional_lp,
@@ -52,14 +51,6 @@ from .rounding import RoundingState, typeround, verify_marginals
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("DEMANDMATCH_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -107,13 +98,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         lp, solution = result.lp, result.solution
     else:
         model = horizon_model_of(inst)
-        lp = conditional_lp(model, inst) if model.horizon > 0 else None
-        solution = build_conditional_lp(model, inst)
+        lp = conditional_lp(model, inst)
+        solution = solve_lp(lp)
     lines = [f"{args.lp} LP value: {solution.objective_value:.6f}", f"status: {solution.status.value}"]
-    if args.dump_lp and lp is not None:
+    if args.dump_lp:
         lines.append(format_tableau(lp))
-    if lp is not None:
-        lines.append(solution_to_csv(lp, solution).rstrip("\n"))
+    lines.append(solution_to_csv(lp, solution).rstrip("\n"))
     _emit("\n".join(lines), args.output)
     return 0
 
@@ -267,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--policy", choices=POLICIES, required=True)
     p_sim.add_argument("--benchmark", choices=BENCHMARKS, required=True)
     p_sim.add_argument("--trials", type=int, default=10000)
-    p_sim.add_argument("--seed", type=int, default=_default_seed())
+    p_sim.add_argument("--seed", type=int, default=os.environ.get("DEMANDMATCH_SEED", "0"))
     p_sim.add_argument("--mc", action="store_true", help="Monte-Carlo numerator instead of exact")
     p_sim.add_argument("--markdown", action="store_true", help="Markdown table instead of CSV")
     p_sim.add_argument("--output", help="write to a file instead of stdout")
@@ -283,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_ver = sub.add_parser("verify-invariants", help="seeded randomized property sweeps")
-    p_ver.add_argument("--seed", type=int, default=_default_seed())
+    p_ver.add_argument("--seed", type=int, default=os.environ.get("DEMANDMATCH_SEED", "0"))
     p_ver.add_argument("--samples", type=int, default=200, help="rounding columns to draw")
     p_ver.set_defaults(func=_cmd_verify_invariants)
 

@@ -395,12 +395,7 @@ def _numerator(cfg: ExperimentConfig) -> OracleValue:
         values = np.empty(cfg.trials)
         for t in range(cfg.trials):
             values[t] = run_horizon_trial(plan, trial_rng(cfg.seed, t))
-        stderr = (
-            float(values.std(ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else float("inf")
-        )
-        return OracleValue(
-            value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=cfg.trials
-        )
+        return OracleValue.from_samples(values)
     raise AssertionError(cfg.policy)
 
 

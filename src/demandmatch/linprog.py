@@ -1,6 +1,9 @@
 """Dense LP solver in the single normal form used by every relaxation here:
 
-    maximize c.x   subject to   A x <= b,  x >= 0.
+    maximize c.x   subject to   A x <= b,  x >= 0,
+
+with ``c`` of shape (n,), ``A`` of shape (r, n) and ``b`` of shape (r,), all
+float numpy arrays from the builder to the solver.
 
 Two-phase tableau simplex.  Pivoting is Dantzig (most negative reduced cost)
 until a run of degenerate pivots suggests cycling, then Bland's rule, whose
@@ -33,27 +36,39 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """max objective.x s.t. rows.x <= rhs, x >= 0 (all rows are <=)."""
+    """max objective.x s.t. rows.x <= rhs, x >= 0 (all rows are <=).
 
-    objective: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
+    ``objective`` (n,), ``rows`` (r, n) and ``rhs`` (r,) are float arrays;
+    sequences are coerced once here.  The arrays may be shared and read-only,
+    so nothing downstream writes into them.
+    """
+
+    objective: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
     var_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        n = len(self.objective)
-        if len(self.rows) != len(self.rhs):
-            raise ValueError(f"{len(self.rows)} rows but {len(self.rhs)} rhs entries")
-        for idx, row in enumerate(self.rows):
-            if len(row) != n:
-                raise ValueError(f"row {idx} has {len(row)} coefficients, expected {n}")
-        for idx, b in enumerate(self.rhs):
-            if not np.isfinite(b):
-                raise ValueError(f"rhs[{idx}] = {b} is not finite")
+        objective = np.asarray(self.objective, dtype=float).reshape(-1)
+        rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+        n = objective.size
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.size == 0 and rows.ndim == 1:  # no rows at all
+            rows = rows.reshape(0, n)
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError(f"rows of shape {rows.shape} do not have {n} coefficients each")
+        if rows.shape[0] != rhs.size:
+            raise ValueError(f"{rows.shape[0]} rows but {rhs.size} rhs entries")
+        if not np.all(np.isfinite(rhs)):
+            idx = int(np.argmin(np.isfinite(rhs)))
+            raise ValueError(f"rhs[{idx}] = {rhs[idx]} is not finite")
         if self.var_names is not None and len(self.var_names) != n:
             raise ValueError("var_names length mismatch")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def num_vars(self) -> int:
@@ -69,10 +84,10 @@ class LinearProgram:
         return f"x{j}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     status: LpStatus
-    values: tuple[float, ...]
+    values: np.ndarray  # (n,) float
     objective_value: float
     basis: tuple[int, ...] = field(default=())
 
@@ -179,47 +194,34 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     n = lp.num_vars
     m = lp.num_rows
+    c, b = lp.objective, lp.rhs
     if n == 0:
-        feasible = all(b >= -RC_TOL for b in lp.rhs)
+        feasible = bool(np.all(b >= -RC_TOL))
         status = LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE
-        return LpSolution(status=status, values=(), objective_value=0.0)
+        return LpSolution(status=status, values=np.zeros(0), objective_value=0.0)
     if m == 0:
         # maximize over the nonnegative orthant with no constraints
-        if any(c > RC_TOL for c in lp.objective):
-            return LpSolution(LpStatus.UNBOUNDED, tuple(0.0 for _ in range(n)), np.inf)
-        return LpSolution(LpStatus.OPTIMAL, tuple(0.0 for _ in range(n)), 0.0, ())
-
-    A = np.array([[float(v) for v in row] for row in lp.rows])
-    b = np.array([float(v) for v in lp.rhs])
-    c = np.array([float(v) for v in lp.objective])
+        if np.any(c > RC_TOL):
+            return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
+        return LpSolution(LpStatus.OPTIMAL, np.zeros(n), 0.0, ())
 
     # Standard form with one slack per row.  Rows with b < 0 are negated so
     # every rhs is nonnegative; their slack coefficient becomes -1 and an
-    # artificial variable provides the starting basis entry.
-    slack_sign = np.ones(m)
+    # artificial variable provides the starting basis entry.  The negation
+    # happens in the fresh tableau, never in ``lp``'s own arrays.
     negative = b < 0
-    A[negative] *= -1.0
-    b[negative] *= -1.0
-    slack_sign[negative] = -1.0
-
     art_rows = np.where(negative)[0]
     num_art = art_rows.size
     cols = n + m + num_art
     full = np.zeros((m, cols))
-    full[:, :n] = A
-    for r in range(m):
-        full[r, n + r] = slack_sign[r]
-    basis: list[int] = []
-    art_of_row = {}
-    next_art = n + m
-    for r in range(m):
-        if negative[r]:
-            full[r, next_art] = 1.0
-            art_of_row[r] = next_art
-            basis.append(next_art)
-            next_art += 1
-        else:
-            basis.append(n + r)
+    full[:, :n] = lp.rows
+    full[np.arange(m), n + np.arange(m)] = 1.0
+    full[negative] *= -1.0
+    full[art_rows, n + m + np.arange(num_art)] = 1.0
+    b = np.where(negative, -b, b)
+    basis = [n + r for r in range(m)]
+    for k, r in enumerate(art_rows):
+        basis[r] = n + m + k
 
     tab = _Tableau(full, b, basis)
     allowed = np.ones(cols, dtype=bool)
@@ -230,7 +232,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         tab.set_objective(phase1)
         tab.run(allowed)
         if tab.objective_value() < -1e-8:
-            return LpSolution(LpStatus.INFEASIBLE, tuple(0.0 for _ in range(n)), -np.inf)
+            return LpSolution(LpStatus.INFEASIBLE, np.zeros(n), -np.inf)
         # pivot any lingering artificials out of the basis where possible
         for r, bvar in enumerate(tab.basis):
             if bvar >= n + m:
@@ -245,27 +247,22 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab.set_objective(phase2)
     outcome = tab.run(allowed)
     if outcome == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, tuple(0.0 for _ in range(n)), np.inf)
+        return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
 
     x = tab.primal(n)
     value = float(c @ x)
     return LpSolution(
         status=LpStatus.OPTIMAL,
-        values=tuple(float(v) for v in x),
+        values=x,
         objective_value=value,
         basis=tuple(int(bv) for bv in tab.basis),
     )
 
 
 def check_feasible(lp: LinearProgram, values: Sequence[float], tol: float = 1e-9) -> bool:
-    """Row-by-row feasibility check of a candidate point."""
+    """Whether a candidate point satisfies ``x >= 0`` and ``rows @ x <= rhs``."""
     x = np.asarray(values, dtype=float)
-    if np.any(x < -tol):
-        return False
-    for row, b in zip(lp.rows, lp.rhs):
-        if float(np.dot(row, x)) > b + tol:
-            return False
-    return True
+    return bool(np.all(x >= -tol) and np.all(lp.rows @ x <= lp.rhs + tol))
 
 
 def format_tableau(lp: LinearProgram) -> str:
@@ -284,5 +281,5 @@ def solution_to_csv(lp: LinearProgram, sol: LpSolution) -> str:
     """CSV export: one (variable name, value) row per variable."""
     lines = ["variable,value"]
     for j, v in enumerate(sol.values):
-        lines.append(f"{lp.name(j)},{v!r}")
+        lines.append(f"{lp.name(j)},{float(v)!r}")
     return "\n".join(lines) + "\n"

@@ -46,6 +46,13 @@ class OracleValue:
     stderr: float = 0.0
     trials: int = 0
 
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "OracleValue":
+        """Monte-Carlo estimate: the sample mean and its standard error."""
+        trials = values.size
+        stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
+        return cls(value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=trials)
+
 
 def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> float:
     """Max-weight offline matching for one demand realization.
@@ -84,8 +91,7 @@ def expected_offline(
     values = np.empty(trials)
     for t in range(trials):
         values[t] = offline_optimum(inst, sample_demand(inst.demand, trial_rng(seed, t)))
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return OracleValue(value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=trials)
+    return OracleValue.from_samples(values)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +281,7 @@ def exact_policy_value(
         if counts not in cache:
             cache[counts] = value_for(counts)
         values[trial] = cache[counts]
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return OracleValue(value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=trials)
+    return OracleValue.from_samples(values)
 
 
 def mc_policy_value(
@@ -307,8 +312,7 @@ def mc_policy_value(
         else:
             path = sample_random_order(d, rng).types
         values[trial] = run_threshold_trial(plan, path, rng)
-    stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-    return OracleValue(value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=trials)
+    return OracleValue.from_samples(values)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .relaxations import (
     build_conditional_lp,
     build_truncated_lp,
     horizon_model_of,
-    solution_ym,
 )
 from .rounding import Routing, RoutingDistribution, typeround
 
@@ -126,7 +125,7 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
         raise RuntimeError(f"tightened LP did not solve: {result.solution.status}")
     n, m = unit.n, unit.m
     x = tuple(
-        tuple(max(0.0, result.solution.values[i * m + j]) for j in range(m))
+        tuple(max(0.0, float(result.solution.values[i * m + j])) for j in range(m))
         for i in range(n)
     )
     routings = []
@@ -386,7 +385,7 @@ def plan_horizon_policy(model: StochasticHorizonModel, inst: Instance) -> Horizo
         raise RuntimeError(f"conditional LP did not solve: {solution.status}")
     n, m = inst.n, inst.m
     horizon = model.horizon
-    ym = solution_ym(model, inst, solution)
+    ym = solution.values.reshape(horizon, n, m)
     y = tuple(
         tuple(tuple(max(0.0, float(ym[t, i, j])) for j in range(m)) for i in range(n))
         for t in range(horizon)

@@ -13,6 +13,7 @@ the demand-vector LPs and ``y[((t-1)*n + i)*m + j]`` for the horizon LP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,6 +49,24 @@ def type_marginal(inst: Instance, j: int) -> DemandDistribution:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _bipartite_rows(n: int, m: int, steps: int = 1) -> np.ndarray:
+    """The capacity rows, then one demand row per (step, type).
+
+    Variable ``((t-1)*n + i)*m + j`` is resource ``i`` serving type ``j`` at
+    step ``t``; its column has a one in capacity row ``i`` and in demand row
+    ``n + (t-1)*m + j``.  The matrix depends only on the shape, so it is
+    cached and read-only, and every LP of that shape shares it.
+    """
+    t, i, j = np.indices((steps, n, m)).reshape(3, -1)
+    var = np.arange(steps * n * m)
+    rows = np.zeros((n + steps * m, steps * n * m))
+    rows[i, var] = 1.0
+    rows[n + t * m + j, var] = 1.0
+    rows.setflags(write=False)
+    return rows
+
+
 def transportation_lp(inst: Instance, demand_rhs: Sequence[float]) -> LinearProgram:
     """The bipartite capacity/demand LP shared by the demand-vector relaxations.
 
@@ -57,24 +76,12 @@ def transportation_lp(inst: Instance, demand_rhs: Sequence[float]) -> LinearProg
     offline optimum differ only in that right-hand side.
     """
     n, m = inst.n, inst.m
-    num = n * m
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for i in range(n):
-        row = [0.0] * num
-        for j in range(m):
-            row[i * m + j] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(inst.capacities[i]))
-    for j in range(m):
-        row = [0.0] * num
-        for i in range(n):
-            row[i * m + j] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(demand_rhs[j]))
-    objective = tuple(float(inst.rewards[i][j]) for i in range(n) for j in range(m))
-    names = tuple(f"x[{i},{j}]" for i in range(n) for j in range(m))
-    return LinearProgram(objective=objective, rows=tuple(rows), rhs=tuple(rhs), var_names=names)
+    return LinearProgram(
+        objective=np.asarray(inst.rewards, dtype=float).reshape(-1),
+        rows=_bipartite_rows(n, m),
+        rhs=np.array([*inst.capacities, *demand_rhs], dtype=float),
+        var_names=tuple(f"x[{i},{j}]" for i in range(n) for j in range(m)),
+    )
 
 
 def build_fluid_lp(inst: Instance) -> LinearProgram:
@@ -230,13 +237,12 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
             # numerically stuck on an existing row; accept the current point
             return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
         pool.add(cut)
-        row = [0.0] * lp.num_vars
-        for i in cut.subset:
-            row[i * inst.m + cut.type_index] = 1.0
+        row = np.zeros(lp.num_vars)
+        row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
         lp = LinearProgram(
             objective=lp.objective,
-            rows=lp.rows + (tuple(row),),
-            rhs=lp.rhs + (cut.rhs,),
+            rows=np.vstack([lp.rows, row]),
+            rhs=np.append(lp.rhs, cut.rhs),
             var_names=lp.var_names,
         )
 
@@ -246,52 +252,25 @@ def conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LinearProgr
 
     The objective weights each step by the survival probability of the
     horizon; the capacity row is unweighted because it binds on the longest
-    sample path.
+    sample path.  A zero-step horizon gives no variables and the n capacity
+    rows alone.
     """
     n, m = inst.n, inst.m
-    horizon = model.horizon
-    num = horizon * n * m
-
-    def vid(t: int, i: int, j: int) -> int:
-        return ((t - 1) * n + i) * m + j
-
-    objective = [0.0] * num
-    for t in range(1, horizon + 1):
-        weight = float(model.total.survival(t))
-        for i in range(n):
-            for j in range(m):
-                objective[vid(t, i, j)] = weight * float(inst.rewards[i][j])
-    rows: list[tuple[float, ...]] = []
-    rhs: list[float] = []
-    for i in range(n):
-        row = [0.0] * num
-        for t in range(1, horizon + 1):
-            for j in range(m):
-                row[vid(t, i, j)] = 1.0
-        rows.append(tuple(row))
-        rhs.append(float(inst.capacities[i]))
-    for t in range(1, horizon + 1):
-        for j in range(m):
-            row = [0.0] * num
-            for i in range(n):
-                row[vid(t, i, j)] = 1.0
-            rows.append(tuple(row))
-            rhs.append(float(model.probs[t - 1][j]))
-    names = tuple(
-        f"y[{t},{i},{j}]"
-        for t in range(1, horizon + 1)
-        for i in range(n)
-        for j in range(m)
-    )
+    probs = np.asarray(model.probs[: model.horizon], dtype=float).reshape(-1, m)
+    steps = probs.shape[0]
+    survival = np.array([float(model.total.survival(t)) for t in range(1, steps + 1)])
     return LinearProgram(
-        objective=tuple(objective), rows=tuple(rows), rhs=tuple(rhs), var_names=names
+        objective=np.outer(survival, np.asarray(inst.rewards, dtype=float)).reshape(-1),
+        rows=_bipartite_rows(n, m, steps),
+        rhs=np.concatenate([inst.capacities, probs.reshape(-1)], dtype=float),
+        var_names=tuple(
+            f"y[{t},{i},{j}]" for t in range(1, steps + 1) for i in range(n) for j in range(m)
+        ),
     )
 
 
 def build_conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LpSolution:
-    """Solve the horizon LP; a zero-step horizon solves trivially to zero."""
-    if model.horizon == 0:
-        return LpSolution(status=LpStatus.OPTIMAL, values=(), objective_value=0.0)
+    """Solve the horizon LP (a zero-step horizon solves to zero)."""
     return solve_lp(conditional_lp(model, inst))
 
 
@@ -305,13 +284,3 @@ def horizon_model_of(inst: Instance) -> StochasticHorizonModel:
     raise UnsupportedDemandModel(
         "independent demand has no canonical horizon view"
     )
-
-
-def solution_ym(
-    model: StochasticHorizonModel, inst: Instance, sol: LpSolution
-) -> np.ndarray:
-    """Reshape a conditional-LP solution into a (T, n, m) array."""
-    horizon = model.horizon
-    if horizon == 0:
-        return np.zeros((0, inst.n, inst.m))
-    return np.array(sol.values).reshape(horizon, inst.n, inst.m)

@@ -2,7 +2,9 @@
 
 import json
 
-from demandmatch.cli import main
+import pytest
+
+from demandmatch.cli import build_parser, main
 
 
 class TestRound:
@@ -134,3 +136,17 @@ class TestUsageErrors:
             ["solve", "--generator", "escalating_rewards", "--param", "T=3",
              "--param", "eps=0.1", "--lp", "fluid"]
         ) == 2
+
+
+class TestSeedEnvironment:
+    def test_environment_sets_default_seed(self, monkeypatch):
+        monkeypatch.setenv("DEMANDMATCH_SEED", "12")
+        assert build_parser().parse_args(["verify-invariants"]).seed == 12
+        assert build_parser().parse_args(["verify-invariants", "--seed", "3"]).seed == 3
+
+    def test_invalid_environment_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("DEMANDMATCH_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-invariants"])
+        assert exc.value.code == 2
+        assert "'abc'" in capsys.readouterr().err

@@ -5,7 +5,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
+from demandmatch.demand import trial_rng
+from demandmatch.experiments import random_horizon_instance, random_indep_instance
 from demandmatch.linprog import (
     LinearProgram,
     LpStatus,
@@ -13,6 +16,12 @@ from demandmatch.linprog import (
     format_tableau,
     solution_to_csv,
     solve_lp,
+)
+from demandmatch.relaxations import (
+    build_fluid_lp,
+    build_truncated_lp,
+    conditional_lp,
+    horizon_model_of,
 )
 
 
@@ -155,3 +164,27 @@ class TestBasisAndExports:
             LinearProgram(objective=(1.0, 1.0), rows=((1.0,),), rhs=(1.0,))
         with pytest.raises(ValueError, match="finite"):
             LinearProgram(objective=(1.0,), rows=((1.0,),), rhs=(float("inf"),))
+
+
+def highs_value(lp: LinearProgram) -> float:
+    res = scipy_linprog(
+        -lp.objective, A_ub=lp.rows, b_ub=lp.rhs, bounds=(0, None), method="highs"
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+class TestAgainstHighs:
+    """The simplex and HiGHS agree on the relaxations of random instances."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_relaxation_values(self, trial):
+        indep = random_indep_instance(trial_rng(5221, trial))
+        horizon = random_horizon_instance(trial_rng(5222, trial))
+        for lp in (
+            build_fluid_lp(indep),
+            build_truncated_lp(indep).lp,
+            conditional_lp(horizon_model_of(horizon), horizon),
+        ):
+            expected = highs_value(lp)
+            assert solve_lp(lp).objective_value == pytest.approx(expected, rel=1e-9, abs=1e-12)

@@ -1,5 +1,6 @@
 """Fluid, subset-tightened, and conditional relaxations."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,9 @@ from demandmatch.experiments import (
     random_horizon_instance,
     random_indep_instance,
 )
+from demandmatch.cli import main
 from demandmatch.linprog import LpStatus, check_feasible, solve_lp
+from demandmatch.policies import plan_horizon_policy
 from demandmatch.relaxations import (
     UnsupportedDemandModel,
     build_conditional_lp,
@@ -24,6 +27,7 @@ from demandmatch.relaxations import (
     enumerate_violated_cut,
     horizon_model_of,
     separation_oracle,
+    transportation_lp,
 )
 
 THREE_POINT = EXAMPLES["demo3"].dist.to_float()
@@ -251,3 +255,120 @@ class TestOrderingOnCorrelated:
         cond = build_conditional_lp(model, inst).objective_value
         assert off <= trunc + 1e-9
         assert opt <= cond + 1e-9
+
+
+def _loop_transportation(inst, demand_rhs):
+    """The capacity/demand rows written out element by element."""
+    n, m = inst.n, inst.m
+    rows, rhs = [], []
+    for i in range(n):
+        row = [0.0] * (n * m)
+        for j in range(m):
+            row[i * m + j] = 1.0
+        rows.append(row)
+        rhs.append(float(inst.capacities[i]))
+    for j in range(m):
+        row = [0.0] * (n * m)
+        for i in range(n):
+            row[i * m + j] = 1.0
+        rows.append(row)
+        rhs.append(float(demand_rhs[j]))
+    objective = [float(inst.rewards[i][j]) for i in range(n) for j in range(m)]
+    return objective, rows, rhs
+
+
+def _loop_conditional(model, inst):
+    """The horizon LP written out element by element, variable y[t,i,j]."""
+    n, m, horizon = inst.n, inst.m, model.horizon
+
+    def vid(t, i, j):
+        return ((t - 1) * n + i) * m + j
+
+    num = horizon * n * m
+    objective = [0.0] * num
+    for t in range(1, horizon + 1):
+        weight = float(model.total.survival(t))
+        for i in range(n):
+            for j in range(m):
+                objective[vid(t, i, j)] = weight * float(inst.rewards[i][j])
+    rows, rhs = [], []
+    for i in range(n):
+        row = [0.0] * num
+        for t in range(1, horizon + 1):
+            for j in range(m):
+                row[vid(t, i, j)] = 1.0
+        rows.append(row)
+        rhs.append(float(inst.capacities[i]))
+    for t in range(1, horizon + 1):
+        for j in range(m):
+            row = [0.0] * num
+            for i in range(n):
+                row[vid(t, i, j)] = 1.0
+            rows.append(row)
+            rhs.append(float(model.probs[t - 1][j]))
+    return objective, rows, rhs
+
+
+class TestBipartiteRows:
+    """Both builders lay out exactly the element-by-element matrices."""
+
+    @pytest.mark.parametrize("horizon,n,m", [(1, 1, 1), (3, 2, 4), (5, 3, 2)])
+    def test_matrices_match_loops(self, horizon, n, m):
+        rng = np.random.default_rng((431, horizon, n, m))
+        ends = {t: float(p) for t, p in zip(range(1, horizon + 1), rng.dirichlet(np.ones(horizon)))}
+        model = dm.StochasticHorizonModel(
+            total=dm.DemandDistribution.from_pmf(ends),
+            probs=tuple(
+                tuple(float(p) for p in rng.dirichlet(np.ones(m)) * 0.9) for _ in range(horizon)
+            ),
+        )
+        inst = dm.Instance(
+            rewards=tuple(tuple(float(r) for r in rng.uniform(0, 5, size=m)) for _ in range(n)),
+            capacities=tuple(int(k) for k in rng.integers(1, 4, size=n)),
+            demand=model,
+            arrival=dm.Arrival.RANDOM_ORDER,
+        )
+        demand_rhs = [float(v) for v in rng.uniform(0, 3, size=m)]
+        for lp, (objective, rows, rhs) in (
+            (transportation_lp(inst, demand_rhs), _loop_transportation(inst, demand_rhs)),
+            (conditional_lp(model, inst), _loop_conditional(model, inst)),
+        ):
+            assert np.array_equal(lp.objective, np.array(objective))
+            assert np.array_equal(lp.rows, np.array(rows))
+            assert np.array_equal(lp.rhs, np.array(rhs))
+
+
+class TestZeroStepHorizon:
+    """A total demand that is always zero gives a horizon of no steps."""
+
+    INSTANCE = dm.Instance(
+        rewards=((1.0, 2.0), (3.0, 0.5)),
+        capacities=(1, 2),
+        demand=dm.CorrelDemandModel(
+            total=dm.DemandDistribution.point_mass(0), type_probs=(0.5, 0.5)
+        ),
+    )
+
+    def test_lp_has_only_capacity_rows(self):
+        model = horizon_model_of(self.INSTANCE)
+        lp = conditional_lp(model, self.INSTANCE)
+        assert lp.num_vars == 0
+        assert lp.num_rows == self.INSTANCE.n
+
+    def test_solves_to_zero(self):
+        model = horizon_model_of(self.INSTANCE)
+        solution = build_conditional_lp(model, self.INSTANCE)
+        assert solution.status is LpStatus.OPTIMAL
+        assert solution.objective_value == 0.0
+        assert plan_horizon_policy(model, self.INSTANCE).lp_value == 0.0
+
+    def test_cli_solve(self, tmp_path, capsys):
+        doc = {
+            "rewards": [[1.0, 2.0], [3.0, 0.5]],
+            "capacities": [1, 2],
+            "demand": {"kind": "correl", "total": {"0": 1.0}, "type_probs": [0.5, 0.5]},
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(path), "--lp", "cond", "--dump-lp"]) == 0
+        assert "cond LP value: 0.000000" in capsys.readouterr().out

@@ -4,8 +4,8 @@ Library layout:
 
 * :mod:`demandmatch.demand` -- demand models, instances, sampling.  Survival
   and truncated expectations are methods of ``DemandDistribution``.
-* :mod:`demandmatch.linprog` -- dense two-phase simplex in one normal form;
-  every LP is numpy arrays ``(c, A, b)`` from builder to solver.
+* :mod:`demandmatch.linprog` -- dense one-phase simplex in one normal form
+  (``b >= 0``); every LP is numpy arrays ``(c, A, b)`` from builder to solver.
 * :mod:`demandmatch.relaxations` -- fluid, subset-tightened, and conditional
   LPs, with the knapsack separation oracle and cutting-plane loop.  The
   fluid LP, the subset-tightened LP's starting relaxation, the offline
@@ -43,7 +43,6 @@ from .linprog import LinearProgram, LpSolution, LpStatus, solve_lp
 from .relaxations import (
     Cut,
     CutPool,
-    build_conditional_lp,
     build_fluid_lp,
     build_truncated_lp,
     separation_oracle,

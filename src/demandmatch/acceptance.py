@@ -34,9 +34,9 @@ from .oracles import (
 )
 from .policies import best_static_threshold, plan_horizon_policy_for, plan_indep_adv_policy
 from .relaxations import (
-    build_conditional_lp,
     build_fluid_lp,
     build_truncated_lp,
+    conditional_lp,
     enumerate_violated_cut,
     horizon_model_of,
     separation_oracle,
@@ -269,7 +269,7 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionRes
         inst = random_horizon_instance(trial_rng(seed, trial), max_horizon=4, max_n=3, max_m=3)
         model = horizon_model_of(inst)
         opt = optimal_online_dp(model, inst).value
-        lp = build_conditional_lp(model, inst).objective_value
+        lp = solve_lp(conditional_lp(model, inst)).objective_value
         worst = max(worst, opt - lp)
         if opt > lp + TOL:
             ok = False
@@ -364,7 +364,7 @@ def check_conditional_tightness() -> CriterionResult:
     for big in (5, 10, 20):
         inst = gen_counterexample("rare_long_horizon", {"N": big})
         model = horizon_model_of(inst)
-        lp = build_conditional_lp(model, inst).objective_value
+        lp = solve_lp(conditional_lp(model, inst)).objective_value
         opt = optimal_online_dp(model, inst).value
         ratios.append(opt / lp)
         ok = ok and lp >= 2 - 1.0 / big**3 - TOL

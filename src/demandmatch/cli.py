@@ -100,10 +100,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         model = horizon_model_of(inst)
         lp = conditional_lp(model, inst)
         solution = solve_lp(lp)
+    n, m = inst.n, inst.m
+    if args.lp == "cond":
+        steps = range(1, lp.num_vars // (n * m) + 1)
+        names = [f"y[{t},{i},{j}]" for t in steps for i in range(n) for j in range(m)]
+    else:
+        names = [f"x[{i},{j}]" for i in range(n) for j in range(m)]
     lines = [f"{args.lp} LP value: {solution.objective_value:.6f}", f"status: {solution.status.value}"]
     if args.dump_lp:
-        lines.append(format_tableau(lp))
-    lines.append(solution_to_csv(lp, solution).rstrip("\n"))
+        lines.append(format_tableau(lp, names))
+    lines.append(solution_to_csv(names, solution).rstrip("\n"))
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -99,12 +99,14 @@ class DemandDistribution:
         elif abs(float(total) - 1.0) > PMF_TOL:
             raise ValueError(f"pmf sums to {float(total)!r}, outside tolerance {PMF_TOL}")
         # Survival table Pr[D >= ell] for ell = 1..max_support, built once.
+        # Exact atoms sum to exactly one; float atoms may sum a hair above
+        # it, so a float survival is clamped at 0.0 rather than go negative.
         surv: list[Prob] = []
         tail: Prob = 1 if self.is_exact else 1.0
         support = dict(self.items)
         for ell in range(1, self.max_support + 1):
             tail = tail - support.get(ell - 1, 0)
-            surv.append(tail)
+            surv.append(tail if tail >= 0 else 0.0)
         object.__setattr__(self, "_survival", tuple(surv))
 
     @classmethod
@@ -408,7 +410,9 @@ def sample_demand(model: DemandModel, rng_seed: Union[int, np.random.Generator])
         counts = [0] * model.m
         cum = np.cumsum([float(p) for p in model.type_probs])
         for _ in range(total):
-            counts[int(np.searchsorted(cum, rng.random(), side="right"))] += 1
+            # float type_probs may sum a hair below one; past it, the last type
+            j = int(np.searchsorted(cum, rng.random(), side="right"))
+            counts[min(j, model.m - 1)] += 1
         return RealizedDemand(tuple(counts))
     if isinstance(model, StochasticHorizonModel):
         path = sample_horizon_path(model, rng)

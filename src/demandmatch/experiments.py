@@ -48,7 +48,7 @@ from .oracles import (
     optimal_online_dp,
 )
 from .policies import plan_horizon_policy_for, plan_indep_adv_policy, run_horizon_trial
-from .relaxations import build_conditional_lp, build_fluid_lp, build_truncated_lp, horizon_model_of
+from .relaxations import build_fluid_lp, build_truncated_lp, conditional_lp, horizon_model_of
 from .linprog import solve_lp
 
 GENERATORS = (
@@ -407,7 +407,7 @@ def _denominator(cfg: ExperimentConfig) -> float:
         return build_truncated_lp(inst).solution.objective_value
     if cfg.benchmark == "cond":
         model = horizon_model_of(inst)
-        return build_conditional_lp(model, inst).objective_value
+        return solve_lp(conditional_lp(model, inst)).objective_value
     if cfg.benchmark == "off":
         return expected_offline(inst).value
     if cfg.benchmark == "opt":

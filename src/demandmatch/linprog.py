@@ -1,22 +1,25 @@
 """Dense LP solver in the single normal form used by every relaxation here:
 
-    maximize c.x   subject to   A x <= b,  x >= 0,
+    maximize c.x   subject to   A x <= b,  x >= 0,  b >= 0,
 
 with ``c`` of shape (n,), ``A`` of shape (r, n) and ``b`` of shape (r,), all
 float numpy arrays from the builder to the solver.
 
-Two-phase tableau simplex.  Pivoting is Dantzig (most negative reduced cost)
-until a run of degenerate pivots suggests cycling, then Bland's rule, whose
-termination guarantee makes the solver total on degenerate inputs.  The
-problems this package builds are small and dense (tens to a few hundred
-variables), so no sparsity or factorization machinery is attempted.
+Every right-hand side the package builds (capacities, expected or realized
+demands, truncated expectations, per-step probabilities) is nonnegative, so
+``x = 0`` is feasible and the slack basis starts a one-phase tableau simplex.
+Pivoting is Dantzig (most negative reduced cost) until a run of degenerate
+pivots suggests cycling, then Bland's rule, whose termination guarantee makes
+the solver total on degenerate inputs.  The problems this package builds are
+small and dense (tens to a few hundred variables), so no sparsity or
+factorization machinery is attempted.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +35,12 @@ _MAX_PIVOTS = 200_000
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """max objective.x s.t. rows.x <= rhs, x >= 0 (all rows are <=).
+    """max objective.x s.t. rows.x <= rhs, x >= 0, with rhs >= 0.
 
     ``objective`` (n,), ``rows`` (r, n) and ``rhs`` (r,) are float arrays;
     sequences are coerced once here.  The arrays may be shared and read-only,
@@ -48,7 +50,6 @@ class LinearProgram:
     objective: np.ndarray
     rows: np.ndarray
     rhs: np.ndarray
-    var_names: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         objective = np.asarray(self.objective, dtype=float).reshape(-1)
@@ -61,11 +62,10 @@ class LinearProgram:
             raise ValueError(f"rows of shape {rows.shape} do not have {n} coefficients each")
         if rows.shape[0] != rhs.size:
             raise ValueError(f"{rows.shape[0]} rows but {rhs.size} rhs entries")
-        if not np.all(np.isfinite(rhs)):
-            idx = int(np.argmin(np.isfinite(rhs)))
-            raise ValueError(f"rhs[{idx}] = {rhs[idx]} is not finite")
-        if self.var_names is not None and len(self.var_names) != n:
-            raise ValueError("var_names length mismatch")
+        valid = np.isfinite(rhs) & (rhs >= 0)
+        if not np.all(valid):
+            idx = int(np.argmin(valid))
+            raise ValueError(f"rhs[{idx}] = {rhs[idx]} is not finite and nonnegative")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -77,11 +77,6 @@ class LinearProgram:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    def name(self, j: int) -> str:
-        if self.var_names is not None:
-            return self.var_names[j]
-        return f"x{j}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,34 +92,27 @@ class LpSolution:
 
 
 class _Tableau:
-    """Row-0-is-objective simplex tableau over columns [vars | slacks | arts]."""
+    """Row-0-is-objective simplex tableau over columns [vars | slacks | rhs]."""
 
-    def __init__(self, rows: np.ndarray, rhs: np.ndarray, basis: list[int]):
-        self.T = np.hstack([rows, rhs.reshape(-1, 1)])
-        self.basis = basis
-        self.cost = np.zeros(self.T.shape[1])
+    def __init__(self, lp: LinearProgram):
+        n, m = lp.num_vars, lp.num_rows
+        self.T = np.hstack([lp.rows, np.eye(m), lp.rhs.reshape(-1, 1)])
+        self.basis = [n + r for r in range(m)]
+        # reduced costs z_j - c_j; the slack basis costs nothing
+        self.cost = np.zeros(n + m + 1)
+        self.cost[:n] = -lp.objective
         self.degenerate_run = 0
         self.bland = False
-        self.bland_after = max(20, 5 * rows.shape[1])
+        self.bland_after = max(20, 5 * (n + m))
 
-    def set_objective(self, cost: np.ndarray) -> None:
-        # reduced costs: z_j - c_j for the current basis
-        self.cost = np.zeros(self.T.shape[1])
-        self.cost[: cost.size] = -cost
-        for r, b in enumerate(self.basis):
-            if abs(self.cost[b]) > 0:
-                self.cost = self.cost - self.cost[b] * self.T[r]
-        self.degenerate_run = 0
-        self.bland = False
-
-    def _entering(self, allowed: np.ndarray) -> int:
+    def _entering(self) -> int:
         rc = self.cost[:-1]
         if self.bland:
             for j in range(rc.size):
-                if allowed[j] and rc[j] < -RC_TOL:
+                if rc[j] < -RC_TOL:
                     return j
             return -1
-        candidates = np.where(allowed & (rc < -RC_TOL))[0]
+        candidates = np.where(rc < -RC_TOL)[0]
         if candidates.size == 0:
             return -1
         return int(candidates[np.argmin(rc[candidates])])
@@ -163,19 +151,17 @@ class _Tableau:
             self.degenerate_run = 0
             self.bland = False
 
-    def run(self, allowed: np.ndarray) -> str:
+    def run(self) -> bool:
+        """Pivot to optimality; False when a column has no leaving row."""
         for _ in range(_MAX_PIVOTS):
-            col = self._entering(allowed)
+            col = self._entering()
             if col == -1:
-                return "optimal"
+                return True
             row = self._leaving(col)
             if row == -1:
-                return "unbounded"
+                return False
             self._pivot(row, col)
         raise RuntimeError("simplex exceeded the pivot budget")
-
-    def objective_value(self) -> float:
-        return float(self.cost[-1])
 
     def primal(self, num_cols: int) -> np.ndarray:
         x = np.zeros(num_cols)
@@ -186,75 +172,21 @@ class _Tableau:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve to an optimal basic solution, or report infeasible/unbounded.
+    """Solve to an optimal basic solution, or report the LP unbounded.
 
-    Rows with negative right-hand sides go through a phase-1 restart with
-    artificial variables; the common all-nonnegative case starts from the
-    slack basis directly.
+    One simplex phase from the slack basis, which the nonnegative right-hand
+    side makes feasible.  With no rows any improving column is unbounded;
+    with no variables the slack basis is optimal at once.
     """
     n = lp.num_vars
-    m = lp.num_rows
-    c, b = lp.objective, lp.rhs
-    if n == 0:
-        feasible = bool(np.all(b >= -RC_TOL))
-        status = LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE
-        return LpSolution(status=status, values=np.zeros(0), objective_value=0.0)
-    if m == 0:
-        # maximize over the nonnegative orthant with no constraints
-        if np.any(c > RC_TOL):
-            return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
-        return LpSolution(LpStatus.OPTIMAL, np.zeros(n), 0.0, ())
-
-    # Standard form with one slack per row.  Rows with b < 0 are negated so
-    # every rhs is nonnegative; their slack coefficient becomes -1 and an
-    # artificial variable provides the starting basis entry.  The negation
-    # happens in the fresh tableau, never in ``lp``'s own arrays.
-    negative = b < 0
-    art_rows = np.where(negative)[0]
-    num_art = art_rows.size
-    cols = n + m + num_art
-    full = np.zeros((m, cols))
-    full[:, :n] = lp.rows
-    full[np.arange(m), n + np.arange(m)] = 1.0
-    full[negative] *= -1.0
-    full[art_rows, n + m + np.arange(num_art)] = 1.0
-    b = np.where(negative, -b, b)
-    basis = [n + r for r in range(m)]
-    for k, r in enumerate(art_rows):
-        basis[r] = n + m + k
-
-    tab = _Tableau(full, b, basis)
-    allowed = np.ones(cols, dtype=bool)
-
-    if num_art:
-        phase1 = np.zeros(cols)
-        phase1[n + m :] = -1.0  # maximize -sum(artificials)
-        tab.set_objective(phase1)
-        tab.run(allowed)
-        if tab.objective_value() < -1e-8:
-            return LpSolution(LpStatus.INFEASIBLE, np.zeros(n), -np.inf)
-        # pivot any lingering artificials out of the basis where possible
-        for r, bvar in enumerate(tab.basis):
-            if bvar >= n + m:
-                for j in range(n + m):
-                    if abs(tab.T[r, j]) > PIVOT_TOL:
-                        tab._pivot(r, j)
-                        break
-        allowed[n + m :] = False
-
-    phase2 = np.zeros(cols)
-    phase2[:n] = c
-    tab.set_objective(phase2)
-    outcome = tab.run(allowed)
-    if outcome == "unbounded":
+    tab = _Tableau(lp)
+    if not tab.run():
         return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
-
     x = tab.primal(n)
-    value = float(c @ x)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         values=x,
-        objective_value=value,
+        objective_value=float(lp.objective @ x),
         basis=tuple(int(bv) for bv in tab.basis),
     )
 
@@ -265,9 +197,8 @@ def check_feasible(lp: LinearProgram, values: Sequence[float], tol: float = 1e-9
     return bool(np.all(x >= -tol) and np.all(lp.rows @ x <= lp.rhs + tol))
 
 
-def format_tableau(lp: LinearProgram) -> str:
+def format_tableau(lp: LinearProgram, names: Sequence[str]) -> str:
     """Plain-text dump of the LP: objective row, then constraint rows."""
-    names = [lp.name(j) for j in range(lp.num_vars)]
     lines = ["max " + " + ".join(f"{c:g}*{v}" for c, v in zip(lp.objective, names))]
     lines.append("subject to")
     for row, b in zip(lp.rows, lp.rhs):
@@ -277,9 +208,9 @@ def format_tableau(lp: LinearProgram) -> str:
     return "\n".join(lines)
 
 
-def solution_to_csv(lp: LinearProgram, sol: LpSolution) -> str:
+def solution_to_csv(names: Sequence[str], sol: LpSolution) -> str:
     """CSV export: one (variable name, value) row per variable."""
     lines = ["variable,value"]
-    for j, v in enumerate(sol.values):
-        lines.append(f"{lp.name(j)},{float(v)!r}")
+    for name, v in zip(names, sol.values):
+        lines.append(f"{name},{float(v)!r}")
     return "\n".join(lines) + "\n"

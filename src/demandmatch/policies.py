@@ -36,11 +36,11 @@ from .demand import (
     as_generator,
     expand_unit_capacity,
 )
-from .linprog import LpStatus
+from .linprog import LpStatus, solve_lp
 from .relaxations import (
     UnsupportedDemandModel,
-    build_conditional_lp,
     build_truncated_lp,
+    conditional_lp,
     horizon_model_of,
 )
 from .rounding import Routing, RoutingDistribution, typeround
@@ -380,7 +380,7 @@ class HorizonPlan:
 
 
 def plan_horizon_policy(model: StochasticHorizonModel, inst: Instance) -> HorizonPlan:
-    solution = build_conditional_lp(model, inst)
+    solution = solve_lp(conditional_lp(model, inst))
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"conditional LP did not solve: {solution.status}")
     n, m = inst.n, inst.m

@@ -80,7 +80,6 @@ def transportation_lp(inst: Instance, demand_rhs: Sequence[float]) -> LinearProg
         objective=np.asarray(inst.rewards, dtype=float).reshape(-1),
         rows=_bipartite_rows(n, m),
         rhs=np.array([*inst.capacities, *demand_rhs], dtype=float),
-        var_names=tuple(f"x[{i},{j}]" for i in range(n) for j in range(m)),
     )
 
 
@@ -110,9 +109,6 @@ class CutPool:
 
     cuts: list[Cut] = field(default_factory=list)
     _seen: set[tuple[int, tuple[int, ...]]] = field(default_factory=set)
-
-    def __contains__(self, key: tuple[int, tuple[int, ...]]) -> bool:
-        return key in self._seen
 
     def add(self, cut: Cut) -> None:
         key = (cut.type_index, cut.subset)
@@ -218,7 +214,9 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
 
     Alternates solve / separate, adding the most violated cut each round,
     until the oracle certifies feasibility.  Terminates because each (type,
-    subset) pair is added at most once and there are finitely many.
+    subset) pair is added at most once and there are finitely many; a cut
+    the pool already holds means the loop is numerically stuck, and
+    ``CutPool.add`` raises ``ValueError`` rather than accept the point.
     """
     lp = truncated_lp_base(inst)
     pool = CutPool()
@@ -233,9 +231,6 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
         cut = separation_oracle(solution.values, inst)
         if cut is None:
             return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
-        if (cut.type_index, cut.subset) in pool:
-            # numerically stuck on an existing row; accept the current point
-            return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
         pool.add(cut)
         row = np.zeros(lp.num_vars)
         row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
@@ -243,7 +238,6 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
             objective=lp.objective,
             rows=np.vstack([lp.rows, row]),
             rhs=np.append(lp.rhs, cut.rhs),
-            var_names=lp.var_names,
         )
 
 
@@ -263,15 +257,7 @@ def conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LinearProgr
         objective=np.outer(survival, np.asarray(inst.rewards, dtype=float)).reshape(-1),
         rows=_bipartite_rows(n, m, steps),
         rhs=np.concatenate([inst.capacities, probs.reshape(-1)], dtype=float),
-        var_names=tuple(
-            f"y[{t},{i},{j}]" for t in range(1, steps + 1) for i in range(n) for j in range(m)
-        ),
     )
-
-
-def build_conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LpSolution:
-    """Solve the horizon LP (a zero-step horizon solves to zero)."""
-    return solve_lp(conditional_lp(model, inst))
 
 
 def horizon_model_of(inst: Instance) -> StochasticHorizonModel:

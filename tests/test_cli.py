@@ -61,6 +61,86 @@ class TestSolve:
         assert "cond LP value: 1.992000" in capsys.readouterr().out
 
 
+#: ``solve --dump-lp`` output: value, status, tableau with variable names, CSV
+DUMP_DEMO3_TRUNC = """\
+trunc LP value: 1.750000
+status: optimal
+max 1*x[0,0] + 1*x[1,0] + 1*x[2,0]
+subject to
+  1*x[0,0] <= 1
+  1*x[1,0] <= 1
+  1*x[2,0] <= 1
+  1*x[0,0] + 1*x[1,0] + 1*x[2,0] <= 1.75
+  1*x[0,0] + 1*x[1,0] <= 1.5
+  x[0,0], x[1,0], x[2,0] >= 0
+variable,value
+x[0,0],1.0
+x[1,0],0.5
+x[2,0],0.25
+"""
+
+DUMP_RARE_LONG_HORIZON_COND = """\
+cond LP value: 1.875000
+status: optimal
+max 1*y[1,0,0] + 4*y[1,0,1] + 0.5*y[2,0,0] + 2*y[2,0,1] + 0.5*y[3,0,0] + 2*y[3,0,1] + 0.5*y[4,0,0] + 2*y[4,0,1] + 0.5*y[5,0,0] + 2*y[5,0,1]
+subject to
+  1*y[1,0,0] + 1*y[1,0,1] + 1*y[2,0,0] + 1*y[2,0,1] + 1*y[3,0,0] + 1*y[3,0,1] + 1*y[4,0,0] + 1*y[4,0,1] + 1*y[5,0,0] + 1*y[5,0,1] <= 1
+  1*y[1,0,0] <= 0.875
+  1*y[1,0,1] <= 0.125
+  1*y[2,0,0] <= 0.875
+  1*y[2,0,1] <= 0.125
+  1*y[3,0,0] <= 0.875
+  1*y[3,0,1] <= 0.125
+  1*y[4,0,0] <= 0.875
+  1*y[4,0,1] <= 0.125
+  1*y[5,0,0] <= 0.875
+  1*y[5,0,1] <= 0.125
+  y[1,0,0], y[1,0,1], y[2,0,0], y[2,0,1], y[3,0,0], y[3,0,1], y[4,0,0], y[4,0,1], y[5,0,0], y[5,0,1] >= 0
+variable,value
+y[1,0,0],0.375
+y[1,0,1],0.125
+y[2,0,0],0.0
+y[2,0,1],0.125
+y[3,0,0],0.0
+y[3,0,1],0.125
+y[4,0,0],0.0
+y[4,0,1],0.125
+y[5,0,0],0.0
+y[5,0,1],0.125
+"""
+
+DUMP_TWO_STAGE_FLUID = """\
+fluid LP value: 3.800000
+status: optimal
+max 1*x[0,0] + 10*x[0,1]
+subject to
+  1*x[0,0] + 1*x[0,1] <= 2
+  1*x[0,0] <= 2
+  1*x[0,1] <= 0.2
+  x[0,0], x[0,1] >= 0
+variable,value
+x[0,0],1.8
+x[0,1],0.19999999999999996
+"""
+
+
+class TestSolveDump:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--example", "demo3", "--lp", "trunc"], DUMP_DEMO3_TRUNC),
+            (["--generator", "rare_long_horizon", "--param", "N=2", "--lp", "cond"],
+             DUMP_RARE_LONG_HORIZON_COND),
+            (["--generator", "two_stage_reward", "--param", "eps=0.1", "--param", "k1=2",
+              "--lp", "fluid"], DUMP_TWO_STAGE_FLUID),
+        ],
+        ids=["demo3-trunc", "rare-long-horizon-cond", "two-stage-fluid"],
+    )
+    def test_output_is_pinned(self, argv, expected, capsys):
+        assert main(["solve", *argv, "--dump-lp"]) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestSimulate:
     def test_exact_ratio_row(self, capsys):
         assert main(

@@ -35,6 +35,14 @@ class TestSurvival:
         assert dist.survival(1) == pytest.approx(0.1, abs=1e-15)
         assert dist.survival(4) == pytest.approx(0.1, abs=1e-15)
 
+    def test_float_mass_above_one_clamps_at_zero(self):
+        # PMF_TOL accepts this mass; 1 - (1 + 5e-13) must not become a survival
+        dist = dm.DemandDistribution.from_pmf({0: 1 + 5e-13, 3: 1e-13})
+        survivals = [dist.survival(ell) for ell in (1, 2, 3)]
+        assert survivals == [0.0, 0.0, 0.0]
+        assert all(type(s) is float for s in survivals)
+        assert dist.mean() == 0.0
+
     def test_nonincreasing_and_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -272,6 +280,17 @@ class TestSampling:
         expected = np.array([math.comb(d, c) * p**c * (1 - p) ** (d - c) for c in range(d + 1)])
         _, pvalue = stats.chisquare(observed, expected * draws)
         assert pvalue > 1e-3
+
+    def test_correl_draw_past_float_mass_takes_last_type(self):
+        # type_probs summing a hair below one leave a gap under 1.0
+        class TopGenerator(np.random.Generator):
+            def random(self, *args, **kwargs):
+                return 1 - 2**-53
+
+        model = dm.CorrelDemandModel(
+            total=dm.DemandDistribution.point_mass(3), type_probs=(0.1, 0.2, 0.3, 0.4 - 1e-13)
+        )
+        assert dm.sample_demand(model, TopGenerator(np.random.PCG64(0))).counts == (0, 0, 0, 3)
 
     def test_horizon_path_respects_rows(self):
         model = dm.StochasticHorizonModel(

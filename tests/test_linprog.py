@@ -1,4 +1,4 @@
-"""Two-phase simplex: statuses, golden values, and the vertex-enumeration
+"""One-phase simplex: statuses, golden values, and the vertex-enumeration
 cross-check for random programs."""
 
 import itertools
@@ -75,28 +75,16 @@ class TestTrivialPrograms:
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == 0.0
 
-    def test_infeasible_via_negative_rhs(self):
-        # x <= -1 with x >= 0 has no solution
-        sol = solve_lp(LinearProgram(objective=(1.0,), rows=((1.0,),), rhs=(-1.0,)))
-        assert sol.status is LpStatus.INFEASIBLE
+    def test_unconstrained_positive_objective_is_unbounded(self):
+        # no rows: the improving column finds no leaving row
+        sol = solve_lp(LinearProgram(objective=(0.0, 2.0), rows=(), rhs=()))
+        assert sol.status is LpStatus.UNBOUNDED
+        assert sol.objective_value == np.inf
 
-    def test_negative_rhs_feasible(self):
-        # -x <= -2 means x >= 2; maximize -x gives x = 2
-        sol = solve_lp(LinearProgram(objective=(-1.0,), rows=((-1.0,),), rhs=(-2.0,)))
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.values[0] == pytest.approx(2.0, abs=1e-9)
-
-    def test_mixed_signs_phase_one(self):
-        # x + y <= 4, x >= 1, y >= 1; maximize x + 2y -> (1, 3)
-        lp = LinearProgram(
-            objective=(1.0, 2.0),
-            rows=((1.0, 1.0), (-1.0, 0.0), (0.0, -1.0)),
-            rhs=(4.0, -1.0, -1.0),
-        )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(7.0, abs=1e-8)
-        assert check_feasible(lp, sol.values)
+    def test_negative_rhs_rejected(self):
+        # x = 0 must be feasible: the normal form has rhs >= 0
+        with pytest.raises(ValueError, match=r"rhs\[1\] = -1.0 is not finite and nonnegative"):
+            LinearProgram(objective=(1.0, 1.0), rows=((1.0, 0.0), (0.0, 1.0)), rhs=(2.0, -1.0))
 
 
 class TestAgainstEnumeration:
@@ -150,12 +138,11 @@ class TestBasisAndExports:
             objective=(1.0, 0.5),
             rows=((1.0, 0.0), (0.0, 1.0)),
             rhs=(1.0, 2.0),
-            var_names=("a", "b"),
         )
         sol = solve_lp(lp)
-        text = format_tableau(lp)
+        text = format_tableau(lp, ("a", "b"))
         assert "1*a" in text and "<= 2" in text
-        csv = solution_to_csv(lp, sol)
+        csv = solution_to_csv(("a", "b"), sol)
         assert csv.splitlines()[0] == "variable,value"
         assert csv.count("\n") == 3
 

@@ -59,9 +59,9 @@ class TestOfflineOptimum:
         assert offline_optimum(inst, (1, 1)) == pytest.approx(5.0, abs=1e-9)
 
     def test_unsolvable_lp_raises(self):
-        # a negative count makes the demand row infeasible
+        # a negative count is a negative demand rhs, outside the LP normal form
         inst = random_indep_instance(np.random.default_rng(0), max_m=1)
-        with pytest.raises(RuntimeError, match="did not solve"):
+        with pytest.raises(ValueError, match="nonnegative"):
             offline_optimum(inst, (-1,))
 
     @pytest.mark.parametrize("trial", range(30))

@@ -20,7 +20,6 @@ from demandmatch.linprog import LpStatus, check_feasible, solve_lp
 from demandmatch.policies import plan_horizon_policy
 from demandmatch.relaxations import (
     UnsupportedDemandModel,
-    build_conditional_lp,
     build_fluid_lp,
     build_truncated_lp,
     conditional_lp,
@@ -164,6 +163,24 @@ class TestTruncatedLp:
         with pytest.raises(ValueError, match="duplicate"):
             pool.add(Cut(type_index=0, subset=(0, 1), rhs=1.0))
 
+    def test_repeated_cut_raises(self, monkeypatch):
+        # an oracle stuck on a row already in the pool is an error, not a point
+        from demandmatch import relaxations
+
+        cut = relaxations.Cut(type_index=0, subset=(0, 1), rhs=0.5, violation=1.0)
+        monkeypatch.setattr(relaxations, "separation_oracle", lambda x, inst: cut)
+        with pytest.raises(ValueError, match="duplicate cut"):
+            build_truncated_lp(single_type_instance(3, THREE_POINT))
+
+    def test_float_mass_above_one_solves_to_zero(self):
+        # atoms a hair above one on zero: survivals clamp at 0.0, so every
+        # rhs is nonnegative and both relaxations are worth nothing
+        inst = single_type_instance(2, dm.DemandDistribution.from_pmf({0: 1 + 5e-13, 3: 1e-13}))
+        assert solve_lp(build_fluid_lp(inst)).objective_value == 0.0
+        result = build_truncated_lp(inst)
+        assert result.solution.status is LpStatus.OPTIMAL
+        assert result.solution.objective_value == 0.0
+
 
 def greedy_single_resource_conditional(model, inst) -> float:
     """Independent oracle for n = 1: the conditional LP is a fractional
@@ -196,7 +213,7 @@ class TestConditionalLp:
             demand=model,
             arrival=dm.Arrival.RANDOM_ORDER,
         )
-        cond = build_conditional_lp(model, inst).objective_value
+        cond = solve_lp(conditional_lp(model, inst)).objective_value
         one_step = dm.Instance(
             rewards=inst.rewards,
             capacities=inst.capacities,
@@ -216,12 +233,12 @@ class TestConditionalLp:
             arrival=inst.arrival,
         )
         model = horizon_model_of(zeroed)
-        assert build_conditional_lp(model, zeroed).objective_value == 0.0
+        assert solve_lp(conditional_lp(model, zeroed)).objective_value == 0.0
 
     def test_rare_long_horizon_value(self):
         inst = gen_counterexample("rare_long_horizon", {"N": 10})
         model = horizon_model_of(inst)
-        value = build_conditional_lp(model, inst).objective_value
+        value = solve_lp(conditional_lp(model, inst)).objective_value
         assert value >= 2 - 1e-3 - 1e-9
         assert value == pytest.approx(greedy_single_resource_conditional(model, inst), abs=1e-7)
 
@@ -229,7 +246,7 @@ class TestConditionalLp:
     def test_single_resource_matches_greedy(self, trial):
         inst = random_horizon_instance(trial_rng(765, trial), max_n=1)
         model = horizon_model_of(inst)
-        lp = build_conditional_lp(model, inst).objective_value
+        lp = solve_lp(conditional_lp(model, inst)).objective_value
         assert lp == pytest.approx(greedy_single_resource_conditional(model, inst), abs=1e-8)
 
     def test_solution_rows_feasible(self):
@@ -252,7 +269,7 @@ class TestOrderingOnCorrelated:
         off = dm.expected_offline(inst).value
         trunc = build_truncated_lp(inst).solution.objective_value
         opt = dm.optimal_online_dp(model, inst).value
-        cond = build_conditional_lp(model, inst).objective_value
+        cond = solve_lp(conditional_lp(model, inst)).objective_value
         assert off <= trunc + 1e-9
         assert opt <= cond + 1e-9
 
@@ -357,7 +374,7 @@ class TestZeroStepHorizon:
 
     def test_solves_to_zero(self):
         model = horizon_model_of(self.INSTANCE)
-        solution = build_conditional_lp(model, self.INSTANCE)
+        solution = solve_lp(conditional_lp(model, self.INSTANCE))
         assert solution.status is LpStatus.OPTIMAL
         assert solution.objective_value == 0.0
         assert plan_horizon_policy(model, self.INSTANCE).lp_value == 0.0

@@ -25,6 +25,7 @@ rounding golden tests rely on.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -78,6 +79,7 @@ class DemandDistribution:
 
     items: tuple[tuple[int, Prob], ...]
     _survival: tuple[Prob, ...] = field(repr=False, compare=False, default=())
+    _prefix: tuple[Prob, ...] = field(repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         if not self.items:
@@ -101,13 +103,17 @@ class DemandDistribution:
         # Survival table Pr[D >= ell] for ell = 1..max_support, built once.
         # Exact atoms sum to exactly one; float atoms may sum a hair above
         # it, so a float survival is clamped at 0.0 rather than go negative.
+        # Next to it, the prefix sums E[min(D, cap)] for cap = 0..max_support.
         surv: list[Prob] = []
+        prefix: list[Prob] = [0]
         tail: Prob = 1 if self.is_exact else 1.0
         support = dict(self.items)
         for ell in range(1, self.max_support + 1):
             tail = tail - support.get(ell - 1, 0)
             surv.append(tail if tail >= 0 else 0.0)
+            prefix.append(prefix[-1] + surv[-1])
         object.__setattr__(self, "_survival", tuple(surv))
+        object.__setattr__(self, "_prefix", tuple(prefix))
 
     @classmethod
     def from_pmf(cls, pmf: Mapping[int, Prob]) -> "DemandDistribution":
@@ -148,13 +154,18 @@ class DemandDistribution:
         return self._survival[ell - 1]
 
     def truncated_expectation(self, cap: int) -> Prob:
-        """E[min(D, cap)], computed as the telescoping sum of survivals."""
+        """E[min(D, cap)], the telescoping sum of survivals up to ``cap``."""
         if cap < 0:
             raise ValueError(f"cap must be nonnegative, got {cap}")
-        total: Prob = 0
-        for ell in range(1, min(cap, self.max_support) + 1):
-            total = total + self._survival[ell - 1]
-        return total
+        return self._prefix[min(cap, self.max_support)]
+
+    @functools.cached_property
+    def _float_prefix(self) -> np.ndarray:
+        return np.array([float(v) for v in self._prefix])
+
+    def truncated_expectation_table(self, cap: int) -> np.ndarray:
+        """``float(E[min(D, k)])`` for ``k = 0..cap``; the float table is built on first use."""
+        return self._float_prefix[np.minimum(np.arange(cap + 1), self.max_support)]
 
     def mean(self) -> Prob:
         return self.truncated_expectation(self.max_support)

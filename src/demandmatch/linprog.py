@@ -10,9 +10,15 @@ demands, truncated expectations, per-step probabilities) is nonnegative, so
 ``x = 0`` is feasible and the slack basis starts a one-phase tableau simplex.
 Pivoting is Dantzig (most negative reduced cost) until a run of degenerate
 pivots suggests cycling, then Bland's rule, whose termination guarantee makes
-the solver total on degenerate inputs.  The problems this package builds are
-small and dense (tens to a few hundred variables), so no sparsity or
-factorization machinery is attempted.
+the solver total on degenerate inputs.  The problems are small, so no
+factorization machinery is attempted; the rank-1 update of a pivot skips the
+rows whose pivot-column entry is zero.
+
+An optimal ``Tableau`` is reoptimized in place after ``add_row`` (a cutting
+plane) or ``set_rhs`` (a new demand realization): both leave its basis dual
+feasible, so ``reoptimize`` runs dual-simplex pivots until the basic values
+are nonnegative again, then primal pivots, with the same pivot routine and
+switch to Bland's rule in both phases.
 """
 
 from __future__ import annotations
@@ -29,13 +35,27 @@ RC_TOL = 1e-9
 PIVOT_TOL = 1e-10
 #: objective progress below this marks a pivot as degenerate
 DEGENERATE_TOL = 1e-12
+#: basic values below minus this make the basis primal infeasible
+FEAS_TOL = 1e-12
 
 _MAX_PIVOTS = 200_000
+#: cells per block of the rank-1 update (128 KiB of floats); a smaller tableau
+#: is updated whole
+_BLOCK_CELLS = 16_384
 
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"
+
+
+def _checked_rhs(rhs) -> np.ndarray:
+    rhs = np.asarray(rhs, dtype=float).reshape(-1)
+    valid = np.isfinite(rhs) & (rhs >= 0)
+    if not valid.all():
+        idx = int(np.argmin(valid))
+        raise ValueError(f"rhs[{idx}] = {rhs[idx]} is not finite and nonnegative")
+    return rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +73,7 @@ class LinearProgram:
 
     def __post_init__(self) -> None:
         objective = np.asarray(self.objective, dtype=float).reshape(-1)
-        rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+        rhs = _checked_rhs(self.rhs)
         n = objective.size
         rows = np.asarray(self.rows, dtype=float)
         if rows.size == 0 and rows.ndim == 1:  # no rows at all
@@ -62,10 +82,6 @@ class LinearProgram:
             raise ValueError(f"rows of shape {rows.shape} do not have {n} coefficients each")
         if rows.shape[0] != rhs.size:
             raise ValueError(f"{rows.shape[0]} rows but {rhs.size} rhs entries")
-        valid = np.isfinite(rhs) & (rhs >= 0)
-        if not np.all(valid):
-            idx = int(np.argmin(valid))
-            raise ValueError(f"rhs[{idx}] = {rhs[idx]} is not finite and nonnegative")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -91,22 +107,48 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
-class _Tableau:
-    """Row-0-is-objective simplex tableau over columns [vars | slacks | rhs]."""
+class Tableau:
+    """Simplex tableau ``T`` over [vars | slacks], basic values ``rhs`` and
+    reduced costs ``cost``.  The slack columns of ``T`` hold the basis inverse;
+    ``T`` is a view into a buffer with spare rows, so ``add_row`` rarely copies.
+    """
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, lp.num_rows
-        self.T = np.hstack([lp.rows, np.eye(m), lp.rhs.reshape(-1, 1)])
+        self.objective = lp.objective
+        self.T = self._buffer = np.hstack([lp.rows, np.eye(m)])
+        self.rhs = lp.rhs.copy()
         self.basis = [n + r for r in range(m)]
-        # reduced costs z_j - c_j; the slack basis costs nothing
-        self.cost = np.zeros(n + m + 1)
-        self.cost[:n] = -lp.objective
-        self.degenerate_run = 0
-        self.bland = False
+        # the slack basis costs nothing
+        self.cost = np.concatenate([-lp.objective, np.zeros(m)])
         self.bland_after = max(20, 5 * (n + m))
 
+    def add_row(self, a: np.ndarray, b: float) -> None:
+        """Append ``a.x <= b`` with its slack basic; an optimal basis stays dual feasible."""
+        b = _checked_rhs([b])[0]
+        r, cols = self.T.shape
+        if r == self._buffer.shape[0]:
+            # room for r + 1 more rows, each with its slack column
+            self._buffer = np.zeros((2 * r + 1, cols + r + 1))
+            self._buffer[:r, :cols] = self.T
+        T = self.T = self._buffer[: r + 1, : cols + 1]
+        T[r, : self.objective.size] = a
+        T[r, cols] = 1.0
+        # zero the new row on the basic columns, where T[:r] is an identity
+        coef = T[r, self.basis]
+        nz = np.nonzero(coef)[0]
+        T[r] -= coef[nz] @ T[nz]
+        self.rhs = np.append(self.rhs, b - coef[nz] @ self.rhs[nz])
+        self.cost = np.append(self.cost, 0.0)
+        self.basis.append(cols)
+
+    def set_rhs(self, b) -> None:
+        """Replace ``b``: the basic values become B^-1 b."""
+        n, r = self.objective.size, len(self.basis)
+        self.rhs = self.T[:, n : n + r] @ _checked_rhs(b)
+
     def _entering(self) -> int:
-        rc = self.cost[:-1]
+        rc = self.cost
         if self.bland:
             for j in range(rc.size):
                 if rc[j] < -RC_TOL:
@@ -119,7 +161,7 @@ class _Tableau:
 
     def _leaving(self, col: int) -> int:
         column = self.T[:, col]
-        rhs = self.T[:, -1]
+        rhs = self.rhs
         best = -1
         best_ratio = np.inf
         for r in range(self.T.shape[0]):
@@ -134,14 +176,44 @@ class _Tableau:
                     best = r
         return best
 
+    def _infeasible_row(self) -> int:
+        """Dual leaving row: the most negative basic value (Bland: lowest basic index)."""
+        if not self.rhs.size or self.rhs.min() >= -FEAS_TOL:
+            return -1
+        if self.bland:
+            rows = np.nonzero(self.rhs < -FEAS_TOL)[0]
+            return int(rows[np.argmin(np.asarray(self.basis)[rows])])
+        return int(self.rhs.argmin())
+
+    def _dual_entering(self, row: int) -> int:
+        """Dual ratio test: the lowest column that keeps every reduced cost >= 0."""
+        a = self.T[row]
+        cols = np.nonzero(a < -PIVOT_TOL)[0]
+        if cols.size == 0:
+            return -1
+        ratios = np.maximum(self.cost[cols], 0.0) / -a[cols]
+        return int(cols[np.argmax(ratios <= ratios.min() + 1e-12)])
+
     def _pivot(self, row: int, col: int) -> None:
-        piv = self.T[row, col]
-        self.T[row] /= piv
-        factors = self.T[:, col].copy()
+        T, rhs = self.T, self.rhs
+        piv = T[row, col]
+        T[row] /= piv
+        rhs[row] /= piv
+        factors = T[:, col].copy()
         factors[row] = 0.0
-        self.T -= np.outer(factors, self.T[row])
-        gain = self.cost[col] * self.T[row, -1]
-        self.cost = self.cost - self.cost[col] * self.T[row]
+        rhs -= factors * rhs[row]
+        if T.size <= _BLOCK_CELLS:
+            T -= np.outer(factors, T[row])
+        else:
+            # only rows with a nonzero factor change; update them in blocks
+            # small enough that each gathered copy stays in cache
+            nz = np.nonzero(factors)[0]
+            step = max(1, _BLOCK_CELLS // T.shape[1])
+            for start in range(0, nz.size, step):
+                rows = nz[start : start + step]
+                T[rows] -= np.outer(factors[rows], T[row])
+        gain = self.cost[col] * rhs[row]
+        self.cost = self.cost - self.cost[col] * T[row]
         self.basis[row] = col
         if abs(gain) <= DEGENERATE_TOL:
             self.degenerate_run += 1
@@ -152,7 +224,22 @@ class _Tableau:
             self.bland = False
 
     def run(self) -> bool:
-        """Pivot to optimality; False when a column has no leaving row."""
+        """Dual pivots while a basic value is negative, then primal pivots to
+        optimality; False when a column has no leaving row.  The LP is feasible
+        (b >= 0), so a dual dead end or an exhausted budget raises RuntimeError.
+        """
+        self.degenerate_run = 0
+        self.bland = False
+        for _ in range(_MAX_PIVOTS):
+            row = self._infeasible_row()
+            if row == -1:
+                break
+            col = self._dual_entering(row)
+            if col == -1:
+                raise RuntimeError(f"row {row} has basic value {self.rhs[row]!r} and no entering column")
+            self._pivot(row, col)
+        else:
+            raise RuntimeError("dual simplex exceeded the pivot budget")
         for _ in range(_MAX_PIVOTS):
             col = self._entering()
             if col == -1:
@@ -167,8 +254,23 @@ class _Tableau:
         x = np.zeros(num_cols)
         for r, b in enumerate(self.basis):
             if b < num_cols:
-                x[b] = self.T[r, -1]
+                x[b] = self.rhs[r]
         return x
+
+
+def reoptimize(tab: Tableau) -> LpSolution:
+    """Optimal basic solution of the tableau's LP from its current basis: a
+    warm reoptimization after ``add_row``/``set_rhs``, a cold solve when fresh."""
+    n = tab.objective.size
+    if not tab.run():
+        return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
+    x = tab.primal(n)
+    return LpSolution(
+        status=LpStatus.OPTIMAL,
+        values=x,
+        objective_value=float(tab.objective @ x),
+        basis=tuple(int(bv) for bv in tab.basis),
+    )
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -178,17 +280,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     side makes feasible.  With no rows any improving column is unbounded;
     with no variables the slack basis is optimal at once.
     """
-    n = lp.num_vars
-    tab = _Tableau(lp)
-    if not tab.run():
-        return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
-    x = tab.primal(n)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        values=x,
-        objective_value=float(lp.objective @ x),
-        basis=tuple(int(bv) for bv in tab.basis),
-    )
+    return reoptimize(Tableau(lp))
 
 
 def check_feasible(lp: LinearProgram, values: Sequence[float], tol: float = 1e-9) -> bool:

@@ -27,7 +27,7 @@ from .demand import (
     sample_demand,
     trial_rng,
 )
-from .linprog import LpStatus, solve_lp
+from .linprog import LpStatus, Tableau, reoptimize, solve_lp
 from .policies import HorizonPlan, IndepAdvPlan, run_threshold_trial
 from .relaxations import transportation_lp
 
@@ -80,17 +80,29 @@ def expected_offline(
 
     Exact by support enumeration while the joint support fits under the cap;
     beyond that, a seeded Monte-Carlo estimate with its standard error.
+    Either way one transportation tableau serves the whole instance: each
+    realization only sets its counts as the demand rhs and reoptimizes from
+    the previous optimal basis by dual simplex.
     """
+    tab = Tableau(transportation_lp(inst, [0] * inst.m))
+
+    def offline(counts: Sequence[int]) -> float:
+        tab.set_rhs([*inst.capacities, *counts])
+        solution = reoptimize(tab)
+        if solution.status is not LpStatus.OPTIMAL:
+            raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
+        return solution.objective_value
+
     if demand_support_size(inst.demand) <= support_cap:
         total = 0.0
         for counts, prob in iter_demand_support(inst.demand):
             p = float(prob)
             if p > 0.0:
-                total += p * offline_optimum(inst, counts)
+                total += p * offline(counts)
         return OracleValue(value=total, mode="exact")
     values = np.empty(trials)
     for t in range(trials):
-        values[t] = offline_optimum(inst, sample_demand(inst.demand, trial_rng(seed, t)))
+        values[t] = offline(sample_demand(inst.demand, trial_rng(seed, t)).counts)
     return OracleValue.from_samples(values)
 
 

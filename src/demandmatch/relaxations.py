@@ -26,7 +26,7 @@ from .demand import (
     Instance,
     StochasticHorizonModel,
 )
-from .linprog import LinearProgram, LpSolution, LpStatus, solve_lp
+from .linprog import LinearProgram, LpSolution, Tableau, reoptimize
 
 #: a subset-demand cut is violated when exceeded by more than this
 CUT_TOL = 1e-9
@@ -130,38 +130,42 @@ def separation_oracle(
     capacity, a 0/1 knapsack over resources (weight ``k_i``, value
     ``x[i,j]``) finds the subset packing the most candidate mass under the
     budget; that mass is compared against ``E[min(D_j, k)]``.  The scan is
-    O(m * n * total_capacity) plus the subset recoveries.
+    O(m * n * total_capacity) plus one subset recovery.
     """
     n, m = inst.n, inst.m
     caps = inst.capacities
     total_cap = sum(caps)
-    best: Optional[Cut] = None
-    for j in range(m):
-        marginal = type_marginal(inst, j)
-        values = [float(x[i * m + j]) for i in range(n)]
-        # dp[c] = best value with weight <= c; take[i][c] marks item i chosen
-        dp = np.zeros(total_cap + 1)
-        take = np.zeros((n, total_cap + 1), dtype=bool)
-        for i in range(n):
-            w, v = caps[i], values[i]
-            if v <= 0.0:
-                continue
-            upgraded = dp[: total_cap + 1 - w] + v
-            better = upgraded > dp[w:]
-            dp[w:] = np.where(better, upgraded, dp[w:])
-            take[i, w:] = better
-        for k in range(1, total_cap + 1):
-            if float(dp[k]) - float(marginal.truncated_expectation(k)) <= tol:
-                continue
-            # The recovered subset may use less than the budget k, so its own
-            # row bound E[min(D_j, sum_S k_i)] is at least as tight.
-            subset = _recover_subset(take, caps, k)
-            load = sum(values[i] for i in subset)
-            bound = float(marginal.truncated_expectation(sum(caps[i] for i in subset)))
-            violation = load - bound
-            if violation > tol and (best is None or violation > best.violation):
-                best = Cut(type_index=j, subset=subset, rhs=bound, violation=violation)
-    return best
+    # a nonpositive value, lifted to -inf, is never taken
+    xs = np.asarray(x, dtype=float).reshape(n, m)
+    gains = np.where(xs > 0.0, xs, -np.inf)
+    # dp[j, c] = best type-j value with weight <= c, weight[j, c] = the weight
+    # that subset uses, take[j, i, c] marks item i chosen; all types at once
+    dp = np.zeros((m, total_cap + 1))
+    weight = np.zeros((m, total_cap + 1), dtype=np.intp)
+    take = np.zeros((m, n, total_cap + 1), dtype=bool)
+    for i in range(n):
+        w = caps[i]
+        upgraded = dp[:, : total_cap + 1 - w] + gains[i, :, None]
+        better = upgraded > dp[:, w:]
+        np.copyto(dp[:, w:], upgraded, where=better)
+        np.copyto(weight[:, w:], weight[:, : total_cap + 1 - w] + w, where=better)
+        take[:, i, w:] = better
+    table = np.array([type_marginal(inst, j).truncated_expectation_table(total_cap) for j in range(m)])
+    # A budget's subset may use less than the budget, so its own row bound
+    # E[min(D_j, weight)] is at least as tight as E[min(D_j, k)].  Its load is
+    # dp itself, summed in the same item order as the subset.
+    bound = np.take_along_axis(table, weight, axis=1)
+    violation = np.where(dp - table > tol, dp - bound, -np.inf)
+    # the first maximum in (type, budget) order
+    j, k = np.unravel_index(np.argmax(violation), violation.shape)
+    if not violation[j, k] > tol:
+        return None
+    return Cut(
+        type_index=int(j),
+        subset=_recover_subset(take[j], caps, int(k)),
+        rhs=float(bound[j, k]),
+        violation=float(violation[j, k]),
+    )
 
 
 def _recover_subset(take: np.ndarray, caps: Sequence[int], budget: int) -> tuple[int, ...]:
@@ -213,32 +217,38 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
     """Cutting-plane solve of the subset-tightened relaxation.
 
     Alternates solve / separate, adding the most violated cut each round,
-    until the oracle certifies feasibility.  Terminates because each (type,
+    until the oracle certifies feasibility.  One tableau lives across the
+    rounds: each cut is appended to it and the previous optimal basis is
+    reoptimized by dual simplex, and ``lp`` is assembled once at the end
+    from the base rows and the pool.  Terminates because each (type,
     subset) pair is added at most once and there are finitely many; a cut
     the pool already holds means the loop is numerically stuck, and
     ``CutPool.add`` raises ``ValueError`` rather than accept the point.
     """
-    lp = truncated_lp_base(inst)
+    base = truncated_lp_base(inst)
+    tab = Tableau(base)
     pool = CutPool()
+    rows = []
     rounds = 0
     while True:
         rounds += 1
         if rounds > MAX_CUT_ROUNDS:
             raise RuntimeError("cutting-plane loop exceeded the round budget")
-        solution = solve_lp(lp)
-        if solution.status is not LpStatus.OPTIMAL:
-            return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
-        cut = separation_oracle(solution.values, inst)
+        solution = reoptimize(tab)
+        cut = separation_oracle(solution.values, inst) if solution.is_optimal else None
         if cut is None:
-            return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
+            break
         pool.add(cut)
-        row = np.zeros(lp.num_vars)
+        row = np.zeros(base.num_vars)
         row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
-        lp = LinearProgram(
-            objective=lp.objective,
-            rows=np.vstack([lp.rows, row]),
-            rhs=np.append(lp.rhs, cut.rhs),
-        )
+        rows.append(row)
+        tab.add_row(row, cut.rhs)
+    lp = LinearProgram(
+        objective=base.objective,
+        rows=np.vstack([base.rows, *rows]),
+        rhs=np.append(base.rhs, [c.rhs for c in pool.cuts]),
+    )
+    return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
 
 
 def conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LinearProgram:

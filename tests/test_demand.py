@@ -93,6 +93,31 @@ class TestTruncatedExpectation:
             telescoped = dist.truncated_expectation(cap)
             assert direct == telescoped
 
+    @given(
+        pmf=st.dictionaries(
+            st.integers(min_value=0, max_value=8),
+            st.floats(min_value=0.01, max_value=1.0),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_table_sums_survivals_in_order(self, pmf):
+        # the lookup returns the same float as adding survivals left to right
+        total = sum(pmf.values())
+        dist = dm.DemandDistribution.from_pmf({v: w / total for v, w in pmf.items()})
+        table = dist.truncated_expectation_table(dist.max_support + 2)
+        for cap in range(dist.max_support + 3):
+            summed = 0
+            for ell in range(1, min(cap, dist.max_support) + 1):
+                summed = summed + dist.survival(ell)
+            assert dist.truncated_expectation(cap) == summed
+            assert table[cap] == float(summed)
+
+    def test_exact_table_rounds_each_fraction(self):
+        table = THREE_POINT.truncated_expectation_table(5)
+        assert table.tolist() == [float(THREE_POINT.truncated_expectation(c)) for c in range(6)]
+
 
 class TestDistributionValidation:
     def test_rejects_negative_probability(self):

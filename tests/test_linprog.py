@@ -1,5 +1,6 @@
-"""One-phase simplex: statuses, golden values, and the vertex-enumeration
-cross-check for random programs."""
+"""One-phase simplex: statuses, golden values, the vertex-enumeration
+cross-check for random programs, and warm reoptimization after a new row or
+a new right-hand side against cold solves and HiGHS."""
 
 import itertools
 
@@ -7,13 +8,16 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from demandmatch.demand import trial_rng
+from demandmatch import linprog
+from demandmatch.demand import Instance, IndepDemandModel, DemandDistribution, trial_rng
 from demandmatch.experiments import random_horizon_instance, random_indep_instance
 from demandmatch.linprog import (
     LinearProgram,
     LpStatus,
+    Tableau,
     check_feasible,
     format_tableau,
+    reoptimize,
     solution_to_csv,
     solve_lp,
 )
@@ -22,6 +26,7 @@ from demandmatch.relaxations import (
     build_truncated_lp,
     conditional_lp,
     horizon_model_of,
+    transportation_lp,
 )
 
 
@@ -175,3 +180,110 @@ class TestAgainstHighs:
         ):
             expected = highs_value(lp)
             assert solve_lp(lp).objective_value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def assert_agrees(warm, lp: LinearProgram) -> None:
+    """The warm value equals a cold solve and HiGHS to 1e-9 relative."""
+    assert warm.status is LpStatus.OPTIMAL
+    assert check_feasible(lp, warm.values)
+    for reference in (solve_lp(lp).objective_value, highs_value(lp)):
+        assert abs(warm.objective_value - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
+def random_bounded_lp(rng, n: int, m: int) -> LinearProgram:
+    """Random normal-form rows plus the box x <= 10, so the LP is bounded."""
+    rows = np.vstack([rng.uniform(-1, 2, size=(m, n)), np.eye(n)])
+    rhs = np.concatenate([rng.uniform(0.5, 3.0, size=m), np.full(n, 10.0)])
+    return LinearProgram(objective=rng.uniform(-1, 2, size=n), rows=rows, rhs=rhs)
+
+
+class TestReoptimize:
+    """Dual-simplex reoptimization of a live tableau, differentially tested."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_appended_one_at_a_time(self, seed):
+        rng = np.random.default_rng((7301, seed))
+        lp = random_bounded_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(1, 5)))
+        tab = Tableau(lp)
+        assert_agrees(reoptimize(tab), lp)
+        for _ in range(6):
+            a, b = rng.uniform(-1, 2, size=lp.num_vars), float(rng.uniform(0.0, 3.0))
+            tab.add_row(a, b)
+            lp = LinearProgram(lp.objective, np.vstack([lp.rows, a]), np.append(lp.rhs, b))
+            assert_agrees(reoptimize(tab), lp)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rhs_replaced(self, seed):
+        rng = np.random.default_rng((7302, seed))
+        lp = random_bounded_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(1, 5)))
+        tab = Tableau(lp)
+        assert_agrees(reoptimize(tab), lp)
+        for _ in range(6):
+            # some zeros make the new basis degenerate
+            rhs = rng.uniform(0.0, 3.0, size=lp.num_rows) * (rng.random(lp.num_rows) < 0.8)
+            tab.set_rhs(rhs)
+            lp = LinearProgram(lp.objective, lp.rows, rhs)
+            assert_agrees(reoptimize(tab), lp)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_degenerate_transportation_under_bland(self, seed, monkeypatch):
+        # equal rewards make every dual step zero, so every dual pivot is
+        # degenerate; a switch after one such pivot puts the dual phase under
+        # Bland's rule, which must still reach the optimum
+        bland_dual_pivots = []
+        dual_entering = Tableau._dual_entering
+
+        def spy(self, row):
+            bland_dual_pivots.append(self.bland)
+            return dual_entering(self, row)
+
+        monkeypatch.setattr(Tableau, "_dual_entering", spy)
+        rng = np.random.default_rng((7303, seed))
+        n, m = int(rng.integers(3, 6)), int(rng.integers(3, 6))
+        inst = Instance(
+            rewards=tuple((1.0,) * m for _ in range(n)),
+            capacities=tuple(int(k) for k in rng.integers(1, 4, size=n)),
+            demand=IndepDemandModel(tuple(DemandDistribution.point_mass(1) for _ in range(m))),
+        )
+        tab = Tableau(transportation_lp(inst, [0] * m))
+        tab.bland_after = 1
+        for step in range(12):
+            # a drop to low demand drives several basic variables out at once
+            counts = rng.integers(0, 4 if step % 2 else 2, size=m)
+            lp = transportation_lp(inst, counts)
+            tab.set_rhs(lp.rhs)
+            assert_agrees(reoptimize(tab), lp)
+        assert any(bland_dual_pivots)
+
+
+class TestReoptimizeFailures:
+    """Breakdowns raise instead of returning a point."""
+
+    def test_negative_basic_value_without_entering_column_raises(self):
+        tab = Tableau(LinearProgram(objective=(1.0,), rows=((1.0,),), rhs=(1.0,)))
+        assert reoptimize(tab).objective_value == 1.0
+        # basic x = -1 in a row [1 | 1]: no negative entry can enter
+        tab.rhs[0] = -1.0
+        with pytest.raises(RuntimeError, match="no entering column"):
+            reoptimize(tab)
+
+    def test_primal_pivot_budget_raises(self, monkeypatch):
+        lp = LinearProgram(objective=(3.0, 2.0), rows=((1.0, 1.0), (2.0, 1.0)), rhs=(4.0, 6.0))
+        monkeypatch.setattr(linprog, "_MAX_PIVOTS", 1)
+        with pytest.raises(RuntimeError, match="^simplex exceeded the pivot budget"):
+            solve_lp(lp)
+
+    def test_dual_pivot_budget_raises(self, monkeypatch):
+        tab = Tableau(LinearProgram(objective=(1.0, 1.0), rows=((1.0, 0.0), (0.0, 1.0)), rhs=(1.0, 1.0)))
+        assert reoptimize(tab).objective_value == 2.0
+        tab.add_row(np.array([1.0, 1.0]), 1.0)
+        monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
+        with pytest.raises(RuntimeError, match="dual simplex exceeded the pivot budget"):
+            reoptimize(tab)
+
+    def test_negative_new_bound_rejected(self):
+        tab = Tableau(LinearProgram(objective=(1.0,), rows=((1.0,),), rhs=(1.0,)))
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            tab.add_row(np.array([1.0]), -0.5)
+        with pytest.raises(ValueError, match="not finite and nonnegative"):
+            tab.set_rhs([-1.0])

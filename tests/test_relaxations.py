@@ -1,10 +1,14 @@
 """Fluid, subset-tightened, and conditional relaxations."""
 
+import importlib.util
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
 import demandmatch as dm
 from demandmatch.builtin import EXAMPLES
@@ -30,6 +34,17 @@ from demandmatch.relaxations import (
 )
 
 THREE_POINT = EXAMPLES["demo3"].dist.to_float()
+
+
+def bench_workloads():
+    """The benchmark's instance generators, ``bench/workloads.py``."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def single_type_instance(n, dist, rewards=None):
@@ -88,6 +103,57 @@ class TestSeparationOracle:
         if fast is not None and slow is not None:
             # both must name genuinely violated rows of the same worst margin
             assert fast.violation == pytest.approx(slow.violation, abs=1e-9)
+
+
+def per_type_knapsack_cut(x, inst, tol=1e-9):
+    """The separation oracle as one knapsack per type and a scan over the
+    budgets, recovering every violated budget's subset: the reference the
+    vectorized oracle must match bit for bit."""
+    from demandmatch.relaxations import Cut, _recover_subset, type_marginal
+
+    n, m, caps = inst.n, inst.m, inst.capacities
+    total_cap = sum(caps)
+    best = None
+    for j in range(m):
+        marginal = type_marginal(inst, j)
+        values = [float(x[i * m + j]) for i in range(n)]
+        dp = np.zeros(total_cap + 1)
+        take = np.zeros((n, total_cap + 1), dtype=bool)
+        for i in range(n):
+            w, v = caps[i], values[i]
+            if v <= 0.0:
+                continue
+            upgraded = dp[: total_cap + 1 - w] + v
+            better = upgraded > dp[w:]
+            dp[w:] = np.where(better, upgraded, dp[w:])
+            take[i, w:] = better
+        for k in range(1, total_cap + 1):
+            if float(dp[k]) - float(marginal.truncated_expectation(k)) <= tol:
+                continue
+            subset = _recover_subset(take, caps, k)
+            load = sum(values[i] for i in subset)
+            bound = float(marginal.truncated_expectation(sum(caps[i] for i in subset)))
+            violation = load - bound
+            if violation > tol and (best is None or violation > best.violation):
+                best = Cut(type_index=j, subset=subset, rhs=bound, violation=violation)
+    return best
+
+
+class TestSeparationReference:
+    @pytest.mark.parametrize("trial", range(40))
+    def test_matches_per_type_loop_exactly(self, trial):
+        rng = trial_rng(655, trial)
+        if trial % 4:
+            inst = random_indep_instance(
+                rng, max_n=12, max_m=3, max_support=4, max_value=6, max_total_capacity=15
+            )
+        else:
+            inst = random_correl_instance(rng)
+        for _ in range(5):
+            # zeros and exact ties between resources are the hard cases
+            x = np.round(rng.uniform(0.0, 1.3, size=inst.n * inst.m), 1)
+            x *= rng.random(x.size) < 0.7
+            assert separation_oracle(x, inst) == per_type_knapsack_cut(x, inst)
 
 
 class TestTruncatedLp:
@@ -154,6 +220,19 @@ class TestTruncatedLp:
             bound = float(dist.truncated_expectation(len(subset)))
             if abs(load - bound) <= 1e-9:
                 assert prefix[len(subset) - 1] == pytest.approx(bound, abs=1e-9)
+
+    def test_bench_ladder_instance_matches_highs(self):
+        # the trunc-plan generator at n = 50: 50 unit resources, 10 types,
+        # about 60 cutting rounds, each reoptimized from the previous basis
+        inst = bench_workloads().trunc_instance(np.random.default_rng(1), 0, 50)
+        result = build_truncated_lp(inst)
+        lp = result.lp
+        assert lp.num_rows == 60 + len(result.pool)
+        res = scipy_linprog(-lp.objective, A_ub=lp.rows, b_ub=lp.rhs, bounds=(0, None), method="highs")
+        assert res.status == 0, res.message
+        assert abs(result.solution.objective_value + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
+        assert check_feasible(lp, result.solution.values)
+        assert separation_oracle(result.solution.values, inst) is None
 
     def test_cut_pool_rejects_duplicates(self):
         from demandmatch.relaxations import Cut, CutPool

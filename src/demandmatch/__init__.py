@@ -60,13 +60,11 @@ from .policies import (
     HorizonPlan,
     IndepAdvPlan,
     OcrsPlan,
-    TraceEvent,
     best_static_threshold,
     ocrs_plan,
     plan_horizon_policy,
     plan_indep_adv_policy,
     static_threshold_value,
-    trace_to_csv,
 )
 from .oracles import (
     OracleValue,

@@ -1,11 +1,14 @@
 """Built-in example data used by the CLI and the golden tests.
 
-Two rounding examples ship with the package so the tables can be printed
+Three rounding examples ship with the package so the tables can be printed
 without any fixture files:
 
 * ``demo3`` -- three unit resources, demand in {1,2,3} with probabilities
   (1/2, 1/4, 1/4), column (3/4, 2/3, 1/3).  Rounds to four routings with
   probabilities 5/12, 5/12, 1/12, 1/12.
+* ``demo3-tight`` -- the same demand with column (1, 1/2, 1/4), where every
+  prefix bound is tight.  Rounds to the single routing that sends rank
+  ``l`` to resource ``l - 1``.
 * ``demo5`` -- five ranks with geometric survival 1/2^(ℓ-1), column
   (1/8, 3/8, 7/8, 1/4, 0).  After three stages the state splits into four
   branches weighted 0.4, 0.4, 0.1, 0.1.

@@ -238,17 +238,24 @@ class CorrelDemandModel:
         """Law of the count of type-``j`` queries: a mixture of binomials.
 
         Exact when both the total's pmf and ``type_probs`` are rational.
+        Built once per model.
         """
-        p = self.type_probs[j]
-        exact = is_exact_number(p) and self.total.is_exact
-        one: Prob = 1 if exact else 1.0
-        pmf: dict[int, Prob] = {}
-        for total_value, total_prob in self.total.items:
-            q = one - p
-            for count in range(total_value + 1):
-                w = math.comb(total_value, count) * p**count * q ** (total_value - count)
-                pmf[count] = pmf.get(count, 0) + total_prob * w
-        return DemandDistribution.from_pmf(pmf)
+        return self._marginals[j]
+
+    @functools.cached_property
+    def _marginals(self) -> tuple[DemandDistribution, ...]:
+        marginals = []
+        for p in self.type_probs:
+            exact = is_exact_number(p) and self.total.is_exact
+            one: Prob = 1 if exact else 1.0
+            pmf: dict[int, Prob] = {}
+            for total_value, total_prob in self.total.items:
+                q = one - p
+                for count in range(total_value + 1):
+                    w = math.comb(total_value, count) * p**count * q ** (total_value - count)
+                    pmf[count] = pmf.get(count, 0) + total_prob * w
+            marginals.append(DemandDistribution.from_pmf(pmf))
+        return tuple(marginals)
 
     def to_horizon(self) -> "StochasticHorizonModel":
         """Sequence view: constant per-step type distribution over T steps."""

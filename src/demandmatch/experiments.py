@@ -22,7 +22,7 @@ Trials are reproducible: trial ``t`` of a run draws from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -37,7 +37,6 @@ from .demand import (
     Prob,
     StochasticHorizonModel,
     is_exact_number,
-    trial_rng,
 )
 from .oracles import (
     OracleValue,
@@ -392,10 +391,9 @@ def _numerator(cfg: ExperimentConfig) -> OracleValue:
         plan = plan_horizon_policy_for(inst)
         if cfg.exact:
             return horizon_policy_value(plan)
-        values = np.empty(cfg.trials)
-        for t in range(cfg.trials):
-            values[t] = run_horizon_trial(plan, trial_rng(cfg.seed, t))
-        return OracleValue.from_samples(values)
+        return OracleValue.monte_carlo(
+            lambda rng: run_horizon_trial(plan, rng), cfg.trials, cfg.seed
+        )
     raise AssertionError(cfg.policy)
 
 
@@ -437,20 +435,7 @@ def run_experiment(cfg: ExperimentConfig) -> RatioEstimate:
     )
 
 
-_COLUMNS = (
-    "instance_id",
-    "generator",
-    "params",
-    "policy",
-    "benchmark",
-    "numerator",
-    "denominator",
-    "ratio",
-    "stderr",
-    "trials",
-    "seed",
-    "mode",
-)
+_COLUMNS = tuple(f.name for f in fields(RatioEstimate))
 
 
 def report(results: Sequence[RatioEstimate]) -> tuple[str, str]:

@@ -176,14 +176,7 @@ def parse_instance(data: Any) -> Instance:
 
 def load_instance(source: Union[str, Path]) -> Instance:
     """Load an instance from a JSON file path."""
-    text = Path(source).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(
-            f"line {exc.lineno}, column {exc.colno}", exc.msg
-        ) from None
-    return parse_instance(data)
+    return loads_instance(Path(source).read_text())
 
 
 def loads_instance(text: str) -> Instance:

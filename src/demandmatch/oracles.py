@@ -9,14 +9,16 @@ enumerating every interleaving.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .demand import (
     ArrivalSequence,
+    DemandModel,
     Instance,
     RealizedDemand,
     StochasticHorizonModel,
@@ -25,6 +27,7 @@ from .demand import (
     iter_orders,
     order_count,
     sample_demand,
+    sample_random_order,
     trial_rng,
 )
 from .linprog import LpStatus, Tableau, reoptimize, solve_lp
@@ -47,11 +50,37 @@ class OracleValue:
     trials: int = 0
 
     @classmethod
-    def from_samples(cls, values: np.ndarray) -> "OracleValue":
-        """Monte-Carlo estimate: the sample mean and its standard error."""
-        trials = values.size
+    def monte_carlo(
+        cls, draw: Callable[[np.random.Generator], float], trials: int, seed: int
+    ) -> "OracleValue":
+        """Sample mean and standard error of ``draw(trial_rng(seed, t))`` over
+        trials ``t``: the one place that draws the seeded trial streams."""
+        values = np.empty(trials)
+        for t in range(trials):
+            values[t] = draw(trial_rng(seed, t))
         stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
         return cls(value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=trials)
+
+
+def _over_demand(
+    model: DemandModel,
+    value_of: Callable[[tuple[int, ...]], float],
+    support_cap: int,
+    trials: int,
+    seed: int,
+) -> OracleValue:
+    """E[value_of(counts)] over the demand law: exact by enumerating a support
+    that fits the cap, a seeded Monte-Carlo estimate beyond it."""
+    if demand_support_size(model) <= support_cap:
+        total = 0.0
+        for counts, prob in iter_demand_support(model):
+            p = float(prob)
+            if p > 0.0:
+                total += p * value_of(counts)
+        return OracleValue(value=total, mode="exact")
+    return OracleValue.monte_carlo(
+        lambda rng: value_of(sample_demand(model, rng).counts), trials, seed
+    )
 
 
 def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> float:
@@ -93,17 +122,7 @@ def expected_offline(
             raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
         return solution.objective_value
 
-    if demand_support_size(inst.demand) <= support_cap:
-        total = 0.0
-        for counts, prob in iter_demand_support(inst.demand):
-            p = float(prob)
-            if p > 0.0:
-                total += p * offline(counts)
-        return OracleValue(value=total, mode="exact")
-    values = np.empty(trials)
-    for t in range(trials):
-        values[t] = offline(sample_demand(inst.demand, trial_rng(seed, t)).counts)
-    return OracleValue.from_samples(values)
+    return _over_demand(inst.demand, offline, support_cap, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +260,23 @@ def worst_case_order(
 
 
 def exact_policy_value(
-    plan: Union[IndepAdvPlan, HorizonPlan],
+    plan: IndepAdvPlan,
     order: str = "worst",
     support_cap: int = SUPPORT_CAP,
     order_cap: int = ORDER_CAP,
     trials: int = 10**5,
     seed: int = 0,
 ) -> OracleValue:
-    """Expected policy value over the policy's own randomness.
+    """Expected threshold-policy value over the policy's own randomness.
 
-    Threshold plans: exact when the demand support fits the cap (each
-    realization's order set is enumerated and minimized under ``worst`` or
-    averaged under ``random``); otherwise Monte-Carlo over demand
-    realizations with the per-realization order handling unchanged.
-    Horizon plans: always exact (the arrival process is part of the model,
-    so ``order`` is ignored).
+    Each realization's order set is enumerated and minimized under ``worst``
+    or averaged under ``random``.  The expectation over the demand law is
+    exact while the support fits the cap and Monte-Carlo beyond it, with each
+    distinct realization evaluated once.  Horizon plans have their exact
+    value in :func:`horizon_policy_value`.
     """
-    if isinstance(plan, HorizonPlan):
-        return horizon_policy_value(plan)
     if order not in ("worst", "random"):
         raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
-    model = plan.instance.demand
 
     def value_for(counts: tuple[int, ...]) -> float:
         d = RealizedDemand(counts)
@@ -269,31 +284,17 @@ def exact_policy_value(
             return 0.0
         if order == "worst":
             return worst_case_order(plan, d, order_cap)[1]
+        count = order_count(d)
+        if count > order_cap:
+            raise ValueError(f"|S(d)| = {count} exceeds the enumeration cap {order_cap}")
         total = 0.0
-        norm = 0
         for arrival in iter_orders(d):
             total += threshold_value_for_order(plan, arrival)
-            norm += 1
-            if norm > order_cap:
-                raise ValueError(f"|S(d)| exceeds the enumeration cap {order_cap}")
-        return total / norm
+        return total / count
 
-    if demand_support_size(model) <= support_cap:
-        total = 0.0
-        for counts, prob in iter_demand_support(model):
-            p = float(prob)
-            if p > 0.0:
-                total += p * value_for(counts)
-        return OracleValue(value=total, mode="exact")
-
-    cache: dict[tuple[int, ...], float] = {}
-    values = np.empty(trials)
-    for trial in range(trials):
-        counts = sample_demand(model, trial_rng(seed, trial)).counts
-        if counts not in cache:
-            cache[counts] = value_for(counts)
-        values[trial] = cache[counts]
-    return OracleValue.from_samples(values)
+    return _over_demand(
+        plan.instance.demand, functools.cache(value_for), support_cap, trials, seed
+    )
 
 
 def mc_policy_value(
@@ -309,22 +310,17 @@ def mc_policy_value(
     cached per realization, or a uniform shuffle), samples the routings, and
     walks the path.  Converges to the exact value as trials grow.
     """
-    from .demand import sample_random_order
 
-    model = plan.instance.demand
-    worst_orders: dict[tuple[int, ...], tuple[int, ...]] = {}
-    values = np.empty(trials)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        d = sample_demand(model, rng)
-        if order == "worst":
-            if d.counts not in worst_orders:
-                worst_orders[d.counts] = worst_case_order(plan, d, order_cap)[0].types
-            path = worst_orders[d.counts]
-        else:
-            path = sample_random_order(d, rng).types
-        values[trial] = run_threshold_trial(plan, path, rng)
-    return OracleValue.from_samples(values)
+    @functools.cache
+    def worst_path(d: RealizedDemand) -> tuple[int, ...]:
+        return worst_case_order(plan, d, order_cap)[0].types
+
+    def draw(rng: np.random.Generator) -> float:
+        d = sample_demand(plan.instance.demand, rng)
+        path = worst_path(d) if order == "worst" else sample_random_order(d, rng).types
+        return run_threshold_trial(plan, path, rng)
+
+    return OracleValue.monte_carlo(draw, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .demand import (
     StochasticHorizonModel,
     as_generator,
     expand_unit_capacity,
+    sample_horizon_path,
 )
 from .linprog import LpStatus, solve_lp
 from .relaxations import (
@@ -47,30 +48,6 @@ from .rounding import Routing, RoutingDistribution, typeround
 
 #: slack used when consuming LP solutions (solver feasibility tolerance)
 LP_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One arrival as seen by a policy, for CSV audit dumps."""
-
-    trial: int
-    step: int
-    query_type: int
-    rank: int
-    routed_to: Optional[int]
-    accepted: bool
-    reward: float
-
-
-def trace_to_csv(events: Sequence[TraceEvent]) -> str:
-    lines = ["trial,step,query_type,rank,routed_to,accepted,reward"]
-    for e in events:
-        routed = "" if e.routed_to is None else str(e.routed_to)
-        lines.append(
-            f"{e.trial},{e.step},{e.query_type},{e.rank},{routed},"
-            f"{int(e.accepted)},{e.reward!r}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +127,6 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
 class ThresholdDecision:
     resource: Optional[int]
     reward: float
-    rank: int
 
 
 @dataclass
@@ -181,38 +157,24 @@ class ThresholdPolicyState:
         rank = self.counters[j]
         target = self.pis[j].resource_at(rank)
         if target is None:
-            return ThresholdDecision(resource=None, reward=0.0, rank=rank)
+            return ThresholdDecision(resource=None, reward=0.0)
         if not self.plan.qualifies(target, j) or not self.available[target]:
-            return ThresholdDecision(resource=None, reward=0.0, rank=rank)
+            return ThresholdDecision(resource=None, reward=0.0)
         self.available[target] = False
         reward = float(self.plan.instance.rewards[target][j])
         self.collected += reward
-        return ThresholdDecision(resource=target, reward=reward, rank=rank)
+        return ThresholdDecision(resource=target, reward=reward)
 
 
 def run_threshold_trial(
     plan: IndepAdvPlan,
     order: Sequence[int],
     rng_seed: Union[int, np.random.Generator],
-    trial: int = 0,
-    trace: Optional[list[TraceEvent]] = None,
 ) -> float:
     """Simulate one sample path of the threshold policy along ``order``."""
     state = plan.sample(rng_seed)
-    for step, j in enumerate(order, start=1):
-        decision = state.step(j)
-        if trace is not None:
-            trace.append(
-                TraceEvent(
-                    trial=trial,
-                    step=step,
-                    query_type=j,
-                    rank=decision.rank,
-                    routed_to=decision.resource,
-                    accepted=decision.resource is not None,
-                    reward=decision.reward,
-                )
-            )
+    for j in order:
+        state.step(j)
     return state.collected
 
 
@@ -462,31 +424,14 @@ def plan_horizon_policy_for(inst: Instance) -> HorizonPlan:
 
 
 def run_horizon_trial(
-    plan: HorizonPlan,
-    rng_seed: Union[int, np.random.Generator],
-    trial: int = 0,
-    trace: Optional[list[TraceEvent]] = None,
+    plan: HorizonPlan, rng_seed: Union[int, np.random.Generator]
 ) -> float:
     """Simulate one sample path: draw the horizon walk, then step through."""
-    from .demand import sample_horizon_path
-
     rng = as_generator(rng_seed)
     path = sample_horizon_path(plan.model, rng)
     state = HorizonPolicyState(plan=plan)
     for t, j in enumerate(path, start=1):
-        decision = state.step(t, j, rng)
-        if trace is not None:
-            trace.append(
-                TraceEvent(
-                    trial=trial,
-                    step=t,
-                    query_type=-1 if j is None else j,
-                    rank=t,
-                    routed_to=decision.routed_to,
-                    accepted=decision.accepted,
-                    reward=decision.reward,
-                )
-            )
+        state.step(t, j, rng)
     return state.collected
 
 

@@ -175,6 +175,16 @@ class TestModels:
             2: Fraction(1, 4),
         }
 
+    def test_correl_marginal_is_built_once(self):
+        model = dm.CorrelDemandModel(total=THREE_POINT, type_probs=(0.25, 0.75))
+        assert model.marginal(0) is model.marginal(0)
+        assert model.marginal(1) is model.marginal(1)
+        assert model.marginal(0) is not model.marginal(1)
+        # the cache is per model, not shared through equality
+        twin = dm.CorrelDemandModel(total=THREE_POINT, type_probs=(0.25, 0.75))
+        assert twin == model and twin.marginal(0) is not model.marginal(0)
+        assert twin.marginal(0) == model.marginal(0)
+
     def test_correl_to_horizon_constant_rows(self):
         model = dm.CorrelDemandModel(total=THREE_POINT, type_probs=(0.25, 0.75))
         horizon = model.to_horizon()

@@ -1,21 +1,30 @@
 """Recorded outputs pinned bit for bit: seeded routing samples, exact
-branches, OCRS schedules and static-bar values.
+branches, OCRS schedules, static-bar values, seeded Monte-Carlo oracle
+values and the package's public names.
 
-The rounding replay, the accepted-count step and the transportation-LP
-builder are each shared by several callers; any drift in their arithmetic or
-in the order of random draws fails here.  README promises that seeded runs
-reproduce.
+The rounding replay, the accepted-count step, the transportation-LP builder
+and the Monte-Carlo reducer are each shared by several callers; any drift in
+their arithmetic or in the order of random draws fails here.  README promises
+that seeded runs reproduce.
 """
 
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import demandmatch as dm
 from demandmatch.builtin import EXAMPLES
 from demandmatch.demand import DemandDistribution
-from demandmatch.experiments import gen_counterexample
-from demandmatch.policies import ocrs_plan, static_threshold_value
+from demandmatch.experiments import (
+    ExperimentConfig,
+    gen_counterexample,
+    random_indep_instance,
+    run_experiment,
+)
+from demandmatch.oracles import exact_policy_value, expected_offline, mc_policy_value
+from demandmatch.policies import ocrs_plan, plan_indep_adv_policy, static_threshold_value
 from demandmatch.relaxations import horizon_model_of
 from demandmatch.rounding import typeround
 
@@ -134,3 +143,90 @@ def test_static_threshold_values():
     model = horizon_model_of(inst)
     got = [(bar, static_threshold_value(model, inst, bar).hex()) for bar, _ in STATIC]
     assert got == STATIC
+
+
+def _two_type_offline():
+    dist = DemandDistribution.from_pmf({0: 0.5, 1: 0.5})
+    return dm.Instance(
+        rewards=((1.0, 2.0),), capacities=(1,), demand=dm.IndepDemandModel((dist, dist))
+    )
+
+
+def _small_threshold_plan():
+    inst = random_indep_instance(
+        np.random.default_rng(6), max_n=2, max_m=2, max_support=3, max_value=2,
+        max_total_capacity=2,
+    )
+    return plan_indep_adv_policy(inst)
+
+
+def _horizon_numerator():
+    cfg = ExperimentConfig.from_generator(
+        "rare_long_horizon", {"N": 3}, policy="horizon", benchmark="cond",
+        trials=3000, seed=7, exact=False,
+    )
+    estimate = run_experiment(cfg)
+    return estimate.numerator, estimate.stderr, estimate.trials
+
+
+#: (value, stderr, trials) of each seeded Monte-Carlo estimate
+MONTE_CARLO = {
+    "expected_offline": (
+        lambda: expected_offline(_two_type_offline(), support_cap=1, trials=4000, seed=9),
+        ("0x1.4083126e978d5p+0", "0x1.a9e0df761c891p-7", 4000),
+    ),
+    "exact_policy_value": (
+        lambda: exact_policy_value(
+            _small_threshold_plan(), order="worst", support_cap=1, trials=2000, seed=1
+        ),
+        ("0x1.c8fa5e675774ep+2", "0x1.7b472d928eadbp-6", 2000),
+    ),
+    "mc_policy_value-worst": (
+        lambda: mc_policy_value(_small_threshold_plan(), trials=3000, seed=4, order="worst"),
+        ("0x1.c885915d43605p+2", "0x1.45e894810c426p-6", 3000),
+    ),
+    "mc_policy_value-random": (
+        lambda: mc_policy_value(_small_threshold_plan(), trials=3000, seed=4, order="random"),
+        ("0x1.c83b379cddaa1p+2", "0x1.494607015c157p-6", 3000),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONTE_CARLO))
+def test_monte_carlo_values(name):
+    compute, expected = MONTE_CARLO[name]
+    result = compute()
+    assert result.mode == "monte-carlo"
+    assert (result.value.hex(), result.stderr.hex(), result.trials) == expected
+
+
+def test_horizon_monte_carlo_numerator():
+    value, stderr, trials = _horizon_numerator()
+    assert (value.hex(), stderr.hex(), trials) == (
+        "0x1.0a6921735ee40p+0", "0x1.6671a301d0dc7p-5", 3000
+    )
+
+
+PUBLIC_SURFACE = (
+    "Arrival ArrivalSequence CorrelDemandModel Cut CutPool DemandDistribution "
+    "ExperimentConfig HorizonPlan IndepAdvPlan IndepDemandModel InfeasibleColumnError "
+    "Instance InstanceFormatError LinearProgram LpSolution LpStatus OcrsPlan OracleValue "
+    "RatioEstimate RealizedDemand RoundingState Routing RoutingDistribution "
+    "SegmentPartition StochasticHorizonModel best_static_threshold build_fluid_lp "
+    "build_truncated_lp exact_policy_value expand_unit_capacity expected_offline "
+    "gen_counterexample horizon_policy_value load_instance loads_instance ocrs_plan "
+    "offline_optimum optimal_online_dp parse_instance plan_horizon_policy "
+    "plan_indep_adv_policy report run_experiment sample_demand sample_horizon_path "
+    "sample_random_order separation_oracle solve_lp static_threshold_value "
+    "truncated_poisson typeround verify_marginals worst_case_order"
+).split()
+
+
+def test_public_surface():
+    """Every export added to or dropped from the package shows up here."""
+    exported = sorted(
+        name
+        for name, value in vars(dm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PUBLIC_SURFACE

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import demandmatch as dm
-from demandmatch.demand import RealizedDemand, iter_demand_support, iter_orders, trial_rng
+from demandmatch.demand import (
+    RealizedDemand,
+    iter_demand_support,
+    iter_orders,
+    sample_horizon_path,
+    trial_rng,
+)
 from demandmatch.experiments import (
     gen_counterexample,
     random_horizon_instance,
@@ -268,11 +274,12 @@ class TestHorizonPolicy:
         trials = 100_000
         hits = np.zeros((plan.instance.n, plan.horizon))
         for trial in range(trials):
-            events: list = []
-            run_horizon_trial(plan, trial_rng(31337, trial), trial=trial, trace=events)
-            for e in events:
-                if e.accepted:
-                    hits[e.routed_to, e.step - 1] += 1
+            rng = trial_rng(31337, trial)
+            state = HorizonPolicyState(plan=plan)
+            for t, j in enumerate(sample_horizon_path(plan.model, rng), start=1):
+                decision = state.step(t, j, rng)
+                if decision.accepted:
+                    hits[decision.routed_to, t - 1] += 1
         for i in range(plan.instance.n):
             gamma = plan.plans[i].gamma
             for t in range(1, plan.horizon + 1):
@@ -363,19 +370,24 @@ class TestSamplePathDominance:
 
 
 class TestTraces:
-    def test_horizon_trial_trace_to_csv(self):
-        from demandmatch.policies import trace_to_csv
-
+    def test_collected_is_sum_of_accepted_rewards(self):
+        """The decisions that ``step`` returns are the per-arrival record: their
+        accepted rewards add up to what the trial collects, draw for draw."""
         inst = random_horizon_instance(np.random.default_rng(2), max_horizon=3)
         plan = plan_horizon_policy_for(inst)
-        events: list = []
-        collected = run_horizon_trial(plan, 99, trial=7, trace=events)
-        csv = trace_to_csv(events)
-        lines = csv.strip().splitlines()
-        assert lines[0] == "trial,step,query_type,rank,routed_to,accepted,reward"
-        assert len(lines) == len(events) + 1
-        rewards = sum(float(line.split(",")[6]) for line in lines[1:])
-        assert rewards == pytest.approx(collected, abs=1e-12)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            state = HorizonPolicyState(plan=plan)
+            accepted = 0.0
+            for t, j in enumerate(sample_horizon_path(plan.model, rng), start=1):
+                decision = state.step(t, j, rng)
+                if decision.accepted:
+                    assert decision.reward == plan.instance.rewards[decision.routed_to][j]
+                    accepted += decision.reward
+                else:
+                    assert decision.reward == 0.0
+            assert state.collected == accepted
+            assert run_horizon_trial(plan, seed) == state.collected
 
 
 class TestStaticThreshold:

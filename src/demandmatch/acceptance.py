@@ -11,6 +11,8 @@ counter-derived substreams.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from dataclasses import dataclass
@@ -55,19 +57,31 @@ class CriterionResult:
     seconds: float
 
 
-def _result(key: str, description: str, started: float, ok: bool, detail: str) -> CriterionResult:
-    return CriterionResult(
-        key=key,
-        description=description,
-        passed=ok,
-        detail=detail,
-        seconds=time.perf_counter() - started,
-    )
+def _criterion(key: str, description: str) -> Callable[[Callable], Callable[..., CriterionResult]]:
+    """Turn a check that returns ``(passed, detail)`` into one that returns a
+    timed `CriterionResult`.  The description may name the check's arguments,
+    as in ``"... on {count} random instances"``."""
+
+    def wrap(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        signature = inspect.signature(check)
+
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail = check(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            text = description.format_map(bound.arguments)
+            return CriterionResult(key, text, passed, detail, time.perf_counter() - started)
+
+        return run
+
+    return wrap
 
 
-def check_fluid_gap() -> CriterionResult:
+@_criterion("fluid-gap", "prophet/fluid ratio equals eps exactly")
+def check_fluid_gap() -> tuple[bool, str]:
     """Exact prophet/fluid ratio equals eps on the two-point family."""
-    started = time.perf_counter()
     rows = []
     ok = True
     for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
@@ -77,12 +91,12 @@ def check_fluid_gap() -> CriterionResult:
         ratio = off / fluid
         ok = ok and abs(ratio - float(eps)) <= TOL
         rows.append(f"eps={eps}: off/fluid={ratio:.12f}")
-    return _result("fluid-gap", "prophet/fluid ratio equals eps exactly", started, ok, "; ".join(rows))
+    return ok, "; ".join(rows)
 
 
-def check_fluid_gap_capped() -> CriterionResult:
+@_criterion("fluid-gap-capped", "capped-demand family: off/fluid = 1/n, off/trunc = 1")
+def check_fluid_gap_capped() -> tuple[bool, str]:
     """Demand capped by total capacity: fluid still loose, tightened LP exact."""
-    started = time.perf_counter()
     rows = []
     ok = True
     for n in (5, 10):
@@ -93,18 +107,12 @@ def check_fluid_gap_capped() -> CriterionResult:
         ok = ok and abs(off / fluid - 1.0 / n) <= TOL
         ok = ok and abs(off / trunc - 1.0) <= TOL
         rows.append(f"n={n}: off/fluid={off / fluid:.12f}, off/trunc={off / trunc:.12f}")
-    return _result(
-        "fluid-gap-capped",
-        "capped-demand family: off/fluid = 1/n, off/trunc = 1",
-        started,
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
-def check_lp_ordering(count: int = 500, seed: int = 1001) -> CriterionResult:
+@_criterion("lp-ordering", "off <= trunc <= fluid on {count} random instances")
+def check_lp_ordering(count: int = 500, seed: int = 1001) -> tuple[bool, str]:
     """off <= tightened <= fluid on random independent-demand instances."""
-    started = time.perf_counter()
     worst = 0.0
     ok = True
     for trial in range(count):
@@ -116,18 +124,12 @@ def check_lp_ordering(count: int = 500, seed: int = 1001) -> CriterionResult:
         if off > trunc + TOL or trunc > fluid + TOL:
             ok = False
             break
-    return _result(
-        "lp-ordering",
-        f"off <= trunc <= fluid on {count} random instances",
-        started,
-        ok,
-        f"worst violation {worst:.3e}",
-    )
+    return ok, f"worst violation {worst:.3e}"
 
 
-def check_rounding_golden() -> CriterionResult:
+@_criterion("rounding-golden", "worked rounding examples reproduce exactly (rational mode)")
+def check_rounding_golden() -> tuple[bool, str]:
     """Both worked rounding examples reproduce exactly in rational mode."""
-    started = time.perf_counter()
     problems: list[str] = []
 
     ex = EXAMPLES["demo3"]
@@ -161,19 +163,13 @@ def check_rounding_golden() -> CriterionResult:
     if len(state.segments) != 2:
         problems.append(f"demo5 stage-3 segments: {state.segments}")
 
-    return _result(
-        "rounding-golden",
-        "worked rounding examples reproduce exactly (rational mode)",
-        started,
-        not problems,
-        "; ".join(problems) or "both examples exact",
-    )
+    return not problems, "; ".join(problems) or "both examples exact"
 
 
-def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> CriterionResult:
+@_criterion("rounding-properties", "stage invariants and exact marginals on {count} random columns")
+def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> tuple[bool, str]:
     """Stage invariants, feasibility of every stage, and exact marginals
     on random rational feasible columns."""
-    started = time.perf_counter()
     worst_detail = ""
     ok = True
     for trial in range(count):
@@ -196,18 +192,15 @@ def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> Criterio
             ok = False
             worst_detail = f"trial {trial}: marginal error {report.max_abs_error}"
             break
-    return _result(
-        "rounding-properties",
-        f"stage invariants and exact marginals on {count} random columns",
-        started,
-        ok,
-        worst_detail or "all stages clean",
-    )
+    return ok, worst_detail or "all stages clean"
 
 
-def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> CriterionResult:
+@_criterion(
+    "adversarial-guarantee",
+    "worst-order policy value >= trunc/2 on {count} random instances",
+)
+def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> tuple[bool, str]:
     """Exact worst-order policy value clears half the tightened LP."""
-    started = time.perf_counter()
     worst_ratio = float("inf")
     ok = True
     detail = ""
@@ -228,18 +221,12 @@ def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> Criterion
             break
         if plan.lp_value > 1e-12:
             worst_ratio = min(worst_ratio, value / plan.lp_value)
-    return _result(
-        "adversarial-guarantee",
-        f"worst-order policy value >= trunc/2 on {count} random instances",
-        started,
-        ok,
-        detail or f"worst observed ratio {worst_ratio:.6f}",
-    )
+    return ok, detail or f"worst observed ratio {worst_ratio:.6f}"
 
 
-def check_capacity_tightness() -> CriterionResult:
+@_criterion("capacity-tightness", "prophet equals (2-eps)k1 while any online value stays at k1")
+def check_capacity_tightness() -> tuple[bool, str]:
     """Two-stage-reward family: prophet worth (2-eps)k1, online capped at k1."""
-    started = time.perf_counter()
     eps = 0.05
     rows = []
     ok = True
@@ -251,18 +238,12 @@ def check_capacity_tightness() -> CriterionResult:
         value = exact_policy_value(plan, order="worst").value
         ok = ok and value <= k1 + TOL
         rows.append(f"k1={k1}: off={off:.9f}, policy={value:.9f}, ratio={value / off:.6f}")
-    return _result(
-        "capacity-tightness",
-        "prophet equals (2-eps)k1 while any online value stays at k1",
-        started,
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
-def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionResult:
+@_criterion("online-lp-ordering", "online optimum <= conditional LP on {count} random horizons")
+def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, str]:
     """Optimal online value never exceeds the conditional LP."""
-    started = time.perf_counter()
     worst = 0.0
     ok = True
     for trial in range(count):
@@ -274,18 +255,15 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> CriterionRes
         if opt > lp + TOL:
             ok = False
             break
-    return _result(
-        "online-lp-ordering",
-        f"online optimum <= conditional LP on {count} random horizons",
-        started,
-        ok,
-        f"worst violation {worst:.3e}",
-    )
+    return ok, f"worst violation {worst:.3e}"
 
 
-def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> CriterionResult:
+@_criterion(
+    "horizon-guarantee",
+    "horizon policy >= cond/2 on {count} horizons, capacity floors at k=2,4",
+)
+def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> tuple[bool, str]:
     """Horizon policy clears cond/2, and the capacity-k floor with k in {2,4}."""
-    started = time.perf_counter()
     ok = True
     detail = ""
     worst_half = float("inf")
@@ -319,18 +297,12 @@ def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> CriterionResu
             floors.append(f"k={k}: worst ratio {worst_k:.6f} >= {floor:.6f}")
             if not ok:
                 break
-    return _result(
-        "horizon-guarantee",
-        f"horizon policy >= cond/2 on {count} horizons, capacity floors at k=2,4",
-        started,
-        ok,
-        detail or f"worst half-ratio {worst_half:.6f}; " + "; ".join(floors),
-    )
+    return ok, detail or f"worst half-ratio {worst_half:.6f}; " + "; ".join(floors)
 
 
-def check_static_threshold_gap() -> CriterionResult:
+@_criterion("static-threshold-gap", "fixed bars cap near 4 while the adaptive optimum grows with T")
+def check_static_threshold_gap() -> tuple[bool, str]:
     """Escalating rewards: every fixed bar stalls near 4, adaptivity scales."""
-    started = time.perf_counter()
     eps = 0.1
     ok = True
     rows = []
@@ -346,18 +318,15 @@ def check_static_threshold_gap() -> CriterionResult:
             ok = ok and opt >= 6 * 0.9**6 - TOL
         rows.append(f"T={horizon}: static={static_value:.6f}, opt={opt:.6f}")
     ok = ok and ratios[0] > ratios[1] > ratios[2]
-    return _result(
-        "static-threshold-gap",
-        "fixed bars cap near 4 while the adaptive optimum grows with T",
-        started,
-        ok,
-        "; ".join(rows) + f"; ratios {['%.4f' % r for r in ratios]}",
-    )
+    return ok, "; ".join(rows) + f"; ratios {['%.4f' % r for r in ratios]}"
 
 
-def check_conditional_tightness() -> CriterionResult:
+@_criterion(
+    "conditional-tightness",
+    "cond LP >= 2 - 1/N^3, online optimum in [1, 1 + 3/N], ratio falls toward 1/2",
+)
+def check_conditional_tightness() -> tuple[bool, str]:
     """Rare-long-horizon family: cond LP nearly 2, online optimum near 1."""
-    started = time.perf_counter()
     ok = True
     rows = []
     ratios = []
@@ -371,18 +340,15 @@ def check_conditional_tightness() -> CriterionResult:
         ok = ok and 1.0 - TOL <= opt <= 1.0 + 3.0 / big + TOL
         rows.append(f"N={big}: cond={lp:.9f}, opt={opt:.9f}, ratio={opt / lp:.6f}")
     ok = ok and ratios[0] > ratios[1] > ratios[2] > 0.5
-    return _result(
-        "conditional-tightness",
-        "cond LP >= 2 - 1/N^3, online optimum in [1, 1 + 3/N], ratio falls toward 1/2",
-        started,
-        ok,
-        "; ".join(rows),
-    )
+    return ok, "; ".join(rows)
 
 
-def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> CriterionResult:
+@_criterion(
+    "oracle-equivalence",
+    "separation verdict matches 2^n enumeration on {count} candidates",
+)
+def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> tuple[bool, str]:
     """Knapsack separation verdict matches full subset enumeration."""
-    started = time.perf_counter()
     ok = True
     detail = ""
     for trial in range(count):
@@ -403,13 +369,7 @@ def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> CriterionRes
                 ok = False
                 detail = f"trial {trial}: returned cut not violated: {fast}"
                 break
-    return _result(
-        "oracle-equivalence",
-        f"separation verdict matches 2^n enumeration on {count} candidates",
-        started,
-        ok,
-        detail or "all verdicts agree",
-    )
+    return ok, detail or "all verdicts agree"
 
 
 CRITERIA: dict[str, Callable[[], CriterionResult]] = {

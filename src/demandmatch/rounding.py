@@ -36,6 +36,8 @@ so the worked-example distributions reproduce exactly.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -77,10 +79,7 @@ class Routing:
         return None
 
     def rank_of(self, resource: int) -> Optional[int]:
-        for idx, r in enumerate(self.assignment):
-            if r == resource:
-                return idx + 1
-        return None
+        return self.assignment.index(resource) + 1 if resource in self.assignment else None
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,8 @@ class StageDecision:
 
 @dataclass(frozen=True)
 class MarginalReport:
-    """Achieved routing marginals versus the requested column."""
+    """Achieved routing marginals versus the requested column.  ``exact``
+    compares the values themselves; ``max_abs_error`` is a float for display."""
 
     achieved: tuple[Prob, ...]
     target: tuple[Prob, ...]
@@ -129,7 +129,7 @@ class MarginalReport:
 
     @property
     def exact(self) -> bool:
-        return self.max_abs_error == 0
+        return all(a == t for a, t in zip(self.achieved, self.target))
 
 
 class RoundingState:
@@ -180,10 +180,6 @@ class RoundingState:
     def universe(self) -> int:
         """Current rank count, including appended zero-probability ranks."""
         return len(self.rank_survival)
-
-    @property
-    def partition(self) -> SegmentPartition:
-        return SegmentPartition(tuple(self.segments))
 
     def segment_survival(self, seg_index: int) -> Prob:
         """Idle-weighted survival mass of one segment: the probability that
@@ -259,14 +255,15 @@ class RoundingState:
             self.branches = branches
         lo_a, hi_b = self.segments[chosen]
 
+        rest = one - lam
         pairs: list[tuple[int, Prob]] = []
         for rank in range(lo_a, hi_a + 1):
             prob = lam * self.idle_prob[rank - 1]
             if prob != 0:
                 pairs.append((rank, prob))
-            self.idle_prob[rank - 1] = (one - lam) * self.idle_prob[rank - 1]
+            self.idle_prob[rank - 1] = rest * self.idle_prob[rank - 1]
         for rank in range(hi_a + 1, hi_b + 1):
-            prob = (one - lam) * self.idle_prob[rank - 1]
+            prob = rest * self.idle_prob[rank - 1]
             if prob != 0:
                 pairs.append((rank, prob))
             self.idle_prob[rank - 1] = lam * self.idle_prob[rank - 1]
@@ -291,75 +288,96 @@ class RoundingState:
           branches;
         * separated routing: a routed resource sits in one fixed segment on
           every branch.
+
+        One pass visits each branch once.  In exact mode the branch weights,
+        survivals and idle probabilities are integers over common
+        denominators, so every sum runs in integers and becomes a `Fraction`
+        once; float mode runs the same sums, branch by branch, in floats.
         """
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
-        tol = 0 if self.exact else 1e-9
+        exact = self.exact
+        tol = 0 if exact else 1e-9
         problems: list[str] = []
-        one: Prob = Fraction(1) if self.exact else 1.0
-
-        total_prob: Prob = sum(p for _, p in self.branches)
-        if abs(float(total_prob - one)) > (0 if self.exact else FLOAT_TOL):
-            problems.append(f"branch probabilities sum to {float(total_prob)!r}")
-
+        zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        ratio = Fraction if exact else (lambda num, den: num / den)
+        weights, wden = _common_denominator([p for _, p in self.branches], exact)
+        surv, sden = _common_denominator(self.rank_survival, exact)
+        idle, iden = _common_denominator(self.idle_prob, exact)
+        nseg = len(self.segments)
+        seg_of = [-1] * (self.universe + 1)  # rank -> segment
+        for idx, (lo, hi) in enumerate(SegmentPartition(tuple(self.segments)).spans):
+            seg_of[lo : hi + 1] = [idx] * (hi + 1 - lo)
         processed = set(self.targets)
-        achieved: dict[int, Prob] = {r: Fraction(0) if self.exact else 0.0 for r in range(len(self.order))}
-        for assignment, prob in self.branches:
+        homes: dict[int, set[int]] = {r: set() for r in processed if self.targets[r] != 0}
+        mass = [0] * len(self.order)  # per resource, over wden * sden
+        direct = [0] * nseg  # per ℓ: arrival mass of the ℓ-th idle rank, over wden * sden
+        bad_idle: dict[int, int] = {}  # segment -> its idle ranks in the first bad branch
+        bad_count: dict[int, int] = {}  # resource -> its ranks in the first bad branch
+        checked = nseg  # segments whose ℓ-th idle rank exists on every branch
+        for (assignment, _), w in zip(self.branches, weights):
+            idles = [k for k, res in enumerate(assignment, start=1) if res is None]
             for rank, res in enumerate(assignment, start=1):
                 if res is not None:
-                    achieved[res] = achieved[res] + prob * self.rank_survival[rank - 1]
-        for res in range(len(self.order)):
-            want = self.targets.get(res, Fraction(0) if self.exact else 0.0)
-            if res not in processed and achieved[res] != 0:
-                problems.append(f"unprocessed resource {res} already has mass {achieved[res]}")
-            elif abs(float(achieved[res] - want)) > tol:
-                problems.append(
-                    f"resource {res} achieves {float(achieved[res])!r}, wants {float(want)!r}"
-                )
+                    mass[res] = mass[res] + w * surv[rank - 1]
+            if [seg_of[k] for k in idles] != list(range(nseg)):
+                counts = Counter(seg_of[k] for k in idles)
+                for s in range(nseg):
+                    if counts[s] != 1:
+                        bad_idle.setdefault(s, counts[s])
+            checked = min(checked, len(idles))
+            for ell, k in enumerate(idles[:nseg]):
+                direct[ell] = direct[ell] + w * surv[k - 1]
+            for res in homes.keys() - bad_count.keys():
+                count = assignment.count(res)
+                if count == 1:
+                    homes[res].add(seg_of[assignment.index(res) + 1])
+                else:
+                    bad_count[res] = count
 
+        total_prob = ratio(sum(weights), wden)
+        if abs(float(total_prob - one)) > (0 if exact else FLOAT_TOL):
+            problems.append(f"branch probabilities sum to {float(total_prob)!r}")
+
+        for res in range(len(self.order)):
+            achieved, want = ratio(mass[res], wden * sden), self.targets.get(res, zero)
+            if res not in processed and achieved != 0:
+                problems.append(f"unprocessed resource {res} already has mass {achieved}")
+            elif abs(float(achieved - want)) > tol:
+                problems.append(f"resource {res} achieves {float(achieved)!r}, wants {float(want)!r}")
+
+        arrival = []  # per segment: its idle-weighted survival, over iden * sden
         for seg_idx, (lo, hi) in enumerate(self.segments):
-            union: Prob = Fraction(0) if self.exact else 0.0
-            for assignment, prob in self.branches:
-                idle = [k for k in range(lo, hi + 1) if assignment[k - 1] is None]
-                if len(idle) != 1:
-                    problems.append(
-                        f"segment {seg_idx} span {(lo, hi)} has {len(idle)} idle ranks in a branch"
-                    )
-                    break
-            for k in range(lo, hi + 1):
-                union = union + self.idle_prob[k - 1]
-            if abs(float(union - one)) > (0 if self.exact else 1e-9):
-                problems.append(f"segment {seg_idx} idle mass sums to {float(union)!r}")
+            if seg_idx in bad_idle:
+                problems.append(
+                    f"segment {seg_idx} span {(lo, hi)} has {bad_idle[seg_idx]} idle ranks in a branch"
+                )
+            union = arrival_num = 0
+            for k in range(lo - 1, hi):
+                union, arrival_num = union + idle[k], arrival_num + idle[k] * surv[k]
+            arrival.append(arrival_num)
+            if abs(float(ratio(union, iden) - one)) > (0 if exact else 1e-9):
+                problems.append(f"segment {seg_idx} idle mass sums to {float(ratio(union, iden))!r}")
 
         # residual survival: ℓ-th idle arrival across branches
-        for seg_idx in range(len(self.segments)):
-            direct: Prob = Fraction(0) if self.exact else 0.0
-            ok = True
-            for assignment, prob in self.branches:
-                idles = [k for k in range(1, self.universe + 1) if assignment[k - 1] is None]
-                if seg_idx >= len(idles):
-                    ok = False
-                    break
-                direct = direct + prob * self.rank_survival[idles[seg_idx] - 1]
-            if ok and abs(float(direct - self.segment_survival(seg_idx))) > tol:
+        for seg_idx in range(checked):
+            branch_side = ratio(direct[seg_idx], wden * sden)
+            survival = ratio(arrival[seg_idx], iden * sden)
+            if abs(float(branch_side - survival)) > tol:
                 problems.append(
-                    f"segment {seg_idx} survival {float(self.segment_survival(seg_idx))!r} "
-                    f"!= branch-side value {float(direct)!r}"
+                    f"segment {seg_idx} survival {float(survival)!r} "
+                    f"!= branch-side value {float(branch_side)!r}"
                 )
 
         for res in processed:
-            if self.targets[res] == 0:
+            if res not in homes:
                 continue  # never routed anywhere; no segment to pin down
-            homes = set()
-            for assignment, _ in self.branches:
-                ranks = [k for k, r in enumerate(assignment, start=1) if r == res]
-                if len(ranks) != 1:
-                    problems.append(f"resource {res} appears {len(ranks)} times in a branch")
-                    break
-                homes.add(self.partition.segment_of(ranks[0]))
-            if len(homes) > 1:
-                problems.append(f"resource {res} spreads across segments {sorted(homes)}")
+            if res in bad_count:
+                problems.append(f"resource {res} appears {bad_count[res]} times in a branch")
+            if len(homes[res]) > 1:
+                problems.append(f"resource {res} spreads across segments {sorted(homes[res])}")
         return problems
+
 
 @dataclass(frozen=True)
 class RoutingDistribution:
@@ -400,11 +418,7 @@ class RoutingDistribution:
         return tuple(tuple(row) for row in q)
 
     def support_bound(self) -> int:
-        splits = sum(
-            1
-            for d in self.decisions
-            if not d.skip and d.lam != 0 and float(d.lam) != 1.0
-        )
+        splits = sum(1 for d in self.decisions if not d.skip and d.lam != 0 and d.lam != 1)
         return 1 << splits
 
     def branches(self, max_support: int = 1 << 16) -> tuple[tuple[Routing, Prob], ...]:
@@ -473,6 +487,7 @@ def _apply_decision(
         for assignment, _ in branches:
             assignment.append(None)
     seg = dec.segment
+    rest = one - dec.lam
     children: list[tuple[list[Optional[int]], Prob]] = []
     for assignment, prob in branches:
         if dec.lam != 0:
@@ -482,7 +497,7 @@ def _apply_decision(
         if dec.lam != one:
             parked = list(assignment)
             parked[_unique_idle(assignment, segments[seg + 1]) - 1] = dec.resource
-            children.append((parked, prob * (one - dec.lam)))
+            children.append((parked, prob * rest))
     segments[seg] = (segments[seg][0], segments[seg + 1][1])
     del segments[seg + 1]
     return children
@@ -534,14 +549,29 @@ def verify_marginals(
 
     This path sums over explicit routings, independently of the compact
     bookkeeping used while rounding, and reports the worst absolute error
-    (zero in exact mode).
+    (zero in exact mode).  Exact sums run in integers over common
+    denominators.
     """
-    achieved: list[Prob] = [Fraction(0) if rd.exact else 0.0 for _ in range(rd.num_resources)]
-    for routing, prob in rd.branches():
+    exact = rd.exact and dist.is_exact
+    branches = rd.branches()
+    weights, wden = _common_denominator([p for _, p in branches], exact)
+    surv, sden = _common_denominator([dist.survival(k) for k in range(1, rd.length + 1)], exact)
+    mass = [0] * rd.num_resources  # over wden * sden
+    for (routing, _), w in zip(branches, weights):
         for rank, res in enumerate(routing.assignment, start=1):
             if res is not None:
-                achieved[res] = achieved[res] + prob * dist.survival(rank)
+                mass[res] = mass[res] + w * surv[rank - 1]
+    achieved = tuple(Fraction(m, wden * sden) if exact else m / (wden * sden) for m in mass)
     worst = 0.0
     for res in range(rd.num_resources):
         worst = max(worst, abs(float(achieved[res] - x_col[res])))
-    return MarginalReport(achieved=tuple(achieved), target=tuple(x_col), max_abs_error=worst)
+    return MarginalReport(achieved=achieved, target=tuple(x_col), max_abs_error=worst)
+
+
+def _common_denominator(values: Sequence[Prob], exact: bool) -> tuple[list, int]:
+    """Exact ``values`` as integer numerators over their least common
+    denominator; float values pass through, over the denominator 1."""
+    if not exact:
+        return list(values), 1
+    denom = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom

@@ -44,6 +44,14 @@ class TestGoldenDistributions:
         report = verify_marginals(rd, DEMO3.column, DEMO3.dist)
         assert report.achieved == (Fraction(3, 4), Fraction(2, 3), Fraction(1, 3))
         assert report.max_abs_error == 0
+        assert report.exact
+
+    def test_rational_error_below_float_resolution_is_not_exact(self):
+        rd = typeround(DEMO3.column, DEMO3.dist)
+        target = (DEMO3.column[0] + Fraction(1, 10**400),) + tuple(DEMO3.column[1:])
+        report = verify_marginals(rd, target, DEMO3.dist)
+        assert report.max_abs_error == 0.0
+        assert not report.exact
 
     def test_tight_column_unique_point_mass(self):
         tight = EXAMPLES["demo3-tight"]
@@ -60,12 +68,16 @@ class TestGoldenDistributions:
         ]
 
 
+def demo5_stage_three():
+    state = RoundingState(DEMO5.dist, 5, track_branches=True)
+    for x in DEMO5.column[:3]:
+        state.advance(x)
+    return state
+
+
 class TestStageState:
     def three_stage_state(self):
-        state = RoundingState(DEMO5.dist, 5, track_branches=True)
-        for x in DEMO5.column[:3]:
-            state.advance(x)
-        return state
+        return demo5_stage_three()
 
     def test_five_rank_stage_three_branches(self):
         state = self.three_stage_state()
@@ -118,6 +130,107 @@ class TestStageState:
         # the explicit state keeps appended never-arriving ranks; project
         got = {tuple(a[: state.real_length]): p for a, p in state.branches}
         assert got == {r.assignment: p for r, p in rd.branches()}
+
+
+class TestBrokenStates:
+    """Each invariant broken on purpose on the stage-3 state of DEMO5.  Its
+    branches, as 0-based resources per rank, are [2,1,-,0,-] 2/5,
+    [-,1,2,0,-] 1/10, [2,-,1,0,-] 2/5 and [-,2,1,0,-] 1/10; its segments
+    are (1,3) and (4,5)."""
+
+    def test_clean(self):
+        assert demo5_stage_three().check_invariants() == []
+
+    def test_branch_weight_nudged(self):
+        state = demo5_stage_three()
+        assignment, prob = state.branches[0]
+        state.branches[0] = (assignment, prob + Fraction(1, 1000))
+        problems = state.check_invariants()
+        assert problems[0] == "branch probabilities sum to 1.001"
+
+    def test_routed_rank_set_idle(self):
+        state = demo5_stage_three()
+        state.branches[0][0][3] = None  # resource 0 leaves rank 4
+        assert state.check_invariants() == [
+            "resource 0 achieves 0.075, wants 0.125",
+            "segment 1 span (4, 5) has 2 idle ranks in a branch",
+            "segment 1 survival 0.0625 != branch-side value 0.0875",
+            "resource 0 appears 0 times in a branch",
+        ]
+
+    def test_resource_moved_into_another_segment(self):
+        state = demo5_stage_three()
+        assignment = state.branches[0][0]
+        assignment[0], assignment[4] = None, 2  # resource 2: rank 1 -> rank 5
+        problems = state.check_invariants()
+        assert "segment 0 span (1, 3) has 2 idle ranks in a branch" in problems
+        assert "segment 1 span (4, 5) has 0 idle ranks in a branch" in problems
+        assert problems[-1] == "resource 2 spreads across segments [0, 1]"
+
+    def test_idle_prob_perturbed(self):
+        state = demo5_stage_three()
+        state.idle_prob[0] += Fraction(1, 7)
+        assert state.check_invariants() == [
+            "segment 0 idle mass sums to 1.1428571428571428",
+            "segment 0 survival 0.6428571428571429 != branch-side value 0.5",
+        ]
+
+    def test_rank_survival_halved(self):
+        # both sides of the residual-survival check read the halved value;
+        # the marginals of the resources routed to rank 2 fall short
+        state = demo5_stage_three()
+        state.rank_survival[1] /= 2
+        assert state.check_invariants() == [
+            "resource 1 achieves 0.25, wants 0.375",
+            "resource 2 achieves 0.85, wants 0.875",
+        ]
+
+    def test_target_changed(self):
+        state = demo5_stage_three()
+        state.targets[1] += Fraction(1, 100)
+        assert state.check_invariants() == ["resource 1 achieves 0.375, wants 0.385"]
+
+    def test_unprocessed_resource_with_mass(self):
+        state = demo5_stage_three()
+        del state.targets[2]
+        assert state.check_invariants() == ["unprocessed resource 2 already has mass 7/8"]
+
+
+class TestFloatInvariants:
+    #: the float column of ``tests/test_pinned.py``; its rounding spawns
+    #: zero-probability ranks twice
+    FLOAT_COLUMN = (0.55, 0.1, 0.3, 0.2, 0.05)
+    FLOAT_DIST = dm.DemandDistribution.from_pmf({1: 0.4, 2: 0.3, 4: 0.3})
+
+    def float_state(self, column, dist):
+        state = RoundingState(dist, len(column), track_branches=True)
+        assert not state.exact
+        stages = []
+        for x in column:
+            state.advance(x)
+            stages.append(state.check_invariants())
+        return state, stages
+
+    def test_demo3_float(self):
+        column = tuple(float(x) for x in DEMO3.column)
+        _, stages = self.float_state(column, DEMO3.dist.to_float())
+        assert stages == [[], [], []]
+
+    def test_column_spawning_twice(self):
+        state, stages = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
+        assert state.universe == state.real_length + 2
+        assert stages == [[]] * len(self.FLOAT_COLUMN)
+
+    def test_perturbed_idle_prob_is_flagged(self):
+        state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
+        state.idle_prob[0] += 1e-6
+        problems = state.check_invariants()
+        assert problems and problems[0].startswith("segment 0 idle mass sums to 1.000001")
+
+    def test_perturbation_within_tolerance_passes(self):
+        state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
+        state.idle_prob[0] += 1e-12
+        assert state.check_invariants() == []
 
 
 class TestFeasibilityRejection:
@@ -203,6 +316,13 @@ class TestSampling:
     def test_support_bound(self):
         rd = typeround(DEMO3.column, DEMO3.dist)
         assert len(rd.branches()) <= rd.support_bound() <= 2**3
+
+    def test_support_bound_counts_an_exact_coin_just_below_one(self):
+        # the coin is 1 - 1e-20, which a float reads as 1.0
+        column = (Fraction(10**20 - 1, 10**20),)
+        rd = typeround(column, dm.DemandDistribution.from_pmf({1: Fraction(1)}))
+        assert len(rd.branches()) == 2
+        assert rd.support_bound() == 2
 
     @pytest.mark.parametrize("assignment", [[0, None, None], [0, 1, 2]])
     def test_replay_rejects_span_without_one_idle_rank(self, assignment):

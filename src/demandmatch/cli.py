@@ -139,7 +139,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
     if args.order:
         order = tuple(int(tok) for tok in args.order.split(","))
     rd = typeround(column, dist, order=order)
-    state = RoundingState(dist, len(column), order=order, track_branches=True, exact=rd.exact)
+    state = RoundingState(dist, len(column), order=order, track_branches=True)
     for idx in range(len(column)):
         state.advance(column[state.order[state.stage]])
     problems = state.check_invariants()

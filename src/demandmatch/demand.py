@@ -383,12 +383,6 @@ class ArrivalSequence:
 
     types: tuple[int, ...]
 
-    def counts(self, m: int) -> RealizedDemand:
-        tally = [0] * m
-        for j in self.types:
-            tally[j] += 1
-        return RealizedDemand(tuple(tally))
-
 
 def expand_unit_capacity(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
     """Split every resource into unit-capacity copies.

@@ -149,32 +149,23 @@ class Tableau:
 
     def _entering(self) -> int:
         rc = self.cost
-        if self.bland:
-            for j in range(rc.size):
-                if rc[j] < -RC_TOL:
-                    return j
-            return -1
-        candidates = np.where(rc < -RC_TOL)[0]
+        candidates = np.nonzero(rc < -RC_TOL)[0]
         if candidates.size == 0:
             return -1
+        if self.bland:
+            return int(candidates[0])
         return int(candidates[np.argmin(rc[candidates])])
 
     def _leaving(self, col: int) -> int:
+        """Primal ratio test: among the rows within 1e-12 of the minimum
+        ratio, the one with the lowest basic index."""
         column = self.T[:, col]
-        rhs = self.rhs
-        best = -1
-        best_ratio = np.inf
-        for r in range(self.T.shape[0]):
-            a = column[r]
-            if a > PIVOT_TOL:
-                ratio = rhs[r] / a
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (best == -1 or self.basis[r] < self.basis[best])
-                ):
-                    best_ratio = ratio
-                    best = r
-        return best
+        rows = np.nonzero(column > PIVOT_TOL)[0]
+        if rows.size == 0:
+            return -1
+        ratios = self.rhs[rows] / column[rows]
+        near = rows[ratios <= ratios.min() + 1e-12]
+        return int(min(near, key=self.basis.__getitem__))
 
     def _infeasible_row(self) -> int:
         """Dual leaving row: the most negative basic value (Bland: lowest basic index)."""

@@ -212,7 +212,7 @@ def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float
     the exact value in O(len(order) * n * m).
     """
     n, m = plan.n, plan.m
-    q = [plan.routings[j].rank_probs() for j in range(m)]
+    q = [plan.routings[j].rank_probs for j in range(m)]
     qualifies = [[plan.qualifies(i, j) for j in range(m)] for i in range(n)]
     delivered = [[0.0] * m for _ in range(n)]  # qualifying mass seen so far
     counters = [0] * m

@@ -48,6 +48,8 @@ from .rounding import Routing, RoutingDistribution, typeround
 
 #: slack used when consuming LP solutions (solver feasibility tolerance)
 LP_SLACK = 1e-9
+#: the OCRS bisection stops once its bracket is narrower than a quarter of this
+OCRS_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +111,7 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
     for j in range(m):
         column = [x[i][j] for i in range(n)]
         dist = inst.demand.per_type[j].to_float()
-        routings.append(typeround(column, dist, exact=False, tol=LP_SLACK))
+        routings.append(typeround(column, dist, tol=LP_SLACK))
     taus = tuple(
         sum(unit.rewards[i][j] * x[i][j] for j in range(m)) / 2.0 for i in range(n)
     )
@@ -250,7 +252,7 @@ def _ocrs_schedule(rates: Sequence[float], k: int, gamma: float) -> Optional[tup
     return cs, avail
 
 
-def ocrs_plan(rates: Sequence[float], k: int, tol: float = 1e-9) -> OcrsPlan:
+def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     """Largest uniform acceptance rate for the given activity schedule.
 
     Guards the budget ``sum(rates) <= k``, then binary-searches the largest
@@ -275,7 +277,7 @@ def ocrs_plan(rates: Sequence[float], k: int, tol: float = 1e-9) -> OcrsPlan:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= tol / 4.0:
+            if hi - lo <= OCRS_TOL / 4.0:
                 break
     schedule = _ocrs_schedule(clean, k, lo)
     assert schedule is not None

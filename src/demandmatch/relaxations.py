@@ -121,9 +121,7 @@ class CutPool:
         return len(self.cuts)
 
 
-def separation_oracle(
-    x: Sequence[float], inst: Instance, tol: float = CUT_TOL
-) -> Optional[Cut]:
+def separation_oracle(x: Sequence[float], inst: Instance) -> Optional[Cut]:
     """Most-violated subset-demand cut for the candidate point, if any.
 
     For each type ``j`` and each capacity budget ``k`` up to the total
@@ -155,10 +153,10 @@ def separation_oracle(
     # E[min(D_j, weight)] is at least as tight as E[min(D_j, k)].  Its load is
     # dp itself, summed in the same item order as the subset.
     bound = np.take_along_axis(table, weight, axis=1)
-    violation = np.where(dp - table > tol, dp - bound, -np.inf)
+    violation = np.where(dp - table > CUT_TOL, dp - bound, -np.inf)
     # the first maximum in (type, budget) order
     j, k = np.unravel_index(np.argmax(violation), violation.shape)
-    if not violation[j, k] > tol:
+    if not violation[j, k] > CUT_TOL:
         return None
     return Cut(
         type_index=int(j),
@@ -178,9 +176,7 @@ def _recover_subset(take: np.ndarray, caps: Sequence[int], budget: int) -> tuple
     return tuple(sorted(chosen))
 
 
-def enumerate_violated_cut(
-    x: Sequence[float], inst: Instance, tol: float = CUT_TOL
-) -> Optional[Cut]:
+def enumerate_violated_cut(x: Sequence[float], inst: Instance) -> Optional[Cut]:
     """Brute-force check of all 2^n subsets; the oracle's test double."""
     n, m = inst.n, inst.m
     best: Optional[Cut] = None
@@ -192,7 +188,7 @@ def enumerate_violated_cut(
             cap = sum(inst.capacities[i] for i in subset)
             bound = float(marginal.truncated_expectation(cap))
             violation = load - bound
-            if violation > tol and (best is None or violation > best.violation):
+            if violation > CUT_TOL and (best is None or violation > best.violation):
                 best = Cut(type_index=j, subset=subset, rhs=bound, violation=violation)
     return best
 

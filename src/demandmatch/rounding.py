@@ -24,14 +24,22 @@ segment": the branch that routes there parks the resource on a query that
 never arrives.  This keeps the one-idle-per-segment structure exact on every
 branch, which both the stage invariants and the final marginals rely on.
 
+A zero marginal routes nothing.  Every other stage records one decision, its
+coin, and writes the stage's routing probabilities into the resource's row of
+the rank table ``rank_probs[i][ℓ-1] = Pr[rank ℓ is routed to i]``; the coins
+and that table are the whole rounded distribution.  Its marginals are the
+table times the rank survivals, and the threshold policy's exact oracle reads
+the table directly.
+
 One replay of the recorded stage decisions, ``_apply_decision``, spawns the
 zero-probability rank, splits each branch on the stage coin and merges the two
 segments.  The branch set tracked while rounding, the full support expansion
 (``RoutingDistribution.branches``) and the draw of a single routing
 (``RoutingDistribution.sample``) all go through it.
 
-All arithmetic stays in `fractions.Fraction` when the inputs are rational,
-so the worked-example distributions reproduce exactly.
+All arithmetic stays in `fractions.Fraction` when the law and the column are
+rational, so the worked-example distributions reproduce exactly; a float
+column over an exact law rounds over the law's float copy.
 """
 
 from __future__ import annotations
@@ -47,6 +55,8 @@ import numpy as np
 from .demand import DemandDistribution, Prob, as_generator, is_exact_number
 
 FLOAT_TOL = 1e-12
+#: ``RoutingDistribution.branches`` refuses supports that may exceed this
+MAX_SUPPORT = 1 << 16
 
 
 class InfeasibleColumnError(ValueError):
@@ -67,10 +77,6 @@ class Routing:
         used = [r for r in self.assignment if r is not None]
         if len(used) != len(set(used)):
             raise ValueError(f"routing assigns some resource twice: {self.assignment}")
-
-    @property
-    def length(self) -> int:
-        return len(self.assignment)
 
     def resource_at(self, rank: int) -> Optional[int]:
         """Resource receiving the arrival of 1-based rank ``rank``."""
@@ -95,10 +101,6 @@ class SegmentPartition:
                 raise ValueError(f"spans {self.spans} do not tile the rank range")
             expected = hi + 1
 
-    @property
-    def length(self) -> int:
-        return self.spans[-1][1] if self.spans else 0
-
     def segment_of(self, rank: int) -> int:
         for idx, (lo, hi) in enumerate(self.spans):
             if lo <= rank <= hi:
@@ -108,14 +110,12 @@ class SegmentPartition:
 
 @dataclass(frozen=True)
 class StageDecision:
-    """Record of one processed resource, sufficient to replay the branch."""
+    """The coin of one routed resource, sufficient to replay the branch."""
 
     resource: int
-    x: Prob
-    skip: bool
-    segment: int = -1  # chosen segment index at decision time (after any spawn)
-    lam: Prob = 0  # probability of routing into the chosen segment
-    spawned: bool = False  # a zero-probability rank was appended first
+    segment: int  # chosen segment index at decision time (after any spawn)
+    lam: Prob  # probability of routing into the chosen segment
+    spawned: bool  # a zero-probability rank was appended first
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,8 @@ class RoundingState:
 
     Branch tracking is optional: the compact state (idle probabilities per
     rank plus the segment partition) is enough to run all stages, while the
-    explicit weighted branch set is what the invariant checks inspect.
+    explicit weighted branch set is what the invariant checks inspect.  The
+    arithmetic is exact exactly when the law ``dist`` is.
     """
 
     def __init__(
@@ -146,7 +147,6 @@ class RoundingState:
         num_resources: int,
         order: Optional[Sequence[int]] = None,
         track_branches: bool = True,
-        exact: Optional[bool] = None,
         tol: Optional[float] = None,
     ):
         if num_resources < 1:
@@ -154,9 +154,9 @@ class RoundingState:
         self.order = tuple(order) if order is not None else tuple(range(num_resources))
         if sorted(self.order) != list(range(num_resources)):
             raise ValueError(f"order {self.order} is not a permutation of the resources")
-        self.exact = dist.is_exact if exact is None else exact
+        self.exact = dist.is_exact
         self.tol = (0 if self.exact else FLOAT_TOL) if tol is None else tol
-        one: Prob = Fraction(1) if self.exact else 1.0
+        zero, one = (Fraction(0), Fraction(1)) if self.exact else (0.0, 1.0)
         self.real_length = max(num_resources, dist.max_support)
         surv = [dist.survival(ell) for ell in range(1, self.real_length + 1)]
         if self.exact:
@@ -168,8 +168,8 @@ class RoundingState:
         self.stage = 0
         self.decisions: list[StageDecision] = []
         self.targets: dict[int, Prob] = {}
-        # per-resource list of (rank, probability that this rank was routed there)
-        self.assign_pairs: dict[int, list[tuple[int, Prob]]] = {}
+        # rank_probs[i][ℓ-1] = Pr[rank ℓ is routed to resource i], real ranks only
+        self.rank_probs: list[list[Prob]] = [[zero] * self.real_length for _ in range(num_resources)]
         self.branches: Optional[list[tuple[list[Optional[int]], Prob]]] = (
             [([None] * self.real_length, one)] if track_branches else None
         )
@@ -190,10 +190,6 @@ class RoundingState:
             total = total + self.idle_prob[rank - 1] * self.rank_survival[rank - 1]
         return total
 
-    def residual_survivals(self) -> tuple[Prob, ...]:
-        """Survival curve of the residual demand, one entry per segment."""
-        return tuple(self.segment_survival(s) for s in range(len(self.segments)))
-
     # -- the stage step --------------------------------------------------
 
     def _coerce(self, x: Prob) -> Prob:
@@ -201,7 +197,7 @@ class RoundingState:
             if not is_exact_number(x):
                 raise TypeError(
                     f"exact-mode rounding got a float marginal {x!r}; "
-                    "pass Fractions or build the state with exact=False"
+                    "pass Fractions or round over dist.to_float()"
                 )
             return Fraction(x)
         return float(x)
@@ -212,65 +208,54 @@ class RoundingState:
             raise ValueError("all resources already processed")
         resource = self.order[self.stage]
         x = self._coerce(x_next)
-        tol = self.tol
-        if x < -tol:
+        if x < -self.tol:
             raise InfeasibleColumnError(f"negative marginal {x} for resource {resource}")
-        if x <= tol:
-            self.decisions.append(StageDecision(resource=resource, x=x, skip=True))
-            self.targets[resource] = x
-            self.assign_pairs[resource] = []
-            self.stage += 1
-            return
+        if x > self.tol:
+            self._route(resource, x)
+        self.targets[resource] = x
+        self.stage += 1
 
-        survivals = self.residual_survivals()
-        chosen = -1
-        for idx, s in enumerate(survivals):
-            if s >= x - tol:
-                chosen = idx
-        if chosen == -1:
-            raise InfeasibleColumnError(
-                f"resource {resource} needs marginal {x} but the residual demand "
-                f"arrives with probability only {survivals[0]}"
-            )
+    def _route(self, resource: int, x: Prob) -> None:
+        """Route ``resource`` into the latest segment whose combined arrival
+        covers ``x`` or into the next one, and merge the two."""
+        zero, one = (Fraction(0), Fraction(1)) if self.exact else (0.0, 1.0)
+        # walk back from the last segment to the first that covers x
+        chosen = len(self.segments) - 1
+        s_here, s_next = self.segment_survival(chosen), zero
+        while s_here < x - self.tol:
+            if chosen == 0:
+                raise InfeasibleColumnError(
+                    f"resource {resource} needs marginal {x} but the residual demand "
+                    f"arrives with probability only {s_here}"
+                )
+            chosen -= 1
+            s_here, s_next = self.segment_survival(chosen), s_here
 
         spawned = chosen == len(self.segments) - 1
-        zero: Prob = Fraction(0) if self.exact else 0.0
-        one: Prob = Fraction(1) if self.exact else 1.0
         if spawned:
             self.rank_survival.append(zero)
             self.idle_prob.append(one)
-
-        s_here = survivals[chosen]
-        s_next = zero if spawned else self.segment_survival(chosen + 1)
         lam = (x - s_next) / (s_here - s_next)
         if not self.exact:
             lam = min(1.0, max(0.0, lam))
 
-        decision = StageDecision(
-            resource=resource, x=x, skip=False, segment=chosen, lam=lam, spawned=spawned
-        )
+        decision = StageDecision(resource=resource, segment=chosen, lam=lam, spawned=spawned)
         hi_a = self.segments[chosen][1]
         branches = _apply_decision(decision, self.segments, self.branches or [], one)
         if self.branches is not None:
             self.branches = branches
         lo_a, hi_b = self.segments[chosen]
 
+        # the chosen segment's idle rank takes the resource with probability
+        # lam, the next segment's with 1 - lam
         rest = one - lam
-        pairs: list[tuple[int, Prob]] = []
-        for rank in range(lo_a, hi_a + 1):
-            prob = lam * self.idle_prob[rank - 1]
-            if prob != 0:
-                pairs.append((rank, prob))
-            self.idle_prob[rank - 1] = rest * self.idle_prob[rank - 1]
-        for rank in range(hi_a + 1, hi_b + 1):
-            prob = rest * self.idle_prob[rank - 1]
-            if prob != 0:
-                pairs.append((rank, prob))
-            self.idle_prob[rank - 1] = lam * self.idle_prob[rank - 1]
-        self.assign_pairs[resource] = pairs
+        row = self.rank_probs[resource]
+        for rank in range(lo_a, hi_b + 1):
+            routed, kept = (lam, rest) if rank <= hi_a else (rest, lam)
+            if rank <= self.real_length:
+                row[rank - 1] = routed * self.idle_prob[rank - 1]
+            self.idle_prob[rank - 1] = kept * self.idle_prob[rank - 1]
         self.decisions.append(decision)
-        self.targets[resource] = x
-        self.stage += 1
 
     # -- invariants -------------------------------------------------------
 
@@ -292,7 +277,9 @@ class RoundingState:
         One pass visits each branch once.  In exact mode the branch weights,
         survivals and idle probabilities are integers over common
         denominators, so every sum runs in integers and becomes a `Fraction`
-        once; float mode runs the same sums, branch by branch, in floats.
+        once, and the comparisons are exact, so an error below the smallest
+        float is still reported; float mode runs the same sums, branch by
+        branch, in floats.
         """
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
@@ -336,14 +323,14 @@ class RoundingState:
                     bad_count[res] = count
 
         total_prob = ratio(sum(weights), wden)
-        if abs(float(total_prob - one)) > (0 if exact else FLOAT_TOL):
+        if abs(total_prob - one) > (0 if exact else FLOAT_TOL):
             problems.append(f"branch probabilities sum to {float(total_prob)!r}")
 
         for res in range(len(self.order)):
             achieved, want = ratio(mass[res], wden * sden), self.targets.get(res, zero)
             if res not in processed and achieved != 0:
                 problems.append(f"unprocessed resource {res} already has mass {achieved}")
-            elif abs(float(achieved - want)) > tol:
+            elif abs(achieved - want) > tol:
                 problems.append(f"resource {res} achieves {float(achieved)!r}, wants {float(want)!r}")
 
         arrival = []  # per segment: its idle-weighted survival, over iden * sden
@@ -356,14 +343,14 @@ class RoundingState:
             for k in range(lo - 1, hi):
                 union, arrival_num = union + idle[k], arrival_num + idle[k] * surv[k]
             arrival.append(arrival_num)
-            if abs(float(ratio(union, iden) - one)) > (0 if exact else 1e-9):
+            if abs(ratio(union, iden) - one) > tol:
                 problems.append(f"segment {seg_idx} idle mass sums to {float(ratio(union, iden))!r}")
 
         # residual survival: ℓ-th idle arrival across branches
         for seg_idx in range(checked):
             branch_side = ratio(direct[seg_idx], wden * sden)
             survival = ratio(arrival[seg_idx], iden * sden)
-            if abs(float(branch_side - survival)) > tol:
+            if abs(branch_side - survival) > tol:
                 problems.append(
                     f"segment {seg_idx} survival {float(survival)!r} "
                     f"!= branch-side value {float(branch_side)!r}"
@@ -383,45 +370,29 @@ class RoundingState:
 class RoutingDistribution:
     """Compact encoding of the rounded distribution over routings.
 
-    The state is the per-stage coin decisions; a routing is materialized by
-    replaying them, so sampling costs O(n * L) and the full support (at most
-    one doubling per stage) is expanded only on demand.
+    The state is one coin per routed resource plus the rank table
+    ``rank_probs[i][ℓ-1] = Pr[rank ℓ is routed to resource i]``.  A routing is
+    materialized by replaying the coins, so sampling costs O(n * L) and the
+    full support (at most one doubling per coin) is expanded only on demand.
     """
 
     num_resources: int
     length: int  # real rank count; appended zero-probability ranks are hidden
     survivals: tuple[Prob, ...]
-    decisions: tuple[StageDecision, ...]
-    assign_pairs: tuple[tuple[tuple[int, Prob], ...], ...]  # per resource
+    decisions: tuple[StageDecision, ...]  # one per routed resource
+    rank_probs: tuple[tuple[Prob, ...], ...]  # per resource, over the real ranks
     exact: bool
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def marginals(self) -> tuple[Prob, ...]:
-        """Routed-arrival probability per resource, from the compact state."""
-        out: list[Prob] = []
-        for res in range(self.num_resources):
-            total: Prob = Fraction(0) if self.exact else 0.0
-            for rank, prob in self.assign_pairs[res]:
-                if rank <= self.length:
-                    total = total + prob * self.survivals[rank - 1]
-            out.append(total)
-        return tuple(out)
-
-    def rank_probs(self) -> tuple[tuple[Prob, ...], ...]:
-        """Matrix q[i][ℓ-1] = Pr[rank ℓ is routed to resource i]."""
-        zero: Prob = Fraction(0) if self.exact else 0.0
-        q = [[zero] * self.length for _ in range(self.num_resources)]
-        for res in range(self.num_resources):
-            for rank, prob in self.assign_pairs[res]:
-                if rank <= self.length:
-                    q[res][rank - 1] = q[res][rank - 1] + prob
-        return tuple(tuple(row) for row in q)
+        """Routed-arrival probability per resource: its row times the survivals."""
+        return tuple(sum(q * s for q, s in zip(row, self.survivals)) for row in self.rank_probs)
 
     def support_bound(self) -> int:
-        splits = sum(1 for d in self.decisions if not d.skip and d.lam != 0 and d.lam != 1)
+        splits = sum(1 for d in self.decisions if d.lam != 0 and d.lam != 1)
         return 1 << splits
 
-    def branches(self, max_support: int = 1 << 16) -> tuple[tuple[Routing, Prob], ...]:
+    def branches(self) -> tuple[tuple[Routing, Prob], ...]:
         """Expand the full weighted support (projected to real ranks).
 
         Branches that differ only in where a resource was parked on a
@@ -429,9 +400,9 @@ class RoutingDistribution:
         """
         if "branches" in self._cache:
             return self._cache["branches"]
-        if self.support_bound() > max_support:
+        if self.support_bound() > MAX_SUPPORT:
             raise ValueError(
-                f"support may reach {self.support_bound()} routings; raise max_support to expand"
+                f"support may reach {self.support_bound()} routings, above MAX_SUPPORT = {MAX_SUPPORT}"
             )
         one: Prob = Fraction(1) if self.exact else 1.0
         segments = [(k, k) for k in range(1, self.length + 1)]
@@ -479,8 +450,6 @@ def _apply_decision(
     then one that routes it to its idle rank in the next segment (weight
     ``1 - lam``); a child of weight zero is left out.
     """
-    if dec.skip:
-        return branches
     if dec.spawned:
         rank = segments[-1][1] + 1
         segments.append((rank, rank))
@@ -515,7 +484,6 @@ def typeround(
     x_col: Sequence[Prob],
     dist: DemandDistribution,
     order: Optional[Sequence[int]] = None,
-    exact: Optional[bool] = None,
     tol: Optional[float] = None,
 ) -> RoutingDistribution:
     """Round a feasible column into a routing distribution with exact marginals.
@@ -524,12 +492,14 @@ def typeround(
     different orders are valid and may give different distributions.  An
     infeasible column is rejected as soon as the residual demand cannot cover
     the next requested marginal, rather than rounded approximately.  ``tol``
-    loosens that rejection for float columns coming out of an LP solver.
+    loosens that rejection for float columns coming out of an LP solver.  The
+    arithmetic is exact when the law and the column are; a float column over
+    an exact law rounds over ``dist.to_float()``.
     """
     n = len(x_col)
-    if exact is None:
-        exact = dist.is_exact and all(is_exact_number(x) for x in x_col)
-    state = RoundingState(dist, n, order=order, track_branches=False, exact=exact, tol=tol)
+    if dist.is_exact and not all(is_exact_number(x) for x in x_col):
+        dist = dist.to_float()
+    state = RoundingState(dist, n, order=order, track_branches=False, tol=tol)
     for _ in range(n):
         state.advance(x_col[state.order[state.stage]])
     return RoutingDistribution(
@@ -537,8 +507,8 @@ def typeround(
         length=state.real_length,
         survivals=tuple(state.rank_survival[: state.real_length]),
         decisions=tuple(state.decisions),
-        assign_pairs=tuple(tuple(state.assign_pairs.get(res, ())) for res in range(n)),
-        exact=exact,
+        rank_probs=tuple(tuple(row) for row in state.rank_probs),
+        exact=state.exact,
     )
 
 

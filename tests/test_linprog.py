@@ -287,3 +287,41 @@ class TestReoptimizeFailures:
             tab.add_row(np.array([1.0]), -0.5)
         with pytest.raises(ValueError, match="not finite and nonnegative"):
             tab.set_rhs([-1.0])
+
+
+def leaving_by_loop(tab: Tableau, col: int) -> int:
+    """Row-by-row ratio test: a strictly smaller ratio wins, a tie within
+    1e-12 goes to the lower basic index."""
+    best, best_ratio = -1, np.inf
+    for r in range(tab.T.shape[0]):
+        a = tab.T[r, col]
+        if a > linprog.PIVOT_TOL:
+            ratio = tab.rhs[r] / a
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12 and (best == -1 or tab.basis[r] < tab.basis[best])
+            ):
+                best, best_ratio = r, ratio
+    return best
+
+
+class TestPivotRules:
+    """The vectorized ratio test and Bland's entering rule against loops, on
+    small-integer tableaux, where exact ratio ties are common."""
+
+    def test_against_loops(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            r, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            tab = Tableau(
+                LinearProgram(
+                    objective=rng.integers(-3, 4, n).astype(float),
+                    rows=rng.integers(-3, 4, (r, n)).astype(float),
+                    rhs=rng.integers(0, 4, r).astype(float),
+                )
+            )
+            rng.shuffle(tab.basis)  # the tie-break reads the basic indices' order
+            for col in range(n + r):
+                assert tab._leaving(col) == leaving_by_loop(tab, col)
+            tab.bland = True
+            first = next((j for j, c in enumerate(tab.cost) if c < -linprog.RC_TOL), -1)
+            assert tab._entering() == first

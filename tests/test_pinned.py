@@ -86,6 +86,34 @@ def test_demo5_branches_exact():
     }
 
 
+#: ``rank_probs``, one row per resource over the ranks: exact for demo5,
+#: ``float.hex()`` for the float column
+RANK_PROBS = {
+    "demo5": [
+        ["0", "0", "0", "1", "0"],
+        ["0", "1/2", "1/2", "0", "0"],
+        ["4/5", "1/10", "1/10", "0", "0"],
+        ["3/35", "6/35", "6/35", "0", "4/7"],
+        ["0", "0", "0", "0", "0"],
+    ],
+    "float": [
+        ["0x0.0p+0", "0x1.aaaaaaaaaaaadp-1", "0x1.555555555554cp-3", "0x0.0p+0", "0x0.0p+0"],
+        ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.5555555555556p-2", "0x1.5555555555555p-1"],
+        ["0x0.0p+0", "0x1.c71c71c71c716p-4", "0x1.1c71c71c71c77p-1", "0x1.c71c71c71c710p-3", "0x1.c71c71c71c711p-4"],
+        ["0x0.0p+0", "0x1.6c16c16c16c06p-5", "0x1.c71c71c71c717p-3", "0x1.6c16c16c16c1ep-2", "0x1.6c16c16c16c20p-3"],
+        ["0x0.0p+0", "0x1.6c16c16c16bf7p-7", "0x1.c71c71c71c704p-5", "0x1.6c16c16c16c0fp-4", "0x1.6c16c16c16c11p-5"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_PROBS))
+def test_rank_probs(name):
+    rd = _routing_distribution(name)
+    kind, encode = (Fraction, str) if name == "demo5" else (float, float.hex)
+    assert all(type(q) is kind for row in rd.rank_probs for q in row)
+    assert [[encode(q) for q in row] for row in rd.rank_probs] == RANK_PROBS[name]
+
+
 OCRS = [
     (
         [0.3, 0.2, 0.1, 0.25],

@@ -185,6 +185,24 @@ class TestBrokenStates:
             "resource 2 achieves 0.85, wants 0.875",
         ]
 
+    def test_branch_weight_nudged_below_float_resolution(self):
+        state = demo5_stage_three()
+        assignment, prob = state.branches[0]
+        state.branches[0] = (assignment, prob + Fraction(1, 10**400))
+        assert state.check_invariants() == [
+            "branch probabilities sum to 1.0",
+            "resource 0 achieves 0.125, wants 0.125",
+            "resource 1 achieves 0.375, wants 0.375",
+            "resource 2 achieves 0.875, wants 0.875",
+            "segment 0 survival 0.5 != branch-side value 0.5",
+            "segment 1 survival 0.0625 != branch-side value 0.0625",
+        ]
+
+    def test_target_nudged_below_float_resolution(self):
+        state = demo5_stage_three()
+        state.targets[1] += Fraction(1, 10**400)
+        assert state.check_invariants() == ["resource 1 achieves 0.375, wants 0.375"]
+
     def test_target_changed(self):
         state = demo5_stage_three()
         state.targets[1] += Fraction(1, 100)
@@ -231,6 +249,46 @@ class TestFloatInvariants:
         state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
         state.idle_prob[0] += 1e-12
         assert state.check_invariants() == []
+
+
+class TestRankTable:
+    """``rank_probs[i][ℓ-1]`` is the mass of the support that routes rank ℓ
+    to resource ``i``."""
+
+    @staticmethod
+    def routed_mass(rd):
+        zero = Fraction(0) if rd.exact else 0.0
+        mass = [[zero] * rd.length for _ in range(rd.num_resources)]
+        for routing, prob in rd.branches():
+            for rank, res in enumerate(routing.assignment, start=1):
+                if res is not None:
+                    mass[res][rank - 1] += prob
+        return mass
+
+    def test_rational_columns(self):
+        for trial in range(50):
+            rng = trial_rng(6060, trial)
+            n = int(rng.integers(1, 9))
+            column, dist = random_feasible_column(rng, n)
+            rd = typeround(column, dist, order=tuple(int(i) for i in rng.permutation(n)))
+            assert [list(row) for row in rd.rank_probs] == self.routed_mass(rd)
+
+    def test_pinned_float_column(self):
+        rd = typeround(TestFloatInvariants.FLOAT_COLUMN, TestFloatInvariants.FLOAT_DIST)
+        for row, mass in zip(rd.rank_probs, self.routed_mass(rd)):
+            assert row == pytest.approx(mass, rel=0, abs=1e-15)
+
+    def test_float_column_over_exact_law_rounds_over_its_float_copy(self):
+        cases = [(DEMO3.column, DEMO3.dist), (DEMO5.column, DEMO5.dist)]
+        for trial in range(20):
+            rng = trial_rng(6161, trial)
+            cases.append(random_feasible_column(rng, int(rng.integers(1, 9))))
+        for column, dist in cases:
+            floats = tuple(float(x) for x in column)
+            rd, floated = typeround(floats, dist), typeround(floats, dist.to_float())
+            assert not rd.exact
+            assert rd == floated
+            assert rd.branches() == floated.branches()
 
 
 class TestFeasibilityRejection:

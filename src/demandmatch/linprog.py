@@ -165,6 +165,8 @@ class Tableau:
             return -1
         ratios = self.rhs[rows] / column[rows]
         near = rows[ratios <= ratios.min() + 1e-12]
+        if near.size == 1:
+            return int(near[0])
         return int(min(near, key=self.basis.__getitem__))
 
     def _infeasible_row(self) -> int:

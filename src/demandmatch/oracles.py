@@ -4,7 +4,10 @@ Everything here trades speed for being *right*: offline optima via the
 transportation LP, expectations by exhausting the demand support, the
 optimal online policy by backward induction, policy values by exact
 expectation over the policy's own randomness, and adversarial orders by
-enumerating every interleaving.
+enumerating every interleaving.  The interleavings are walked depth first,
+valuing each shared prefix once; the worst-order search skips a prefix whose
+value already fails to beat the best order, which is exact whenever values
+cannot fall along an order (checked on every call, else nothing is skipped).
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .demand import (
     StochasticHorizonModel,
     demand_support_size,
     iter_demand_support,
-    iter_orders,
     order_count,
     sample_demand,
     sample_random_order,
@@ -200,6 +202,45 @@ def optimal_online_dp(
 # ---------------------------------------------------------------------------
 
 
+#: per resource an arrival reaches: ``(i, r[i][j] * p, delivered before, after)``
+_Step = list[tuple[int, float, float, float]]
+
+
+def _step_table(plan: IndepAdvPlan, counts: Sequence[int]) -> list[list[_Step]]:
+    """``table[j][rank-1]``: each resource ``i`` that type ``j`` qualifies for
+    and that is routed the rank with probability ``p > 0``, and the mass of
+    type ``j`` delivered to ``i``, summed in rank order, around that rank."""
+    table: list[list[_Step]] = []
+    for j, count in enumerate(counts):
+        rd, mass = plan.routings[j], [0.0] * plan.n
+        quals = [i for i in range(plan.n) if plan.qualifies(i, j)]
+        table.append([])
+        for rank in range(count):
+            step = []
+            for i in quals if rank < rd.length else ():
+                p = float(rd.rank_probs[i][rank])
+                if p > 0.0:
+                    before, mass[i] = mass[i], mass[i] + p
+                    step.append((i, float(plan.instance.rewards[i][j]) * p, before, mass[i]))
+            table[j].append(step)
+    return table
+
+
+def _advance(step: _Step, delivered: list[list[float]], j: int, value: float) -> float:
+    """One arrival of type ``j``: each resource it reaches adds its reward times
+    the delivery probability times the chance no other type was delivered
+    there first, then records the delivered mass."""
+    for i, rp, _, after in step:
+        row = delivered[i]
+        blocked = 1.0
+        for other, mass in enumerate(row):
+            if other != j:
+                blocked *= 1.0 - mass
+        value += rp * blocked
+        row[j] = after
+    return value
+
+
 def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float:
     """Exact expected reward of the threshold policy along one arrival order.
 
@@ -211,28 +252,65 @@ def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float
     resource, each type's accumulated qualifying-delivery probability gives
     the exact value in O(len(order) * n * m).
     """
-    n, m = plan.n, plan.m
-    q = [plan.routings[j].rank_probs for j in range(m)]
-    qualifies = [[plan.qualifies(i, j) for j in range(m)] for i in range(n)]
-    delivered = [[0.0] * m for _ in range(n)]  # qualifying mass seen so far
-    counters = [0] * m
+    steps = [iter(by_rank) for by_rank in _step_table(plan, [order.count(j) for j in range(plan.m)])]
+    delivered = [[0.0] * plan.m for _ in range(plan.n)]
     value = 0.0
     for j in order:
-        counters[j] += 1
-        rank = counters[j]
-        for i in range(n):
-            if not qualifies[i][j]:
-                continue
-            p_deliver = float(q[j][i][rank - 1]) if rank <= plan.routings[j].length else 0.0
-            if p_deliver <= 0.0:
-                continue
-            blocked = 1.0
-            for other in range(m):
-                if other != j:
-                    blocked *= 1.0 - delivered[i][other]
-            value += float(plan.instance.rewards[i][j]) * p_deliver * blocked
-            delivered[i][j] += p_deliver
+        value = _advance(next(steps[j]), delivered, j, value)
     return value
+
+
+def _search_orders(
+    plan: IndepAdvPlan, counts: Sequence[int], order_cap: int, worst: bool
+) -> tuple[tuple[int, ...], float]:
+    """The worst order (the first below the best so far by more than 1e-15)
+    and its value, or ``()`` and the mean value over all orders: one
+    depth-first walk over the orders of :func:`iter_orders`, in its order,
+    that values each shared prefix once."""
+    count = order_count(RealizedDemand(tuple(counts)))
+    if count > order_cap:
+        raise ValueError(f"|S(d)| = {count} exceeds the enumeration cap {order_cap}")
+    table = _step_table(plan, counts)
+    # Every increment ``rp * blocked`` is >= 0 when every ``rp`` is (Instance
+    # rejects negative rewards) and every ``1 - delivered`` is, which holds
+    # when every delivered mass the table can set is at most one.  Float
+    # addition of a nonnegative term never decreases a sum, so a prefix's
+    # value is then a lower bound on every completion's value, and a prefix
+    # that already fails ``< best - 1e-15`` cannot lead to a new best:
+    # skipping it is exact.
+    prune = worst and all(
+        rp >= 0.0 and after <= 1.0 for steps in table for step in steps for _, rp, _, after in step
+    )
+    delivered = [[0.0] * plan.m for _ in range(plan.n)]
+    remaining = list(counts)
+    depth = sum(counts)
+    prefix: list[int] = []
+    best, best_order, total = float("inf"), (), 0.0
+
+    def visit(value: float) -> None:
+        nonlocal best, best_order, total
+        if len(prefix) == depth:
+            if not worst:
+                total += value
+            elif value < best - 1e-15:
+                best, best_order = value, tuple(prefix)
+            return
+        for j, left in enumerate(remaining):
+            if left == 0:
+                continue
+            step = table[j][counts[j] - left]
+            after = _advance(step, delivered, j, value)
+            if not prune or after < best - 1e-15:  # the safe bound above
+                remaining[j] -= 1
+                prefix.append(j)
+                visit(after)
+                prefix.pop()
+                remaining[j] += 1
+            for i, _, before, _ in step:
+                delivered[i][j] = before
+
+    visit(0.0)
+    return (best_order, best) if worst else ((), total / count)
 
 
 def worst_case_order(
@@ -244,19 +322,8 @@ def worst_case_order(
     it minimizes the coin-expected value.  Ties break on the first order in
     lexicographic enumeration, keeping the result deterministic.
     """
-    count = order_count(d)
-    if count > order_cap:
-        raise ValueError(f"|S(d)| = {count} exceeds the enumeration cap {order_cap}")
-    best_order: Optional[tuple[int, ...]] = None
-    best_value = float("inf")
-    for order in iter_orders(d):
-        value = threshold_value_for_order(plan, order)
-        if value < best_value - 1e-15:
-            best_value = value
-            best_order = order
-    if best_order is None:  # no arrivals at all
-        return ArrivalSequence(types=()), 0.0
-    return ArrivalSequence(types=best_order), best_value
+    order, value = _search_orders(plan, d.counts, order_cap, worst=True)
+    return ArrivalSequence(types=order), value
 
 
 def exact_policy_value(
@@ -279,18 +346,7 @@ def exact_policy_value(
         raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
 
     def value_for(counts: tuple[int, ...]) -> float:
-        d = RealizedDemand(counts)
-        if sum(counts) == 0:
-            return 0.0
-        if order == "worst":
-            return worst_case_order(plan, d, order_cap)[1]
-        count = order_count(d)
-        if count > order_cap:
-            raise ValueError(f"|S(d)| = {count} exceeds the enumeration cap {order_cap}")
-        total = 0.0
-        for arrival in iter_orders(d):
-            total += threshold_value_for_order(plan, arrival)
-        return total / count
+        return _search_orders(plan, counts, order_cap, worst=order == "worst")[1]
 
     return _over_demand(
         plan.instance.demand, functools.cache(value_for), support_cap, trials, seed

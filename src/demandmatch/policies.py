@@ -268,20 +268,21 @@ def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     if sum(clean) > k + LP_SLACK:
         raise ValueError(f"activity rates sum to {sum(clean)!r} > capacity {k}")
     lo, hi = 0.0, 1.0
-    if _ocrs_schedule(clean, k, 1.0) is not None:
+    schedule = _ocrs_schedule(clean, k, 1.0)
+    if schedule is not None:
         lo = 1.0
     else:
         for _ in range(64):
             mid = (lo + hi) / 2.0
-            if _ocrs_schedule(clean, k, mid) is not None:
-                lo = mid
+            found = _ocrs_schedule(clean, k, mid)
+            if found is not None:
+                lo, schedule = mid, found
             else:
                 hi = mid
             if hi - lo <= OCRS_TOL / 4.0:
                 break
-    schedule = _ocrs_schedule(clean, k, lo)
-    assert schedule is not None
-    cs, avail = schedule
+    # with no feasible midpoint, gamma = 0 remains: it accepts nothing, so its schedule exists
+    cs, avail = schedule or _ocrs_schedule(clean, k, 0.0)
     floor = 1.0 - 1.0 / math.sqrt(k + 3)
     if lo < floor - 1e-9:
         warnings.warn(

@@ -1,5 +1,6 @@
 """Offline optima, exact expectations, the online DP, and order search."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import numpy as np
 import pytest
 
 import demandmatch as dm
-from demandmatch.demand import RealizedDemand, trial_rng
+from demandmatch.demand import (
+    RealizedDemand,
+    iter_demand_support,
+    iter_orders,
+    order_count,
+    trial_rng,
+)
 from demandmatch.experiments import (
     gen_counterexample,
     random_horizon_instance,
@@ -215,6 +222,98 @@ class TestOptimalOnlineDp:
 
         brute = float(model.total.survival(1)) * forward(1, tuple(inst.capacities))
         assert optimal_online_dp(model, inst).value == pytest.approx(brute, abs=1e-9)
+
+
+def orders_one_by_one(plan, counts):
+    """The worst order and value, and the mean value, of one realization by
+    valuing every order of ``iter_orders`` from scratch."""
+    d = RealizedDemand(counts)
+    best_order, best, total = None, float("inf"), 0.0
+    for order in iter_orders(d):
+        value = threshold_value_for_order(plan, order)
+        total += value
+        if value < best - 1e-15:
+            best_order, best = order, value
+    return best_order, best, total / order_count(d)
+
+
+def policy_values_one_by_one(plan):
+    """``exact_policy_value`` in both order modes from ``orders_one_by_one``,
+    and each realization's worst order and value."""
+    worst = random_order = 0.0
+    worst_orders = {}
+    for counts, prob in iter_demand_support(plan.instance.demand):
+        order, low, mean = orders_one_by_one(plan, counts)
+        worst_orders[counts] = (order, low.hex())
+        p = float(prob)
+        if p > 0.0:
+            worst += p * low
+            random_order += p * mean
+    return worst, random_order, worst_orders
+
+
+def over_unit_mass_plan(second_type_probs):
+    """One resource, two types with two arrivals each, every type qualifying,
+    and type 1's rank probabilities replaced by ``second_type_probs``."""
+    dist = dm.DemandDistribution.point_mass(2)
+    inst = dm.Instance(
+        rewards=((40.0, 20.0),), capacities=(1,), demand=dm.IndepDemandModel((dist, dist))
+    )
+    plan = plan_indep_adv_policy(inst)
+    first = dataclasses.replace(plan.routings[0], rank_probs=((0.3, 0.3),))
+    second = dataclasses.replace(plan.routings[1], rank_probs=(second_type_probs,))
+    return dataclasses.replace(plan, routings=(first, second), taus=(0.0,))
+
+
+class TestOrderSearchAgainstOneByOne:
+    """The depth-first order search returns, bit for bit, what valuing every
+    order from scratch returns."""
+
+    def test_random_instances(self):
+        for trial in range(300):
+            inst = random_indep_instance(
+                trial_rng(2700, trial), max_n=3, max_m=3, max_support=3, max_value=3
+            )
+            plan = plan_indep_adv_policy(inst)
+            worst, random_order, worst_orders = policy_values_one_by_one(plan)
+            for counts, want in worst_orders.items():
+                order, value = worst_case_order(plan, RealizedDemand(counts))
+                assert (order.types, value.hex()) == want, (trial, counts)
+            assert exact_policy_value(plan, order="worst").value.hex() == worst.hex(), trial
+            assert exact_policy_value(plan, order="random").value.hex() == random_order.hex(), trial
+
+    @pytest.mark.parametrize("second_type_probs", [(0.5, 0.5000000000000002), (0.9, 0.6)])
+    def test_rank_mass_above_one(self, second_type_probs):
+        # values can fall along an order here, so no prefix may be skipped
+        assert sum(second_type_probs) > 1.0
+        plan = over_unit_mass_plan(second_type_probs)
+        worst, random_order, worst_orders = policy_values_one_by_one(plan)
+        order, value = worst_case_order(plan, RealizedDemand((2, 2)))
+        assert (order.types, value.hex()) == worst_orders[(2, 2)]
+        assert exact_policy_value(plan, order="worst").value.hex() == worst.hex()
+        assert exact_policy_value(plan, order="random").value.hex() == random_order.hex()
+
+    @pytest.mark.parametrize("type_two_mass", [None, (0.7, 0.7)])
+    def test_ties_return_the_first_minimal_order(self, type_two_mass):
+        # types 0 and 1 are interchangeable and type 2 earns nothing; with a
+        # rank mass above one for type 2, every order is valued to the end
+        dist = dm.DemandDistribution.from_pmf({1: 0.5, 2: 0.5})
+        inst = dm.Instance(
+            rewards=((1.0, 1.0, 0.0), (2.0, 2.0, 0.0)),
+            capacities=(1, 1),
+            demand=dm.IndepDemandModel((dist, dist, dist)),
+        )
+        plan = plan_indep_adv_policy(inst)
+        d = RealizedDemand((2, 2, 1))
+        if type_two_mass is not None:
+            two = dataclasses.replace(plan.routings[2], rank_probs=(type_two_mass, (0.0, 0.0)))
+            plan = dataclasses.replace(plan, routings=(*plan.routings[:2], two), taus=(0.0, 0.0))
+            d = RealizedDemand((2, 2, 2))
+        values = {o: threshold_value_for_order(plan, o) for o in iter_orders(d)}
+        low = min(values.values())
+        minimal = [o for o in iter_orders(d) if values[o] == low]
+        assert len(minimal) > 1
+        assert worst_case_order(plan, d) == (dm.ArrivalSequence(types=minimal[0]), low)
 
 
 class TestWorstCaseOrder:

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -174,13 +174,20 @@ class DemandDistribution:
         return DemandDistribution(tuple((v, float(p)) for v, p in self.items))
 
     def sample(self, rng: np.random.Generator) -> int:
-        u = rng.random()
-        acc = 0.0
-        for value, prob in self.items:
-            acc += float(prob)
-            if u < acc:
-                return value
-        return self.items[-1][0]
+        idx = draw_index((p for _, p in self.items), rng)
+        return self.items[-1 if idx is None else idx][0]
+
+
+def draw_index(probs: Iterable[Prob], rng: np.random.Generator) -> Optional[int]:
+    """One categorical draw: the first index whose running float sum of
+    ``probs`` exceeds one uniform, or None when the uniform lands past the mass."""
+    u = rng.random()
+    acc = 0.0
+    for idx, p in enumerate(probs):
+        acc += float(p)
+        if u < acc:
+            return idx
+    return None
 
 
 def _check_prob_vector(probs: Sequence[Prob], what: str, target: str = "one") -> None:
@@ -420,19 +427,13 @@ def sample_demand(model: DemandModel, rng_seed: Union[int, np.random.Generator])
     if isinstance(model, CorrelDemandModel):
         total = model.total.sample(rng)
         counts = [0] * model.m
-        cum = np.cumsum([float(p) for p in model.type_probs])
         for _ in range(total):
-            # float type_probs may sum a hair below one; past it, the last type
-            j = int(np.searchsorted(cum, rng.random(), side="right"))
-            counts[min(j, model.m - 1)] += 1
+            j = draw_index(model.type_probs, rng)
+            counts[model.m - 1 if j is None else j] += 1  # past the float mass: the last type
         return RealizedDemand(tuple(counts))
     if isinstance(model, StochasticHorizonModel):
         path = sample_horizon_path(model, rng)
-        counts = [0] * model.m
-        for j in path:
-            if j is not None:
-                counts[j] += 1
-        return RealizedDemand(tuple(counts))
+        return RealizedDemand(tuple(path.count(j) for j in range(model.m)))
     raise TypeError(f"not a demand model: {model!r}")
 
 
@@ -446,19 +447,7 @@ def sample_horizon_path(
     """
     rng = as_generator(rng_seed)
     total = model.total.sample(rng)
-    path: list[Optional[int]] = []
-    for t in range(1, total + 1):
-        row = model.probs[t - 1]
-        u = rng.random()
-        acc = 0.0
-        arrived: Optional[int] = None
-        for j, p in enumerate(row):
-            acc += float(p)
-            if u < acc:
-                arrived = j
-                break
-        path.append(arrived)
-    return tuple(path)
+    return tuple(draw_index(model.probs[t], rng) for t in range(total))
 
 
 def sample_random_order(
@@ -469,27 +458,6 @@ def sample_random_order(
     pool = [j for j, c in enumerate(d.counts) for _ in range(c)]
     rng.shuffle(pool)
     return ArrivalSequence(tuple(int(j) for j in pool))
-
-
-def iter_orders(d: RealizedDemand) -> Iterator[tuple[int, ...]]:
-    """Enumerate every distinct interleaving of the realized counts."""
-    counts = list(d.counts)
-    total = sum(counts)
-    prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for j, c in enumerate(counts):
-            if c > 0:
-                counts[j] -= 1
-                prefix.append(j)
-                yield from rec()
-                prefix.pop()
-                counts[j] += 1
-
-    yield from rec()
 
 
 def order_count(d: RealizedDemand) -> int:

@@ -153,6 +153,20 @@ def gen_counterexample(name: str, params: Mapping[str, Prob]) -> Instance:
 # ---------------------------------------------------------------------------
 
 
+def _rewards(rng: np.random.Generator, n: int, m: int) -> tuple[tuple[float, ...], ...]:
+    """An ``n x m`` reward table, uniform on [0, 10] to three digits, drawn row by row."""
+    return tuple(tuple(float(np.round(rng.uniform(0, 10), 3)) for _ in range(m)) for _ in range(n))
+
+
+def _rounded_probs(rng: np.random.Generator, size: int) -> list[float]:
+    """Random probability vector rounded to six digits; the largest entry
+    takes the rounding error, so the vector sums to one."""
+    weights = rng.uniform(0.05, 1.0, size=size)
+    probs = [float(np.round(w, 6)) for w in weights / weights.sum()]
+    probs[int(np.argmax(probs))] += 1.0 - sum(probs)
+    return probs
+
+
 def random_indep_instance(
     rng: np.random.Generator,
     max_n: int = 4,
@@ -172,19 +186,12 @@ def random_indep_instance(
         for _ in range(budget - n):
             caps[int(rng.integers(0, n))] += 1
         caps = tuple(caps)
-    rewards = tuple(
-        tuple(float(np.round(rng.uniform(0, 10), 3)) for _ in range(m)) for _ in range(n)
-    )
+    rewards = _rewards(rng, n, m)
     dists = []
     for _ in range(m):
         size = int(rng.integers(1, max_support + 1))
         values = sorted(rng.choice(max_value + 1, size=size, replace=False).tolist())
-        weights = rng.uniform(0.05, 1.0, size=size)
-        weights = weights / weights.sum()
-        # round and re-normalize on the largest atom to keep the mass exact
-        probs = [float(np.round(w, 6)) for w in weights]
-        probs[int(np.argmax(probs))] += 1.0 - sum(probs)
-        dists.append(DemandDistribution.from_pmf(dict(zip(values, probs))))
+        dists.append(DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, size)))))
     return Instance(
         rewards=rewards,
         capacities=caps,
@@ -208,9 +215,7 @@ def random_horizon_instance(
         fixed_capacity if fixed_capacity is not None else int(rng.integers(1, 3))
         for _ in range(n)
     )
-    rewards = tuple(
-        tuple(float(np.round(rng.uniform(0, 10), 3)) for _ in range(m)) for _ in range(n)
-    )
+    rewards = _rewards(rng, n, m)
     raw = rng.uniform(0.05, 1.0, size=horizon + 1)
     raw = raw / raw.sum()
     pmf = {t: float(np.round(raw[t], 6)) for t in range(horizon + 1) if raw[t] > 0}
@@ -244,24 +249,15 @@ def random_correl_instance(
     n = int(rng.integers(1, max_n + 1))
     m = int(rng.integers(1, max_m + 1))
     caps = tuple(int(rng.integers(1, 3)) for _ in range(n))
-    rewards = tuple(
-        tuple(float(np.round(rng.uniform(0, 10), 3)) for _ in range(m)) for _ in range(n)
-    )
+    rewards = _rewards(rng, n, m)
     size = int(rng.integers(2, max_total + 2))
     values = sorted(rng.choice(max_total + 1, size=min(size, max_total + 1), replace=False).tolist())
-    weights = rng.uniform(0.05, 1.0, size=len(values))
-    weights = weights / weights.sum()
-    probs = [float(np.round(w, 6)) for w in weights]
-    probs[int(np.argmax(probs))] += 1.0 - sum(probs)
-    total = DemandDistribution.from_pmf(dict(zip(values, probs)))
-    tw = rng.uniform(0.05, 1.0, size=m)
-    tw = tw / tw.sum()
-    type_probs = [float(np.round(w, 6)) for w in tw]
-    type_probs[int(np.argmax(type_probs))] += 1.0 - sum(type_probs)
+    total = DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, len(values)))))
+    type_probs = tuple(_rounded_probs(rng, m))
     return Instance(
         rewards=rewards,
         capacities=caps,
-        demand=CorrelDemandModel(total=total, type_probs=tuple(type_probs)),
+        demand=CorrelDemandModel(total=total, type_probs=type_probs),
         arrival=Arrival.RANDOM_ORDER,
     )
 

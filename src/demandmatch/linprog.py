@@ -276,12 +276,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     return reoptimize(Tableau(lp))
 
 
-def check_feasible(lp: LinearProgram, values: Sequence[float], tol: float = 1e-9) -> bool:
-    """Whether a candidate point satisfies ``x >= 0`` and ``rows @ x <= rhs``."""
-    x = np.asarray(values, dtype=float)
-    return bool(np.all(x >= -tol) and np.all(lp.rows @ x <= lp.rhs + tol))
-
-
 def format_tableau(lp: LinearProgram, names: Sequence[str]) -> str:
     """Plain-text dump of the LP: objective row, then constraint rows."""
     lines = ["max " + " + ".join(f"{c:g}*{v}" for c, v in zip(lp.objective, names))]

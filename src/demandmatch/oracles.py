@@ -265,8 +265,8 @@ def _search_orders(
 ) -> tuple[tuple[int, ...], float]:
     """The worst order (the first below the best so far by more than 1e-15)
     and its value, or ``()`` and the mean value over all orders: one
-    depth-first walk over the orders of :func:`iter_orders`, in its order,
-    that values each shared prefix once."""
+    depth-first walk over the distinct orders in lexicographic order, with an
+    explicit stack, that values each shared prefix once."""
     count = order_count(RealizedDemand(tuple(counts)))
     if count > order_cap:
         raise ValueError(f"|S(d)| = {count} exceeds the enumeration cap {order_cap}")
@@ -286,30 +286,35 @@ def _search_orders(
     depth = sum(counts)
     prefix: list[int] = []
     best, best_order, total = float("inf"), (), 0.0
-
-    def visit(value: float) -> None:
-        nonlocal best, best_order, total
-        if len(prefix) == depth:
-            if not worst:
-                total += value
-            elif value < best - 1e-15:
-                best, best_order = value, tuple(prefix)
-            return
-        for j, left in enumerate(remaining):
-            if left == 0:
-                continue
-            step = table[j][counts[j] - left]
+    stack = [[0.0, 0]]  # per prefix length: the prefix's value, the next type to try
+    while True:
+        frame = stack[-1]
+        value, j = frame
+        while j < len(remaining) and remaining[j] == 0:
+            j += 1
+        if j < len(remaining):
+            frame[1] = j + 1
+            step = table[j][counts[j] - remaining[j]]
             after = _advance(step, delivered, j, value)
             if not prune or after < best - 1e-15:  # the safe bound above
                 remaining[j] -= 1
                 prefix.append(j)
-                visit(after)
-                prefix.pop()
-                remaining[j] += 1
-            for i, _, before, _ in step:
-                delivered[i][j] = before
-
-    visit(0.0)
+                stack.append([after, 0])
+                continue
+        else:
+            stack.pop()
+            if len(prefix) == depth:
+                if not worst:
+                    total += value
+                elif value < best - 1e-15:
+                    best, best_order = value, tuple(prefix)
+            if not prefix:
+                break
+            j = prefix.pop()
+            remaining[j] += 1
+            step = table[j][counts[j] - remaining[j]]
+        for i, _, before, _ in step:
+            delivered[i][j] = before
     return (best_order, best) if worst else ((), total / count)
 
 
@@ -399,6 +404,7 @@ def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
     for t in range(1, plan.horizon + 1):
         s_t = float(model.total.survival(t))
         row = model.probs[t - 1]
+        route = plan.route[t - 1].tolist()  # [i][j]
         nxt: dict[tuple[int, ...], float] = {}
 
         def push(caps: tuple[int, ...], w: float) -> None:
@@ -414,7 +420,7 @@ def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
                 for i in range(n):
                     if caps[i] == 0:
                         continue
-                    rho = plan.routing_prob(t, i, j)
+                    rho = route[i][j]
                     if rho <= 0.0:
                         continue
                     accept = pj * rho * plan.plans[i].accept_probs[t - 1]

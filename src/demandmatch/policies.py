@@ -34,6 +34,7 @@ from .demand import (
     Instance,
     StochasticHorizonModel,
     as_generator,
+    draw_index,
     expand_unit_capacity,
     sample_horizon_path,
 )
@@ -304,26 +305,27 @@ def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HorizonPlan:
-    """Conditional-LP solution plus one acceptance schedule per resource."""
+    """Conditional-LP solution plus one acceptance schedule per resource.
+
+    ``y[t-1, i, j]`` is the LP's rate of routing a step-``t`` type-``j``
+    query to resource ``i``, a ``(T, n, m)`` array clipped at zero.
+    ``route[t-1, i, j] = min(1, y / p)`` is the chance such a query is routed
+    to ``i`` given that it arrives, where ``p`` is its arrival probability
+    ``probs[t-1][j]``; it is 0 where ``p = 0``.
+    """
 
     model: StochasticHorizonModel
     instance: Instance
-    y: tuple[tuple[tuple[float, ...], ...], ...]  # [t-1][i][j]
+    y: np.ndarray
+    route: np.ndarray
     lp_value: float
     plans: tuple[OcrsPlan, ...]
 
     @property
     def horizon(self) -> int:
         return self.model.horizon
-
-    def routing_prob(self, t: int, i: int, j: int) -> float:
-        """Pr[route to i | type j arrives at step t] = y/p."""
-        p = float(self.model.probs[t - 1][j])
-        if p <= 0.0:
-            return 0.0
-        return min(1.0, self.y[t - 1][i][j] / p)
 
     def expected_value(self) -> float:
         """Exact policy value.
@@ -333,13 +335,14 @@ class HorizonPlan:
         equality), and a step exists with the horizon's survival
         probability, so the value is the gamma-weighted LP objective.
         """
+        y = np.asarray(self.y, dtype=float).tolist()
         total = 0.0
         for i, plan in enumerate(self.plans):
             share = 0.0
             for t in range(1, self.horizon + 1):
                 s = float(self.model.total.survival(t))
                 for j in range(self.instance.m):
-                    share += s * float(self.instance.rewards[i][j]) * self.y[t - 1][i][j]
+                    share += s * float(self.instance.rewards[i][j]) * y[t - 1][i][j]
             total += plan.gamma * share
         return total
 
@@ -348,23 +351,16 @@ def plan_horizon_policy(model: StochasticHorizonModel, inst: Instance) -> Horizo
     solution = solve_lp(conditional_lp(model, inst))
     if solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"conditional LP did not solve: {solution.status}")
-    n, m = inst.n, inst.m
-    horizon = model.horizon
-    ym = solution.values.reshape(horizon, n, m)
-    y = tuple(
-        tuple(tuple(max(0.0, float(ym[t, i, j])) for j in range(m)) for i in range(n))
-        for t in range(horizon)
-    )
-    plans = []
-    for i in range(n):
-        rates = [sum(y[t][i][j] for j in range(m)) for t in range(horizon)]
-        plans.append(ocrs_plan(rates, inst.capacities[i]))
+    ym = solution.values.reshape(model.horizon, inst.n, inst.m)
+    y = np.where(ym > 0.0, ym, 0.0)
+    p = np.array([[float(q) for q in row] for row in model.probs])[: model.horizon, None, :]
+    route = np.minimum(1.0, np.divide(y, p, out=np.zeros_like(y), where=p > 0.0))
+    rates = y[:, :, 0].copy()  # (T, n): summed over types left to right
+    for j in range(1, inst.m):
+        rates += y[:, :, j]
+    plans = tuple(ocrs_plan(rates[:, i], inst.capacities[i]) for i in range(inst.n))
     return HorizonPlan(
-        model=model,
-        instance=inst,
-        y=y,
-        lp_value=solution.objective_value,
-        plans=tuple(plans),
+        model=model, instance=inst, y=y, route=route, lp_value=solution.objective_value, plans=plans
     )
 
 
@@ -402,14 +398,7 @@ class HorizonPolicyState:
         if float(model.probs[t - 1][j]) <= 0.0:
             raise ValueError(f"type {j} cannot arrive at step {t}")
         rng = as_generator(rng_seed)
-        u = rng.random()
-        acc = 0.0
-        routed: Optional[int] = None
-        for i in range(self.plan.instance.n):
-            acc += self.plan.routing_prob(t, i, j)
-            if u < acc:
-                routed = i
-                break
+        routed = draw_index(self.plan.route[t - 1, :, j], rng)
         if routed is None:
             return HorizonDecision(routed_to=None, accepted=False, reward=0.0)
         ocrs = self.plan.plans[routed]
@@ -441,26 +430,6 @@ def run_horizon_trial(
 # ---------------------------------------------------------------------------
 # static threshold baseline (single resource)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StaticThresholdPolicy:
-    """Accept the first ``k`` arrivals whose reward clears a fixed bar."""
-
-    threshold: float
-    capacity: int
-    remaining: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.remaining = self.capacity
-
-    def step(self, reward: float) -> bool:
-        if self.remaining > 0 and reward >= self.threshold:
-            self.remaining -= 1
-            return True
-        return False
 
 
 def static_threshold_value(

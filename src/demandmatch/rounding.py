@@ -84,9 +84,6 @@ class Routing:
             return self.assignment[rank - 1]
         return None
 
-    def rank_of(self, resource: int) -> Optional[int]:
-        return self.assignment.index(resource) + 1 if resource in self.assignment else None
-
 
 @dataclass(frozen=True)
 class SegmentPartition:
@@ -100,12 +97,6 @@ class SegmentPartition:
             if lo != expected or hi < lo:
                 raise ValueError(f"spans {self.spans} do not tile the rank range")
             expected = hi + 1
-
-    def segment_of(self, rank: int) -> int:
-        for idx, (lo, hi) in enumerate(self.spans):
-            if lo <= rank <= hi:
-                return idx
-        raise ValueError(f"rank {rank} not covered")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Demand distributions, models, instances, and sampling."""
 
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,10 +15,11 @@ from demandmatch.demand import (
     RealizedDemand,
     demand_support_size,
     iter_demand_support,
-    iter_orders,
     order_count,
     trial_rng,
 )
+from demandmatch.policies import HorizonPolicyState
+from reference import iter_orders
 
 THREE_POINT = dm.DemandDistribution.from_pmf(
     {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
@@ -316,17 +319,6 @@ class TestSampling:
         _, pvalue = stats.chisquare(observed, expected * draws)
         assert pvalue > 1e-3
 
-    def test_correl_draw_past_float_mass_takes_last_type(self):
-        # type_probs summing a hair below one leave a gap under 1.0
-        class TopGenerator(np.random.Generator):
-            def random(self, *args, **kwargs):
-                return 1 - 2**-53
-
-        model = dm.CorrelDemandModel(
-            total=dm.DemandDistribution.point_mass(3), type_probs=(0.1, 0.2, 0.3, 0.4 - 1e-13)
-        )
-        assert dm.sample_demand(model, TopGenerator(np.random.PCG64(0))).counts == (0, 0, 0, 3)
-
     def test_horizon_path_respects_rows(self):
         model = dm.StochasticHorizonModel(
             total=dm.DemandDistribution.from_pmf({2: 1}),
@@ -337,6 +329,49 @@ class TestSampling:
             path = dm.sample_horizon_path(model, rng)
             assert path[0] == 0
             assert path[1] in (1, None)
+
+
+class TopGenerator(np.random.Generator):
+    """Its uniforms are the largest float below one."""
+
+    def random(self, *args, **kwargs):
+        return 1 - 2**-53
+
+
+def route_past_mass(rng):
+    model = dm.StochasticHorizonModel(total=dm.DemandDistribution.point_mass(1), probs=((1.0,),))
+    inst = dm.Instance(rewards=((1.0,), (1.0,)), capacities=(1, 1), demand=model)
+    plan = dataclasses.replace(
+        dm.plan_horizon_policy(model, inst), route=np.array([[[0.5], [0.5 - 1e-13]]])
+    )
+    return HorizonPolicyState(plan=plan).step(1, 0, rng).routed_to
+
+
+@pytest.mark.parametrize(
+    "draw, expected",
+    [
+        (lambda rng: dm.DemandDistribution.from_pmf({0: 0.5, 3: 0.5 - 1e-13}).sample(rng), 3),
+        (
+            lambda rng: dm.sample_demand(
+                dm.CorrelDemandModel(dm.DemandDistribution.point_mass(3), (0.1, 0.2, 0.3, 0.4 - 1e-13)),
+                rng,
+            ).counts,
+            (0, 0, 0, 3),
+        ),
+        (
+            lambda rng: dm.sample_horizon_path(
+                dm.StochasticHorizonModel(dm.DemandDistribution.point_mass(2), ((0.5, 0.5 - 1e-13),) * 2),
+                rng,
+            ),
+            (None, None),
+        ),
+        (route_past_mass, None),
+    ],
+    ids=["distribution-last-value", "correlated-last-type", "horizon-no-query", "policy-no-route"],
+)
+def test_draw_past_float_mass(draw, expected):
+    """A uniform past a float mass a hair below one: the last value or type, else nothing."""
+    assert draw(TopGenerator(np.random.PCG64(0))) == expected
 
 
 class TestRandomOrder:
@@ -361,6 +396,11 @@ class TestRandomOrder:
         orders = list(iter_orders(d))
         assert len(orders) == order_count(d) == 3
         assert len(set(orders)) == 3
+
+    def test_enumeration_is_lexicographic(self):
+        d = RealizedDemand((2, 0, 1, 2))
+        assert list(iter_orders(d)) == sorted(set(itertools.permutations((0, 0, 2, 3, 3))))
+        assert list(iter_orders(RealizedDemand((0, 0)))) == [()]
 
 
 class TestTruncatedPoisson:

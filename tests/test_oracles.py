@@ -11,7 +11,6 @@ import demandmatch as dm
 from demandmatch.demand import (
     RealizedDemand,
     iter_demand_support,
-    iter_orders,
     order_count,
     trial_rng,
 )
@@ -31,6 +30,7 @@ from demandmatch.oracles import (
 )
 from demandmatch.policies import plan_indep_adv_policy
 from demandmatch.relaxations import horizon_model_of
+from reference import iter_orders
 
 
 def brute_force_offline(inst, counts):
@@ -317,6 +317,20 @@ class TestOrderSearchAgainstOneByOne:
 
 
 class TestWorstCaseOrder:
+    def test_five_thousand_arrivals_of_one_type(self):
+        """The walk keeps its own stack, so a long realization does not
+        reach the interpreter's recursion limit."""
+        inst = dm.Instance(
+            rewards=((1.0,),),
+            capacities=(1,),
+            demand=dm.IndepDemandModel((dm.DemandDistribution.point_mass(5000),)),
+        )
+        plan = plan_indep_adv_policy(inst)
+        order, value = worst_case_order(plan, RealizedDemand((5000,)))
+        assert order.types == (0,) * 5000 and value == 1.0
+        for mode in ("worst", "random"):
+            assert exact_policy_value(plan, order=mode) == dm.OracleValue(value=1.0, mode="exact")
+
     def test_single_type_unique_order(self):
         dist = dm.DemandDistribution.from_pmf({0: 0.5, 2: 0.5})
         inst = dm.Instance(

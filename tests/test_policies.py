@@ -10,7 +10,6 @@ import demandmatch as dm
 from demandmatch.demand import (
     RealizedDemand,
     iter_demand_support,
-    iter_orders,
     sample_horizon_path,
     trial_rng,
 )
@@ -22,7 +21,6 @@ from demandmatch.experiments import (
 from demandmatch.oracles import horizon_policy_value
 from demandmatch.policies import (
     HorizonPolicyState,
-    StaticThresholdPolicy,
     ThresholdPolicyState,
     best_static_threshold,
     ocrs_plan,
@@ -33,6 +31,7 @@ from demandmatch.policies import (
     static_threshold_value,
 )
 from demandmatch.relaxations import horizon_model_of
+from reference import iter_orders
 
 
 def indep_instance(rewards, caps, dists, arrival=dm.Arrival.ADVERSARIAL):
@@ -202,9 +201,7 @@ class TestHorizonPolicy:
         plan = plan_horizon_policy_for(inst)
         for t in range(1, plan.horizon + 1):
             for j in range(plan.instance.m):
-                total = sum(
-                    plan.routing_prob(t, i, j) for i in range(plan.instance.n)
-                )
+                total = sum(plan.route[t - 1, i, j] for i in range(plan.instance.n))
                 assert -1e-12 <= total <= 1.0 + 1e-9
 
     def test_zero_rewards_collects_nothing(self):
@@ -244,7 +241,7 @@ class TestHorizonPolicy:
                     continue
                 reject_mass = 1.0
                 for i in range(plan.instance.n):
-                    rho = plan.routing_prob(t, i, j)
+                    rho = plan.route[t - 1, i, j]
                     if rho <= 0:
                         continue
                     reject_mass -= rho
@@ -324,7 +321,7 @@ class TestHorizonPolicy:
             rewards=((1.0,),), capacities=(1,), demand=model, arrival=dm.Arrival.RANDOM_ORDER
         )
         plan = plan_horizon_policy(model, inst)
-        assert plan.routing_prob(1, 0, 0) == pytest.approx(1.0, abs=1e-9)
+        assert plan.route[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
         state = HorizonPolicyState(plan=plan)
         decision = state.step(1, 0, 5)
         assert decision.routed_to == 0 and decision.accepted
@@ -359,8 +356,7 @@ class TestSamplePathDominance:
                         routed_rewards = [
                             plan.instance.rewards[i][j]
                             for j in range(plan.m)
-                            if pis[j].rank_of(i) is not None
-                            and pis[j].rank_of(i) <= counts[j]
+                            if i in pis[j].assignment[: counts[j]]
                         ]
                         qualifying = [
                             r for r in routed_rewards if r >= plan.taus[i]
@@ -391,14 +387,6 @@ class TestTraces:
 
 
 class TestStaticThreshold:
-    def test_zero_bar_accepts_first_k(self):
-        policy = StaticThresholdPolicy(threshold=0.0, capacity=2)
-        assert [policy.step(r) for r in (0.0, 1.0, 5.0)] == [True, True, False]
-
-    def test_infinite_bar_accepts_nothing(self):
-        policy = StaticThresholdPolicy(threshold=float("inf"), capacity=2)
-        assert not any(policy.step(r) for r in (1.0, 100.0))
-
     def test_exact_value_matches_simulation_tree(self):
         model = dm.StochasticHorizonModel(
             total=dm.DemandDistribution.from_pmf({1: 0.4, 2: 0.6}),
@@ -421,10 +409,10 @@ class TestStaticThreshold:
                         w *= float(model.no_query_mass(t)) if j is None else float(row[j])
                     if w <= 0:
                         continue
-                    policy = StaticThresholdPolicy(threshold=threshold, capacity=1)
-                    gained = 0.0
+                    remaining, gained = inst.capacities[0], 0.0
                     for j in seq:
-                        if j is not None and policy.step(inst.rewards[0][j]):
+                        if j is not None and remaining > 0 and inst.rewards[0][j] >= threshold:
+                            remaining -= 1
                             gained += inst.rewards[0][j]
                     total += w * gained
             return total

@@ -20,7 +20,7 @@ from demandmatch.experiments import (
     random_indep_instance,
 )
 from demandmatch.cli import main
-from demandmatch.linprog import LpStatus, check_feasible, solve_lp
+from demandmatch.linprog import LpStatus, solve_lp
 from demandmatch.policies import plan_horizon_policy
 from demandmatch.relaxations import (
     UnsupportedDemandModel,
@@ -32,6 +32,7 @@ from demandmatch.relaxations import (
     separation_oracle,
     transportation_lp,
 )
+from reference import is_feasible
 
 THREE_POINT = EXAMPLES["demo3"].dist.to_float()
 
@@ -231,7 +232,7 @@ class TestTruncatedLp:
         res = scipy_linprog(-lp.objective, A_ub=lp.rows, b_ub=lp.rhs, bounds=(0, None), method="highs")
         assert res.status == 0, res.message
         assert abs(result.solution.objective_value + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
-        assert check_feasible(lp, result.solution.values)
+        assert is_feasible(lp, result.solution.values)
         assert separation_oracle(result.solution.values, inst) is None
 
     def test_cut_pool_rejects_duplicates(self):
@@ -333,7 +334,7 @@ class TestConditionalLp:
         model = horizon_model_of(inst)
         lp = conditional_lp(model, inst)
         sol = solve_lp(lp)
-        assert check_feasible(lp, sol.values)
+        assert is_feasible(lp, sol.values)
 
 
 class TestOrderingOnCorrelated:

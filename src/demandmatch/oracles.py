@@ -163,30 +163,33 @@ def optimal_online_dp(
             f"state space {cap_space} x {horizon} exceeds the cap {state_cap}"
         )
     states = list(itertools.product(*(range(k + 1) for k in inst.capacities)))
+    rewards = [[float(r) for r in col] for col in zip(*inst.rewards)]  # [j][i]
+    moves = {
+        caps: [(i, caps[:i] + (caps[i] - 1,) + caps[i + 1 :]) for i in range(n) if caps[i] > 0]
+        for caps in states
+    }
     value_next: dict[tuple[int, ...], float] = {caps: 0.0 for caps in states}
     table: dict[tuple[int, tuple[int, ...]], tuple[Optional[int], ...]] = {}
     for t in range(horizon, 0, -1):
         s_t = float(model.total.survival(t))
         s_next = float(model.total.survival(t + 1))
         continue_odds = s_next / s_t if s_t > 0 else 0.0
-        row = model.probs[t - 1]
+        probs = [float(p) for p in model.probs[t - 1]]
         no_query = float(model.no_query_mass(t))
         value_here: dict[tuple[int, ...], float] = {}
         for caps in states:
             cont = continue_odds * value_next[caps]
             total = no_query * cont
+            ahead = [(i, continue_odds * value_next[reduced]) for i, reduced in moves[caps]]
             actions: list[Optional[int]] = []
-            for j, p in enumerate(row):
-                pj = float(p)
+            for pj, r in zip(probs, rewards):
                 best = cont
                 pick: Optional[int] = None
-                for i in range(n):
-                    if caps[i] > 0:
-                        reduced = caps[:i] + (caps[i] - 1,) + caps[i + 1 :]
-                        gain = float(inst.rewards[i][j]) + continue_odds * value_next[reduced]
-                        if gain > best + 1e-12:
-                            best = gain
-                            pick = i
+                for i, later in ahead:
+                    gain = r[i] + later
+                    if gain > best + 1e-12:
+                        best = gain
+                        pick = i
                 actions.append(pick)
                 total += pj * best
             value_here[caps] = total
@@ -400,11 +403,17 @@ def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
     model = plan.model
     n, m = inst.n, inst.m
     states: dict[tuple[int, ...], float] = {tuple(inst.capacities): 1.0}
+    rewards = [[float(r) for r in row] for row in inst.rewards]
     value = 0.0
     for t in range(1, plan.horizon + 1):
         s_t = float(model.total.survival(t))
-        row = model.probs[t - 1]
+        row = [float(p) for p in model.probs[t - 1]]
         route = plan.route[t - 1].tolist()  # [i][j]
+        accepts = [p.accept_probs[t - 1] for p in plan.plans]
+        arcs = [  # (resource, chance it accepts, reward) for each arrival type in turn
+            (i, row[j] * route[i][j] * accepts[i], rewards[i][j])
+            for j in range(m) if row[j] > 0.0 for i in range(n) if route[i][j] > 0.0
+        ]
         nxt: dict[tuple[int, ...], float] = {}
 
         def push(caps: tuple[int, ...], w: float) -> None:
@@ -413,21 +422,11 @@ def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
 
         for caps, w in states.items():
             moved = 0.0  # probability mass that accepts (consumes capacity)
-            for j in range(m):
-                pj = float(row[j])
-                if pj <= 0.0:
-                    continue
-                for i in range(n):
-                    if caps[i] == 0:
-                        continue
-                    rho = route[i][j]
-                    if rho <= 0.0:
-                        continue
-                    accept = pj * rho * plan.plans[i].accept_probs[t - 1]
-                    if accept > 0.0:
-                        value += s_t * w * accept * float(inst.rewards[i][j])
-                        push(caps[:i] + (caps[i] - 1,) + caps[i + 1 :], w * accept)
-                        moved += accept
+            for i, accept, reward in arcs:
+                if caps[i] > 0 and accept > 0.0:
+                    value += s_t * w * accept * reward
+                    push(caps[:i] + (caps[i] - 1,) + caps[i + 1 :], w * accept)
+                    moved += accept
             push(caps, w * (1.0 - moved))
         states = nxt
     return OracleValue(value=value, mode="exact")

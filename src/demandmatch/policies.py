@@ -49,8 +49,10 @@ from .rounding import Routing, RoutingDistribution, typeround
 
 #: slack used when consuming LP solutions (solver feasibility tolerance)
 LP_SLACK = 1e-9
-#: the OCRS bisection stops once its bracket is narrower than a quarter of this
+#: OCRS ``gamma`` is the largest feasible point on the grid of spacing
+#: ``2**-_OCRS_GRID_BITS``, the coarsest power of two within a quarter of this
 OCRS_TOL = 1e-9
+_OCRS_GRID_BITS = math.ceil(-math.log2(OCRS_TOL / 4.0))  # 32
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +197,9 @@ class OcrsPlan:
     capacity remains, with probability ``accept_probs[t-1] =
     gamma / Pr[capacity remains at t]`` so that every step's unconditional
     acceptance probability is exactly ``gamma * rates[t-1]``.  ``gamma`` is
-    the largest uniform rate the schedule can sustain, certified by binary
-    search over the exact accepted-count law.
+    the largest uniform rate on a grid of spacing ``2**-32`` that the
+    schedule can sustain, certified by the accepted-count law at that rate
+    and at the next grid point up.
     """
 
     rates: tuple[float, ...]
@@ -228,73 +231,98 @@ def _accept_step(counts: list[float], hazard: float) -> list[float]:
     return nxt
 
 
-def _ocrs_schedule(rates: Sequence[float], k: int, gamma: float) -> Optional[tuple[list[float], list[float]]]:
-    """Accept probabilities and availabilities at rate ``gamma``, or None."""
+def _ocrs_schedule(
+    rates: Sequence[float], k: int, gamma: float
+) -> tuple[bool, float, list[float], list[float]]:
+    """``(feasible, margin, accept probs, availabilities)`` at rate ``gamma``.
+
+    ``margin`` is the least ``availability - gamma`` over the active steps.  A
+    step that needs an accept probability above one makes the schedule
+    infeasible; it is clamped at one and the pass goes on to the last step.
+    """
     counts = [1.0] + [0.0] * k  # law of the number accepted so far
     cs: list[float] = []
     avail: list[float] = []
+    feasible, margin = True, math.inf
     for y in rates:
         available = 1.0 - counts[k]
         avail.append(available)
         if y > 0.0:
-            if available <= 0.0:
-                if gamma > 0.0:
-                    return None
-                c = 0.0
-            else:
-                c = gamma / available
-            if c > 1.0 + 1e-12:
-                return None
+            margin = min(margin, available - gamma)
+            c = gamma / available if available > 0.0 else (math.inf if gamma > 0.0 else 0.0)
+            feasible = feasible and c <= 1.0 + 1e-12
             c = min(c, 1.0)
         else:
             c = min(1.0, gamma / available) if available > 0.0 else 0.0
         cs.append(c)
         counts = _accept_step(counts, y * c)
-    return cs, avail
+    return feasible, margin, cs, avail
 
 
 def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     """Largest uniform acceptance rate for the given activity schedule.
 
-    Guards the budget ``sum(rates) <= k``, then binary-searches the largest
-    ``gamma`` whose schedule keeps every conditional acceptance probability
-    at most one.  The certified ``gamma`` is checked against the closed-form
-    floor ``1 - 1/sqrt(k+3)``; falling short is reported as a warning since
-    the floor is only known to be attainable by some schedule, not
-    necessarily a uniform one.
+    Guards the budget ``sum(rates) <= k``, then finds the largest ``gamma``
+    on the grid ``j / 2**32`` whose schedule keeps every conditional
+    acceptance probability at most one.  Feasibility is monotone in
+    ``gamma`` and ends where the margin of ``_ocrs_schedule`` crosses zero,
+    so regula falsi (Illinois) on the margin, rounded down to the grid,
+    narrows a feasible ``lo`` and an infeasible ``hi`` to ``hi = lo + 1``.
+    Points are moved so that ``s`` grid passes leave ``hi - lo <= 2**(34-s)``:
+    at most 36 schedule passes in all (one at ``gamma = 1``, 34 on the grid,
+    one at ``gamma = 0`` if nothing above it is feasible), about 5 on average.
+
+    The certified ``gamma`` is checked against the closed-form floor
+    ``1 - 1/sqrt(k+3)``; falling short is reported as a warning since the
+    floor is only known to be attainable by some schedule, not necessarily
+    a uniform one.
     """
     if k < 1:
         raise ValueError(f"capacity must be positive, got {k}")
-    clean = [max(0.0, float(y)) for y in rates]
+    clean = [float(y) for y in rates]
+    if not all(map(math.isfinite, clean)):
+        raise ValueError(f"activity rates must be finite, got {clean!r}")
+    clean = [max(0.0, y) for y in clean]  # tiny negative LP noise is zero
     if sum(clean) > k + LP_SLACK:
         raise ValueError(f"activity rates sum to {sum(clean)!r} > capacity {k}")
-    lo, hi = 0.0, 1.0
-    schedule = _ocrs_schedule(clean, k, 1.0)
-    if schedule is not None:
-        lo = 1.0
-    else:
-        for _ in range(64):
-            mid = (lo + hi) / 2.0
-            found = _ocrs_schedule(clean, k, mid)
-            if found is not None:
-                lo, schedule = mid, found
-            else:
-                hi = mid
-            if hi - lo <= OCRS_TOL / 4.0:
-                break
-    # with no feasible midpoint, gamma = 0 remains: it accepts nothing, so its schedule exists
-    cs, avail = schedule or _ocrs_schedule(clean, k, 0.0)
+    top = 1 << _OCRS_GRID_BITS
+    feasible, f_hi, cs, avail = _ocrs_schedule(clean, k, 1.0)
+    schedule = (cs, avail) if feasible else None
+    # grid indices: ``lo`` feasible, ``hi`` not; margin(0) = 1 as nothing is accepted
+    lo, hi, f_lo = (top if feasible else 0), top, 1.0
+    moved = passes = 0  # the end that moved last (+1 lo, -1 hi); grid passes made
+    while hi - lo > 1:
+        # regula falsi, or the next point up once the margin at ``lo`` is no
+        # longer positive: the root lies within the 1e-12 verdict slack of it
+        j = int(lo + (hi - lo) * (f_lo / (f_lo - f_hi))) if f_lo > 0.0 else lo
+        reach = 1 << max(0, _OCRS_GRID_BITS + 1 - passes)  # the bound in the docstring
+        j = min(max(j, lo + 1, hi - reach), hi - 1, lo + reach)
+        passes += 1
+        feasible, f, cs, avail = _ocrs_schedule(clean, k, j / top)
+        if feasible:
+            lo, f_lo, schedule = j, f, (cs, avail)
+            if moved > 0:  # Illinois: an end kept twice in a row weighs half
+                f_hi /= 2.0
+            moved = 1
+        else:
+            hi, f_hi = j, f
+            if moved < 0:
+                f_lo /= 2.0
+            moved = -1
+    gamma = lo / top
+    # with no feasible grid point above 0, gamma = 0 remains: it accepts nothing
+    cs, avail = schedule or _ocrs_schedule(clean, k, 0.0)[2:]
     floor = 1.0 - 1.0 / math.sqrt(k + 3)
-    if lo < floor - 1e-9:
+    if gamma < floor - 1e-9:
         warnings.warn(
-            f"uniform acceptance rate {lo:.9f} fell below the k={k} floor {floor:.9f}",
+            f"uniform acceptance rate {gamma:.9f} fell below the k={k} floor {floor:.9f}",
             RuntimeWarning,
             stacklevel=2,
         )
     return OcrsPlan(
         rates=tuple(clean),
         capacity=k,
-        gamma=lo,
+        gamma=gamma,
         accept_probs=tuple(cs),
         availability=tuple(avail),
     )
@@ -336,13 +364,14 @@ class HorizonPlan:
         probability, so the value is the gamma-weighted LP objective.
         """
         y = np.asarray(self.y, dtype=float).tolist()
+        survival = [float(self.model.total.survival(t)) for t in range(1, self.horizon + 1)]
         total = 0.0
         for i, plan in enumerate(self.plans):
+            rewards = [float(r) for r in self.instance.rewards[i]]
             share = 0.0
-            for t in range(1, self.horizon + 1):
-                s = float(self.model.total.survival(t))
-                for j in range(self.instance.m):
-                    share += s * float(self.instance.rewards[i][j]) * y[t - 1][i][j]
+            for s, y_t in zip(survival, y):
+                for r, y_tj in zip(rewards, y_t[i]):
+                    share += s * r * y_tj
             total += plan.gamma * share
         return total
 

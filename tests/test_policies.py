@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import demandmatch as dm
+from demandmatch import policies
 from demandmatch.demand import (
     RealizedDemand,
     iter_demand_support,
@@ -31,7 +32,7 @@ from demandmatch.policies import (
     static_threshold_value,
 )
 from demandmatch.relaxations import horizon_model_of
-from reference import iter_orders
+from reference import iter_orders, ocrs_bisection
 
 
 def indep_instance(rewards, caps, dists, arrival=dm.Arrival.ADVERSARIAL):
@@ -116,7 +117,63 @@ class TestThresholdStep:
         assert state.collected == 3.0
 
 
+#: the most schedule passes ``ocrs_plan`` may make, as its docstring states
+OCRS_MAX_PASSES = 36
+
+
+def _ocrs_cases():
+    """600 seeded schedules with k = 1..20, half of them scaled to a full
+    budget, with inactive steps; then a T=400, k=16 schedule, and one whose
+    root 1/(1 + 0.6) = 0.625 lies exactly on the grid."""
+    for trial in range(600):
+        rng = trial_rng(1500, trial)
+        k = trial % 20 + 1
+        steps = int(rng.integers(1, 4 * k + 8))
+        raw = rng.uniform(0.0, 1.0, size=steps)
+        raw[rng.uniform(size=steps) < 0.2] = 0.0
+        budget = k if trial % 2 else rng.uniform(0.2, 1.0) * k
+        yield np.minimum(raw * (budget / max(raw.sum(), 1e-12)), 1.0).tolist(), k
+    raw = trial_rng(1501, 0).uniform(0.0, 1.0, size=400)
+    yield (raw * (16 / raw.sum())).tolist(), 16
+    yield [0.3, 0.2, 0.1, 0.25], 1
+
+
+def _hex(plan):
+    return (plan.gamma.hex(), [c.hex() for c in plan.accept_probs], [a.hex() for a in plan.availability])
+
+
 class TestOcrs:
+    def test_root_finder_matches_bisection(self, monkeypatch):
+        """Bit for bit the bisection's answer, in few schedule passes."""
+        passes = []
+        schedule = policies._ocrs_schedule
+
+        def counting(*args):
+            passes[-1] += 1
+            return schedule(*args)
+
+        monkeypatch.setattr(policies, "_ocrs_schedule", counting)
+        for rates, k in _ocrs_cases():
+            passes.append(0)
+            assert _hex(ocrs_plan(rates, k)) == _hex(ocrs_bisection(rates, k)), (rates, k)
+        assert len(passes) == 602
+        assert sum(passes) / len(passes) <= 8
+        assert max(passes) <= OCRS_MAX_PASSES
+
+    def test_root_on_the_grid(self):
+        # the last step binds at 1/(1 + 0.6) = 0.625, itself a grid point
+        assert ocrs_plan([0.3, 0.2, 0.1, 0.25], 1).gamma == 0.625
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ocrs_plan([bad, 0.5], 1)
+
+    def test_negative_noise_clamped(self):
+        plan = ocrs_plan([-1e-15, 0.5], 1)
+        assert plan.rates == (0.0, 0.5)
+        assert plan.gamma == 1.0
+
     def test_two_half_steps(self):
         plan = ocrs_plan([0.5, 0.5], 1)
         assert plan.gamma == pytest.approx(2 / 3, abs=1e-8)

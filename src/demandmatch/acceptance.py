@@ -1,9 +1,10 @@
 """The pinned verification suite.
 
-Twelve checks, each verifying one guarantee, gap construction, or golden
+Thirteen checks, each verifying one guarantee, gap construction, or golden
 value at its stated tolerance and scale.  They are exposed here (rather
 than only in the test tree) so the command line can re-run any of them:
-``demandmatch reproduce all``.
+``demandmatch reproduce all``, or ``demandmatch verify-invariants`` for the
+randomized ones at other counts and seeds.
 
 Every check is deterministic: random suites use pinned seeds with
 counter-derived substreams.
@@ -18,6 +19,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .builtin import EXAMPLES
 from .demand import trial_rng
@@ -34,7 +37,12 @@ from .oracles import (
     horizon_policy_value,
     optimal_online_dp,
 )
-from .policies import best_static_threshold, plan_horizon_policy_for, plan_indep_adv_policy
+from .policies import (
+    best_static_threshold,
+    ocrs_plan,
+    plan_horizon_policy_for,
+    plan_indep_adv_policy,
+)
 from .relaxations import (
     build_fluid_lp,
     build_truncated_lp,
@@ -57,10 +65,15 @@ class CriterionResult:
     seconds: float
 
 
+#: every check by key, in registration order; ``_criterion`` fills it
+CRITERIA: dict[str, Callable[..., CriterionResult]] = {}
+
+
 def _criterion(key: str, description: str) -> Callable[[Callable], Callable[..., CriterionResult]]:
     """Turn a check that returns ``(passed, detail)`` into one that returns a
-    timed `CriterionResult`.  The description may name the check's arguments,
-    as in ``"... on {count} random instances"``."""
+    timed `CriterionResult`, and register it in `CRITERIA` under ``key``.
+    The description may name the check's arguments, as in
+    ``"... on {count} random instances"``."""
 
     def wrap(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
         signature = inspect.signature(check)
@@ -74,6 +87,7 @@ def _criterion(key: str, description: str) -> Callable[[Callable], Callable[...,
             text = description.format_map(bound.arguments)
             return CriterionResult(key, text, passed, detail, time.perf_counter() - started)
 
+        CRITERIA[key] = run
         return run
 
     return wrap
@@ -114,7 +128,6 @@ def check_fluid_gap_capped() -> tuple[bool, str]:
 def check_lp_ordering(count: int = 500, seed: int = 1001) -> tuple[bool, str]:
     """off <= tightened <= fluid on random independent-demand instances."""
     worst = 0.0
-    ok = True
     for trial in range(count):
         inst = random_indep_instance(trial_rng(seed, trial), max_n=4, max_m=4, max_support=4)
         off = expected_offline(inst).value
@@ -122,9 +135,8 @@ def check_lp_ordering(count: int = 500, seed: int = 1001) -> tuple[bool, str]:
         fluid = solve_lp(build_fluid_lp(inst)).objective_value
         worst = max(worst, off - trunc, trunc - fluid)
         if off > trunc + TOL or trunc > fluid + TOL:
-            ok = False
-            break
-    return ok, f"worst violation {worst:.3e}"
+            return False, f"trial {trial}: violation {worst:.3e}"
+    return True, f"worst violation {worst:.3e}"
 
 
 @_criterion("rounding-golden", "worked rounding examples reproduce exactly (rational mode)")
@@ -170,8 +182,6 @@ def check_rounding_golden() -> tuple[bool, str]:
 def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> tuple[bool, str]:
     """Stage invariants, feasibility of every stage, and exact marginals
     on random rational feasible columns."""
-    worst_detail = ""
-    ok = True
     for trial in range(count):
         rng = trial_rng(seed, trial)
         n = int(rng.integers(1, 9))
@@ -181,18 +191,27 @@ def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> tuple[bo
             state.advance(column[idx])  # raises on any mid-scheme shortfall
             problems = state.check_invariants()
             if problems:
-                ok = False
-                worst_detail = f"trial {trial} stage {idx}: {problems[0]}"
-                break
-        if not ok:
-            break
-        rd = typeround(column, dist)
-        report = verify_marginals(rd, column, dist)
+                return False, f"trial {trial} stage {idx}: {problems[0]}"
+        report = verify_marginals(typeround(column, dist), column, dist)
         if not report.exact:
-            ok = False
-            worst_detail = f"trial {trial}: marginal error {report.max_abs_error}"
-            break
-    return ok, worst_detail or "all stages clean"
+            return False, f"trial {trial}: marginal error {report.max_abs_error}"
+    return True, "all stages clean"
+
+
+def _guarantee_sweep(
+    trial: Callable[[np.random.Generator], tuple[float, float]], floor: float, count: int, seed: int
+) -> tuple[str, float]:
+    """Run ``trial(rng) -> (policy value, LP value)`` on ``count`` seeded
+    streams, stopping at the first value below ``floor * LP``.  Returns that
+    shortfall ("" if none) and the worst ratio over LP values above 1e-12."""
+    worst = float("inf")
+    for t in range(count):
+        value, lp_value = trial(trial_rng(seed, t))
+        if value < floor * lp_value - TOL:
+            return f"trial {t}: value {value} < {floor} * {lp_value}", worst
+        if lp_value > 1e-12:
+            worst = min(worst, value / lp_value)
+    return "", worst
 
 
 @_criterion(
@@ -201,27 +220,16 @@ def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> tuple[bo
 )
 def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> tuple[bool, str]:
     """Exact worst-order policy value clears half the tightened LP."""
-    worst_ratio = float("inf")
-    ok = True
-    detail = ""
-    for trial in range(count):
+
+    def trial(rng: np.random.Generator) -> tuple[float, float]:
         inst = random_indep_instance(
-            trial_rng(seed, trial),
-            max_n=3,
-            max_m=3,
-            max_support=3,
-            max_value=2,
-            max_total_capacity=3,
+            rng, max_n=3, max_m=3, max_support=3, max_value=2, max_total_capacity=3
         )
         plan = plan_indep_adv_policy(inst)
-        value = exact_policy_value(plan, order="worst").value
-        if value < plan.lp_value / 2 - TOL:
-            ok = False
-            detail = f"trial {trial}: value {value} < half of {plan.lp_value}"
-            break
-        if plan.lp_value > 1e-12:
-            worst_ratio = min(worst_ratio, value / plan.lp_value)
-    return ok, detail or f"worst observed ratio {worst_ratio:.6f}"
+        return exact_policy_value(plan, order="worst").value, plan.lp_value
+
+    failure, worst = _guarantee_sweep(trial, 0.5, count, seed)
+    return not failure, failure or f"worst observed ratio {worst:.6f}"
 
 
 @_criterion("capacity-tightness", "prophet equals (2-eps)k1 while any online value stays at k1")
@@ -245,7 +253,6 @@ def check_capacity_tightness() -> tuple[bool, str]:
 def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, str]:
     """Optimal online value never exceeds the conditional LP."""
     worst = 0.0
-    ok = True
     for trial in range(count):
         inst = random_horizon_instance(trial_rng(seed, trial), max_horizon=4, max_n=3, max_m=3)
         model = horizon_model_of(inst)
@@ -253,9 +260,14 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, 
         lp = solve_lp(conditional_lp(model, inst)).objective_value
         worst = max(worst, opt - lp)
         if opt > lp + TOL:
-            ok = False
-            break
-    return ok, f"worst violation {worst:.3e}"
+            return False, f"trial {trial}: violation {worst:.3e}"
+    return True, f"worst violation {worst:.3e}"
+
+
+def _horizon_trial(rng: np.random.Generator, capacity: Optional[int] = None) -> tuple[float, float]:
+    inst = random_horizon_instance(rng, max_horizon=4, max_n=3, max_m=3, fixed_capacity=capacity)
+    plan = plan_horizon_policy_for(inst)
+    return horizon_policy_value(plan).value, plan.lp_value
 
 
 @_criterion(
@@ -264,40 +276,17 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, 
 )
 def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> tuple[bool, str]:
     """Horizon policy clears cond/2, and the capacity-k floor with k in {2,4}."""
-    ok = True
-    detail = ""
-    worst_half = float("inf")
-    for trial in range(count):
-        inst = random_horizon_instance(trial_rng(seed, trial), max_horizon=4, max_n=3, max_m=3)
-        plan = plan_horizon_policy_for(inst)
-        value = horizon_policy_value(plan).value
-        if value < plan.lp_value / 2 - TOL:
-            ok = False
-            detail = f"trial {trial}: value {value} < half of {plan.lp_value}"
-            break
-        if plan.lp_value > 1e-12:
-            worst_half = min(worst_half, value / plan.lp_value)
+    failure, worst_half = _guarantee_sweep(_horizon_trial, 0.5, count, seed)
     floors = []
-    if ok:
-        for k in (2, 4):
-            floor = 1.0 - 1.0 / math.sqrt(k + 3)
-            worst_k = float("inf")
-            for trial in range(count // 2):
-                inst = random_horizon_instance(
-                    trial_rng(seed + k, trial), max_horizon=4, max_n=3, max_m=3, fixed_capacity=k
-                )
-                plan = plan_horizon_policy_for(inst)
-                value = horizon_policy_value(plan).value
-                if value < floor * plan.lp_value - TOL:
-                    ok = False
-                    detail = f"k={k} trial {trial}: value {value} < {floor} * {plan.lp_value}"
-                    break
-                if plan.lp_value > 1e-12:
-                    worst_k = min(worst_k, value / plan.lp_value)
-            floors.append(f"k={k}: worst ratio {worst_k:.6f} >= {floor:.6f}")
-            if not ok:
-                break
-    return ok, detail or f"worst half-ratio {worst_half:.6f}; " + "; ".join(floors)
+    for k in (2, 4):
+        if failure:
+            break
+        floor = 1.0 - 1.0 / math.sqrt(k + 3)
+        trial = functools.partial(_horizon_trial, capacity=k)
+        failure, worst = _guarantee_sweep(trial, floor, count // 2, seed + k)
+        failure = failure and f"k={k} {failure}"
+        floors.append(f"k={k}: worst ratio {worst:.6f} >= {floor:.6f}")
+    return not failure, failure or f"worst half-ratio {worst_half:.6f}; " + "; ".join(floors)
 
 
 @_criterion("static-threshold-gap", "fixed bars cap near 4 while the adaptive optimum grows with T")
@@ -349,8 +338,6 @@ def check_conditional_tightness() -> tuple[bool, str]:
 )
 def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> tuple[bool, str]:
     """Knapsack separation verdict matches full subset enumeration."""
-    ok = True
-    detail = ""
     for trial in range(count):
         rng = trial_rng(seed, trial)
         inst = random_indep_instance(
@@ -360,32 +347,32 @@ def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> tuple[bool, 
         fast = separation_oracle(x, inst)
         slow = enumerate_violated_cut(x, inst)
         if (fast is None) != (slow is None):
-            ok = False
-            detail = f"trial {trial}: oracle {fast}, enumeration {slow}"
-            break
+            return False, f"trial {trial}: oracle {fast}, enumeration {slow}"
         if fast is not None:
             load = sum(x[i * inst.m + fast.type_index] for i in fast.subset)
             if load <= fast.rhs + TOL:
-                ok = False
-                detail = f"trial {trial}: returned cut not violated: {fast}"
-                break
-    return ok, detail or "all verdicts agree"
+                return False, f"trial {trial}: returned cut not violated: {fast}"
+    return True, "all verdicts agree"
 
 
-CRITERIA: dict[str, Callable[[], CriterionResult]] = {
-    "fluid-gap": check_fluid_gap,
-    "fluid-gap-capped": check_fluid_gap_capped,
-    "lp-ordering": check_lp_ordering,
-    "rounding-golden": check_rounding_golden,
-    "rounding-properties": check_rounding_properties,
-    "adversarial-guarantee": check_adversarial_guarantee,
-    "capacity-tightness": check_capacity_tightness,
-    "online-lp-ordering": check_online_lp_ordering,
-    "horizon-guarantee": check_horizon_guarantee,
-    "static-threshold-gap": check_static_threshold_gap,
-    "conditional-tightness": check_conditional_tightness,
-    "oracle-equivalence": check_oracle_equivalence,
-}
+@_criterion("ocrs-schedule", "OCRS accepts exactly gamma * rate at every step of {count} schedules")
+def check_ocrs_schedule(count: int = 1000, seed: int = 7007) -> tuple[bool, str]:
+    """Each step's unconditional acceptance ``rate * availability * accept``
+    equals ``gamma * rate`` on random schedules within the capacity budget."""
+    worst = 0.0
+    for trial in range(count):
+        rng = trial_rng(seed, trial)
+        k = int(rng.integers(1, 5))
+        steps = int(rng.integers(1, 9))
+        rates = rng.uniform(0.0, 1.0, size=steps)
+        scale = rng.uniform(0.3, 1.0) * k / max(rates.sum(), 1e-9)
+        plan = ocrs_plan(np.minimum(rates * min(scale, 1.0), 1.0).tolist(), k)
+        for t, y in enumerate(plan.rates):
+            got = y * plan.availability[t] * plan.accept_probs[t]
+            worst = max(worst, abs(got - plan.gamma * y))
+            if worst > TOL:
+                return False, f"trial {trial} step {t}: {got} vs {plan.gamma * y}"
+    return True, f"worst deviation {worst:.3e}"
 
 
 def run_acceptance(

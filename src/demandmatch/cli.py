@@ -23,11 +23,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import acceptance
 from .builtin import EXAMPLES, get_example
-from .demand import Instance, trial_rng
+from .demand import Instance
 from .experiments import (
     BENCHMARKS,
     GENERATORS,
@@ -39,7 +37,7 @@ from .experiments import (
 )
 from .io import InstanceFormatError, load_instance
 from .linprog import format_tableau, solution_to_csv, solve_lp
-from .policies import ocrs_plan, plan_indep_adv_policy
+from .policies import plan_indep_adv_policy
 from .relaxations import (
     UnsupportedDemandModel,
     build_fluid_lp,
@@ -180,52 +178,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.check == ["all"] or args.check == []:
-        names = None
-    else:
-        names = args.check
-    results = acceptance.run_acceptance(names, echo=lambda line: print(line))
+    names = None if args.check == ["all"] else args.check
+    results = acceptance.run_acceptance(names, echo=print)
     return 0 if all(r.passed for r in results) else CHECK_FAILED
 
 
+#: the randomized criteria ``verify-invariants`` runs: (key, count, seed
+#: offset from ``--seed``); a count of ``None`` takes ``--samples``
+SWEEPS = (
+    ("rounding-properties", None, 0),
+    ("lp-ordering", 50, 1),
+    ("online-lp-ordering", 50, 2),
+    ("oracle-equivalence", 50, 3),
+    ("ocrs-schedule", 50, 4),
+)
+
+
 def _cmd_verify_invariants(args: argparse.Namespace) -> int:
-    seed = args.seed
-    failures: list[str] = []
-
-    def check(label: str, ok: bool, detail: str = "") -> None:
-        mark = "PASS" if ok else "FAIL"
-        print(f"[{mark}] {label}" + (f" {detail}" if detail else ""))
-        if not ok:
-            failures.append(label)
-
-    for result in (
-        acceptance.check_rounding_properties(count=args.samples, seed=seed),
-        acceptance.check_lp_ordering(50, seed + 1),
-        acceptance.check_online_lp_ordering(50, seed + 2),
-        acceptance.check_oracle_equivalence(50, seed + 3),
-    ):
-        check(result.description, result.passed, result.detail)
-
-    # acceptance schedules keep every step at exactly gamma * rate
-    bad = ""
-    for trial in range(50):
-        rng = trial_rng(seed + 4, trial)
-        k = int(rng.integers(1, 5))
-        steps = int(rng.integers(1, 9))
-        rates = rng.uniform(0.0, 1.0, size=steps)
-        scale = rng.uniform(0.3, 1.0) * k / max(rates.sum(), 1e-9)
-        rates = np.minimum(rates * min(scale, 1.0), 1.0)
-        plan = ocrs_plan(rates.tolist(), k)
-        for t, y in enumerate(plan.rates):
-            got = y * plan.availability[t] * plan.accept_probs[t]
-            if abs(got - plan.gamma * y) > 1e-9:
-                bad = f"trial {trial} step {t}: {got} vs {plan.gamma * y}"
-                break
-        if bad:
-            break
-    check("acceptance schedule holds gamma * rate per step (50 schedules)", not bad, bad)
-
-    return 0 if not failures else CHECK_FAILED
+    passed = True
+    for key, count, offset in SWEEPS:
+        result = acceptance.CRITERIA[key](count or args.samples, args.seed + offset)
+        print(f"[{'PASS' if result.passed else 'FAIL'}] {result.description} {result.detail}")
+        passed = passed and result.passed
+    return 0 if passed else CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

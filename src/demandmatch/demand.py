@@ -379,10 +379,6 @@ class RealizedDemand:
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"counts[{j}] = {d!r} is not a nonnegative integer")
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class ArrivalSequence:

@@ -208,10 +208,6 @@ class OcrsPlan:
     accept_probs: tuple[float, ...]
     availability: tuple[float, ...]  # Pr[capacity remains] before each step
 
-    @property
-    def horizon(self) -> int:
-        return len(self.rates)
-
 
 def _accept_step(counts: list[float], hazard: float) -> list[float]:
     """Law of the accepted count after one step.
@@ -262,9 +258,10 @@ def _ocrs_schedule(
 def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     """Largest uniform acceptance rate for the given activity schedule.
 
-    Guards the budget ``sum(rates) <= k``, then finds the largest ``gamma``
-    on the grid ``j / 2**32`` whose schedule keeps every conditional
-    acceptance probability at most one.  Feasibility is monotone in
+    Guards each rate to ``[0, 1]`` and the budget ``sum(rates) <= k``, both
+    up to ``LP_SLACK``, then finds the largest ``gamma`` on the grid
+    ``j / 2**32`` whose schedule keeps every conditional acceptance
+    probability at most one.  Feasibility is monotone in
     ``gamma`` and ends where the margin of ``_ocrs_schedule`` crosses zero,
     so regula falsi (Illinois) on the margin, rounded down to the grid,
     narrows a feasible ``lo`` and an infeasible ``hi`` to ``hi = lo + 1``.
@@ -280,9 +277,9 @@ def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     if k < 1:
         raise ValueError(f"capacity must be positive, got {k}")
     clean = [float(y) for y in rates]
-    if not all(map(math.isfinite, clean)):
-        raise ValueError(f"activity rates must be finite, got {clean!r}")
-    clean = [max(0.0, y) for y in clean]  # tiny negative LP noise is zero
+    if not all(-LP_SLACK <= y <= 1.0 + LP_SLACK for y in clean):  # also rejects NaN
+        raise ValueError(f"activity rates must be finite and within [0, 1], got {clean!r}")
+    clean = [min(max(0.0, y), 1.0) for y in clean]  # LP noise just outside [0, 1] is clamped
     if sum(clean) > k + LP_SLACK:
         raise ValueError(f"activity rates sum to {sum(clean)!r} > capacity {k}")
     top = 1 << _OCRS_GRID_BITS

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from demandmatch.cli import build_parser, main
+from demandmatch import acceptance
+from demandmatch.cli import SWEEPS, build_parser, main
 
 
 class TestRound:
@@ -187,6 +188,38 @@ class TestVerifyInvariants:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
         assert "[FAIL]" not in out
+
+
+class TestFailingCriterion:
+    """The gate's failure path, on stub criteria: ``lp-ordering`` fails."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "CRITERIA", {})
+        calls = []
+        for key, _, _ in SWEEPS:
+
+            @acceptance._criterion(key, f"{key} stub on {{count}}")
+            def check(count=1, seed=0, key=key):
+                calls.append((key, count, seed))
+                return key != "lp-ordering", "stub"
+
+        return calls
+
+    def test_reproduce_reports_failure(self, calls, capsys):
+        assert main(["reproduce", "lp-ordering"]) == 1
+        assert "[FAIL] lp-ordering" in capsys.readouterr().out
+
+    def test_bare_reproduce_runs_every_key_once(self, calls, capsys):
+        assert main(["reproduce"]) == 1
+        assert calls == [(key, 1, 0) for key, _, _ in SWEEPS]
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == len(SWEEPS) - 1 and out.count("[FAIL]") == 1
+
+    def test_verify_invariants_reports_failure(self, calls, capsys):
+        assert main(["verify-invariants", "--seed", "5", "--samples", "7"]) == 1
+        assert calls == [(key, count or 7, 5 + offset) for key, count, offset in SWEEPS]
+        assert "[FAIL] lp-ordering stub on 50 stub" in capsys.readouterr().out
 
 
 class TestUsageErrors:

@@ -12,6 +12,9 @@ from demandmatch.experiments import (
     report,
     run_experiment,
 )
+from demandmatch.oracles import horizon_policy_value, optimal_online_dp
+from demandmatch.policies import plan_horizon_policy_for
+from demandmatch.relaxations import horizon_model_of
 
 
 class TestGenerators:
@@ -95,6 +98,19 @@ class TestRunExperiment:
             "rare_long_horizon", {"N": 5}, policy="opt", benchmark="cond"
         )
         estimate = run_experiment(cfg)
+        assert 0.5 <= estimate.ratio <= 1.0
+
+    def test_exact_horizon_policy_vs_online_optimum(self):
+        """The exact horizon numerator and the ``opt`` denominator are the
+        oracles' own values, bit for bit."""
+        cfg = ExperimentConfig.from_generator(
+            "rare_long_horizon", {"N": 5}, policy="horizon", benchmark="opt", exact=True
+        )
+        estimate = run_experiment(cfg)
+        inst = cfg.instance
+        assert estimate.numerator == horizon_policy_value(plan_horizon_policy_for(inst)).value
+        assert estimate.denominator == optimal_online_dp(horizon_model_of(inst), inst).value
+        assert estimate.mode == "exact"
         assert 0.5 <= estimate.ratio <= 1.0
 
     def test_deterministic_given_seed(self):

@@ -174,6 +174,16 @@ class TestOcrs:
         assert plan.rates == (0.0, 0.5)
         assert plan.gamma == 1.0
 
+    @pytest.mark.parametrize("rates, k", [([1.5, 0.5], 2), ([-3.0, 0.5], 1)])
+    def test_rate_outside_unit_interval_rejected(self, rates, k):
+        with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+            ocrs_plan(rates, k)
+
+    def test_rate_noise_above_one_clamped(self):
+        plan = ocrs_plan([1.0 + 1e-12, 0.5], 2)
+        assert plan.rates == (1.0, 0.5)
+        assert plan.accept_probs[0] <= 1.0
+
     def test_two_half_steps(self):
         plan = ocrs_plan([0.5, 0.5], 1)
         assert plan.gamma == pytest.approx(2 / 3, abs=1e-8)

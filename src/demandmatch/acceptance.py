@@ -192,7 +192,7 @@ def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> tuple[bo
             problems = state.check_invariants()
             if problems:
                 return False, f"trial {trial} stage {idx}: {problems[0]}"
-        report = verify_marginals(typeround(column, dist), column, dist)
+        report = verify_marginals(state.distribution(), column, dist)
         if not report.exact:
             return False, f"trial {trial}: marginal error {report.max_abs_error}"
     return True, "all stages clean"

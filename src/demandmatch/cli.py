@@ -45,7 +45,7 @@ from .relaxations import (
     conditional_lp,
     horizon_model_of,
 )
-from .rounding import RoundingState, typeround, verify_marginals
+from .rounding import RoundingState, verify_marginals
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -136,11 +136,11 @@ def _cmd_round(args: argparse.Namespace) -> int:
     order = None
     if args.order:
         order = tuple(int(tok) for tok in args.order.split(","))
-    rd = typeround(column, dist, order=order)
     state = RoundingState(dist, len(column), order=order, track_branches=True)
     for idx in range(len(column)):
         state.advance(column[state.order[state.stage]])
     problems = state.check_invariants()
+    rd = state.distribution()
     lines = [f"column: ({', '.join(_format_prob(x, rd.exact) for x in column)})"]
     lines.append("routing (rank -> resource, 1-based; '-' idle) | probability")
     for routing, prob in rd.branches():

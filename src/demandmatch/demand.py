@@ -92,8 +92,8 @@ class DemandDistribution:
             if value <= prev:
                 raise ValueError("support values must be sorted and distinct")
             prev = value
-            if prob < 0:
-                raise ValueError(f"pmf({value}) = {prob} is negative")
+            if not 0 <= prob < math.inf:  # also rejects NaN
+                raise ValueError(f"pmf({value}) = {prob} is not a finite nonnegative probability")
             total = total + prob
         if self.is_exact:
             if total != 1:
@@ -338,8 +338,8 @@ class Instance:
             if len(row) != m:
                 raise ValueError(f"rewards row {i} has length {len(row)}, expected {m}")
             for j, r in enumerate(row):
-                if r < 0:
-                    raise ValueError(f"rewards[{i}][{j}] = {r} is negative")
+                if not 0 <= r < math.inf:  # also rejects NaN
+                    raise ValueError(f"rewards[{i}][{j}] = {r} is not a finite nonnegative number")
         if len(self.capacities) != n:
             raise ValueError(f"{len(self.capacities)} capacities for {n} resources")
         for i, k in enumerate(self.capacities):

@@ -239,29 +239,6 @@ def random_horizon_instance(
     )
 
 
-def random_correl_instance(
-    rng: np.random.Generator,
-    max_total: int = 4,
-    max_n: int = 3,
-    max_m: int = 3,
-) -> Instance:
-    """Random instance with correlated demand (float probabilities)."""
-    n = int(rng.integers(1, max_n + 1))
-    m = int(rng.integers(1, max_m + 1))
-    caps = tuple(int(rng.integers(1, 3)) for _ in range(n))
-    rewards = _rewards(rng, n, m)
-    size = int(rng.integers(2, max_total + 2))
-    values = sorted(rng.choice(max_total + 1, size=min(size, max_total + 1), replace=False).tolist())
-    total = DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, len(values)))))
-    type_probs = tuple(_rounded_probs(rng, m))
-    return Instance(
-        rewards=rewards,
-        capacities=caps,
-        demand=CorrelDemandModel(total=total, type_probs=type_probs),
-        arrival=Arrival.RANDOM_ORDER,
-    )
-
-
 def random_feasible_column(
     rng: np.random.Generator, n: int, denominator: int = 48
 ) -> tuple[tuple[Fraction, ...], DemandDistribution]:

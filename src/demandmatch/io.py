@@ -22,6 +22,7 @@ errors keep the decoder's line/column position.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Union
@@ -93,9 +94,9 @@ def parse_instance(data: Any) -> Instance:
             raise InstanceFormatError(f"$.rewards[{i}]", "expected a nonempty list")
         out = []
         for j, r in enumerate(row):
-            if not isinstance(r, (int, float)) or isinstance(r, bool) or r < 0:
+            if not isinstance(r, (int, float)) or isinstance(r, bool) or not 0 <= r < math.inf:
                 raise InstanceFormatError(
-                    f"$.rewards[{i}][{j}]", f"rewards are nonnegative numbers, got {r!r}"
+                    f"$.rewards[{i}][{j}]", f"rewards are finite nonnegative numbers, got {r!r}"
                 )
             out.append(float(r))
         rewards.append(tuple(out))

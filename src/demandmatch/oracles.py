@@ -57,6 +57,8 @@ class OracleValue:
     ) -> "OracleValue":
         """Sample mean and standard error of ``draw(trial_rng(seed, t))`` over
         trials ``t``: the one place that draws the seeded trial streams."""
+        if trials < 1:
+            raise ValueError(f"a Monte-Carlo estimate needs at least one trial, got {trials}")
         values = np.empty(trials)
         for t in range(trials):
             values[t] = draw(trial_rng(seed, t))
@@ -244,25 +246,6 @@ def _advance(step: _Step, delivered: list[list[float]], j: int, value: float) ->
     return value
 
 
-def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float:
-    """Exact expected reward of the threshold policy along one arrival order.
-
-    The expectation over the policy's routing randomness factorizes per
-    resource: a resource collects the reward of the first *qualifying*
-    arrival routed to it.  Within a type the routing targets distinct ranks,
-    so delivery events are mutually exclusive; across types the routings are
-    independent.  Walking the order position by position and tracking, per
-    resource, each type's accumulated qualifying-delivery probability gives
-    the exact value in O(len(order) * n * m).
-    """
-    steps = [iter(by_rank) for by_rank in _step_table(plan, [order.count(j) for j in range(plan.m)])]
-    delivered = [[0.0] * plan.m for _ in range(plan.n)]
-    value = 0.0
-    for j in order:
-        value = _advance(next(steps[j]), delivered, j, value)
-    return value
-
-
 def _search_orders(
     plan: IndepAdvPlan, counts: Sequence[int], order_cap: int, worst: bool
 ) -> tuple[tuple[int, ...], float]:
@@ -374,6 +357,8 @@ def mc_policy_value(
     cached per realization, or a uniform shuffle), samples the routings, and
     walks the path.  Converges to the exact value as trials grow.
     """
+    if order not in ("worst", "random"):
+        raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
 
     @functools.cache
     def worst_path(d: RealizedDemand) -> tuple[int, ...]:

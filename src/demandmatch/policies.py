@@ -66,8 +66,9 @@ class IndepAdvPlan:
 
     Holds the unit-capacity expansion, the tightened-LP solution, one
     routing distribution per type, and the per-resource thresholds
-    ``tau_i = (sum_j r[i][j] x[i][j]) / 2``.  Sampling the routings yields a
-    runnable policy; the distributions themselves feed exact evaluation.
+    ``tau_i = (sum_j r[i][j] x[i][j]) / 2``.  ``run_threshold_trial`` samples
+    one routing per type and runs the policy; the distributions themselves
+    feed exact evaluation.
     """
 
     instance: Instance  # unit-capacity expansion
@@ -88,11 +89,6 @@ class IndepAdvPlan:
     def qualifies(self, i: int, j: int) -> bool:
         # ties accept: a reward exactly at the threshold is taken
         return self.instance.rewards[i][j] >= self.taus[i]
-
-    def sample(self, rng_seed: Union[int, np.random.Generator]) -> "ThresholdPolicyState":
-        rng = as_generator(rng_seed)
-        pis = tuple(rd.sample(rng) for rd in self.routings)
-        return ThresholdPolicyState(plan=self, pis=pis)
 
 
 def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
@@ -128,12 +124,6 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
     )
 
 
-@dataclass(frozen=True)
-class ThresholdDecision:
-    resource: Optional[int]
-    reward: float
-
-
 @dataclass
 class ThresholdPolicyState:
     """Runtime state: sampled routings, arrival counters, availability."""
@@ -150,8 +140,10 @@ class ThresholdPolicyState:
         if not self.available:
             self.available = [True] * self.plan.n
 
-    def step(self, j: int) -> ThresholdDecision:
+    def step(self, j: int) -> Optional[int]:
         """Route the next type-``j`` arrival and apply the threshold rule.
+        Returns the resource that accepts it, or None; an accepted arrival
+        adds ``rewards[i][j]`` to ``collected``.
 
         Within one type a resource is routed at most once (the routing is a
         partial permutation), but routings of different types are independent
@@ -159,16 +151,12 @@ class ThresholdPolicyState:
         matched is rejected, never re-routed.
         """
         self.counters[j] += 1
-        rank = self.counters[j]
-        target = self.pis[j].resource_at(rank)
-        if target is None:
-            return ThresholdDecision(resource=None, reward=0.0)
-        if not self.plan.qualifies(target, j) or not self.available[target]:
-            return ThresholdDecision(resource=None, reward=0.0)
+        target = self.pis[j].resource_at(self.counters[j])
+        if target is None or not self.plan.qualifies(target, j) or not self.available[target]:
+            return None
         self.available[target] = False
-        reward = float(self.plan.instance.rewards[target][j])
-        self.collected += reward
-        return ThresholdDecision(resource=target, reward=reward)
+        self.collected += float(self.plan.instance.rewards[target][j])
+        return target
 
 
 def run_threshold_trial(
@@ -177,7 +165,8 @@ def run_threshold_trial(
     rng_seed: Union[int, np.random.Generator],
 ) -> float:
     """Simulate one sample path of the threshold policy along ``order``."""
-    state = plan.sample(rng_seed)
+    rng = as_generator(rng_seed)
+    state = ThresholdPolicyState(plan=plan, pis=tuple(rd.sample(rng) for rd in plan.routings))
     for j in order:
         state.step(j)
     return state.collected
@@ -390,13 +379,6 @@ def plan_horizon_policy(model: StochasticHorizonModel, inst: Instance) -> Horizo
     )
 
 
-@dataclass(frozen=True)
-class HorizonDecision:
-    routed_to: Optional[int]
-    accepted: bool
-    reward: float
-
-
 @dataclass
 class HorizonPolicyState:
     """Runtime state of the horizon policy: remaining capacities."""
@@ -411,29 +393,29 @@ class HorizonPolicyState:
 
     def step(
         self, t: int, j: Optional[int], rng_seed: Union[int, np.random.Generator]
-    ) -> HorizonDecision:
+    ) -> Optional[int]:
         """Handle step ``t``: route the arrival (if any), then ask the
-        resource's acceptance schedule."""
+        resource's acceptance schedule.  Returns the resource that accepts
+        it, or None; an accepted arrival adds ``rewards[i][j]`` to
+        ``collected``."""
         model = self.plan.model
         if not 1 <= t <= model.horizon:
             raise ValueError(f"step {t} is outside the horizon 1..{model.horizon}")
         if j is None:
-            return HorizonDecision(routed_to=None, accepted=False, reward=0.0)
+            return None
         if not 0 <= j < model.m:
             raise ValueError(f"type {j} is outside 0..{model.m - 1}")
         if float(model.probs[t - 1][j]) <= 0.0:
             raise ValueError(f"type {j} cannot arrive at step {t}")
         rng = as_generator(rng_seed)
         routed = draw_index(self.plan.route[t - 1, :, j], rng)
-        if routed is None:
-            return HorizonDecision(routed_to=None, accepted=False, reward=0.0)
-        ocrs = self.plan.plans[routed]
-        if self.remaining[routed] > 0 and rng.random() < ocrs.accept_probs[t - 1]:
-            self.remaining[routed] -= 1
-            reward = float(self.plan.instance.rewards[routed][j])
-            self.collected += reward
-            return HorizonDecision(routed_to=routed, accepted=True, reward=reward)
-        return HorizonDecision(routed_to=routed, accepted=False, reward=0.0)
+        if routed is None or self.remaining[routed] <= 0:
+            return None
+        if not rng.random() < self.plan.plans[routed].accept_probs[t - 1]:
+            return None
+        self.remaining[routed] -= 1
+        self.collected += float(self.plan.instance.rewards[routed][j])
+        return routed
 
 
 def plan_horizon_policy_for(inst: Instance) -> HorizonPlan:

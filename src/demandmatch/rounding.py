@@ -33,9 +33,10 @@ the table directly.
 
 One replay of the recorded stage decisions, ``_apply_decision``, spawns the
 zero-probability rank, splits each branch on the stage coin and merges the two
-segments.  The branch set tracked while rounding, the full support expansion
-(``RoutingDistribution.branches``) and the draw of a single routing
-(``RoutingDistribution.sample``) all go through it.
+segments.  The branch set tracked while rounding and the full support
+expansion (``RoutingDistribution.branches``) go through it, and so does the
+draw of a single routing (``RoutingDistribution.sample``): that flips each
+coin and replays the decided coin, 1 or 0, so each coin yields one child.
 
 All arithmetic stays in `fractions.Fraction` when the law and the column are
 rational, so the worked-example distributions reproduce exactly; a float
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -101,12 +102,12 @@ class SegmentPartition:
 
 @dataclass(frozen=True)
 class StageDecision:
-    """The coin of one routed resource, sufficient to replay the branch."""
+    """The coin of one routed resource, sufficient to replay the branch; on
+    the last segment the replay first spawns a zero-probability rank."""
 
     resource: int
-    segment: int  # chosen segment index at decision time (after any spawn)
+    segment: int  # chosen segment index at decision time
     lam: Prob  # probability of routing into the chosen segment
-    spawned: bool  # a zero-probability rank was appended first
 
 
 @dataclass(frozen=True)
@@ -222,17 +223,16 @@ class RoundingState:
             chosen -= 1
             s_here, s_next = self.segment_survival(chosen), s_here
 
-        spawned = chosen == len(self.segments) - 1
-        if spawned:
+        if chosen == len(self.segments) - 1:  # _apply_decision spawns the next segment
             self.rank_survival.append(zero)
             self.idle_prob.append(one)
         lam = (x - s_next) / (s_here - s_next)
         if not self.exact:
             lam = min(1.0, max(0.0, lam))
 
-        decision = StageDecision(resource=resource, segment=chosen, lam=lam, spawned=spawned)
+        decision = StageDecision(resource=resource, segment=chosen, lam=lam)
         hi_a = self.segments[chosen][1]
-        branches = _apply_decision(decision, self.segments, self.branches or [], one)
+        branches = _apply_decision(decision, self.segments, self.branches or [])
         if self.branches is not None:
             self.branches = branches
         lo_a, hi_b = self.segments[chosen]
@@ -247,6 +247,18 @@ class RoundingState:
                 row[rank - 1] = routed * self.idle_prob[rank - 1]
             self.idle_prob[rank - 1] = kept * self.idle_prob[rank - 1]
         self.decisions.append(decision)
+
+    def distribution(self) -> "RoutingDistribution":
+        """The rounded distribution: the recorded coins and the rank table.
+        Resources not processed yet are never routed."""
+        return RoutingDistribution(
+            num_resources=len(self.order),
+            length=self.real_length,
+            survivals=tuple(self.rank_survival[: self.real_length]),
+            decisions=tuple(self.decisions),
+            rank_probs=tuple(tuple(row) for row in self.rank_probs),
+            exact=self.exact,
+        )
 
     # -- invariants -------------------------------------------------------
 
@@ -399,7 +411,7 @@ class RoutingDistribution:
         segments = [(k, k) for k in range(1, self.length + 1)]
         work: list[tuple[list[Optional[int]], Prob]] = [([None] * self.length, one)]
         for dec in self.decisions:
-            work = _apply_decision(dec, segments, work, one)
+            work = _apply_decision(dec, segments, work)
         merged: dict[tuple[Optional[int], ...], Prob] = {}
         for assignment, prob in work:
             key = tuple(assignment[: self.length])
@@ -414,47 +426,50 @@ class RoutingDistribution:
         return result
 
     def sample(self, rng_seed: Union[int, np.random.Generator]) -> Routing:
-        """Draw one routing by replaying the stage coins."""
+        """Draw one routing: flip each stage coin and replay the decided coin
+        (1 or 0), so each coin yields one child.  A coin that reads 1.0 or
+        0.0 as a float draws no uniform."""
         rng = as_generator(rng_seed)
-        one: Prob = Fraction(1) if self.exact else 1.0
+        if "decided" not in self._cache:  # (float coin, routed, parked) per stage
+            self._cache["decided"] = tuple(
+                (float(d.lam), replace(d, lam=1), replace(d, lam=0)) for d in self.decisions
+            )
         segments = [(k, k) for k in range(1, self.length + 1)]
-        assignment: list[Optional[int]] = [None] * self.length
-        for dec in self.decisions:
-            children = _apply_decision(dec, segments, [(assignment, one)], one)
-            coin = float(dec.lam)
+        branch: list[tuple[list[Optional[int]], Prob]] = [([None] * self.length, 1)]
+        for coin, routed, parked in self._cache["decided"]:
             into_chosen = coin == 1.0 or (coin > 0.0 and rng.random() < coin)
-            assignment = children[0 if into_chosen else -1][0]
-        return Routing(tuple(assignment[: self.length]))
+            branch = _apply_decision(routed if into_chosen else parked, segments, branch)
+        return Routing(tuple(branch[0][0][: self.length]))
 
 
 def _apply_decision(
     dec: StageDecision,
     segments: list[tuple[int, int]],
     branches: list[tuple[list[Optional[int]], Prob]],
-    one: Prob,
 ) -> list[tuple[list[Optional[int]], Prob]]:
     """Replay one stage decision: the only place ranks are spawned, branches
     split on the coin, and segments merged.
 
-    ``segments`` is updated in place.  Each branch yields a child that routes
-    the resource to its idle rank in the chosen segment (weight ``lam``) and
-    then one that routes it to its idle rank in the next segment (weight
-    ``1 - lam``); a child of weight zero is left out.
+    ``segments`` is updated in place; a decision on the last segment first
+    appends a zero-probability rank as the next one.  Each branch yields a
+    child that routes the resource to its idle rank in the chosen segment
+    (weight ``lam``) and then one that routes it to its idle rank in the next
+    segment (weight ``1 - lam``); a child of weight zero is left out.
     """
-    if dec.spawned:
+    if dec.segment == len(segments) - 1:
         rank = segments[-1][1] + 1
         segments.append((rank, rank))
         for assignment, _ in branches:
             assignment.append(None)
     seg = dec.segment
-    rest = one - dec.lam
+    rest = 1 - dec.lam
     children: list[tuple[list[Optional[int]], Prob]] = []
     for assignment, prob in branches:
         if dec.lam != 0:
             routed = list(assignment)
             routed[_unique_idle(assignment, segments[seg]) - 1] = dec.resource
             children.append((routed, prob * dec.lam))
-        if dec.lam != one:
+        if dec.lam != 1:
             parked = list(assignment)
             parked[_unique_idle(assignment, segments[seg + 1]) - 1] = dec.resource
             children.append((parked, prob * rest))
@@ -493,14 +508,7 @@ def typeround(
     state = RoundingState(dist, n, order=order, track_branches=False, tol=tol)
     for _ in range(n):
         state.advance(x_col[state.order[state.stage]])
-    return RoutingDistribution(
-        num_resources=n,
-        length=state.real_length,
-        survivals=tuple(state.rank_survival[: state.real_length]),
-        decisions=tuple(state.decisions),
-        rank_probs=tuple(tuple(row) for row in state.rank_probs),
-        exact=state.exact,
-    )
+    return state.distribution()
 
 
 def verify_marginals(

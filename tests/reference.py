@@ -1,10 +1,21 @@
-"""Plain reference forms of library checks, for the tests to compare against."""
+"""Plain reference forms of library checks, for the tests to compare against,
+and the instance draws that only the tests use."""
+
+from typing import Sequence
 
 import numpy as np
 
-from demandmatch.demand import RealizedDemand
+from demandmatch.demand import (
+    Arrival,
+    CorrelDemandModel,
+    DemandDistribution,
+    Instance,
+    RealizedDemand,
+)
+from demandmatch.experiments import _rewards, _rounded_probs
 from demandmatch.linprog import LinearProgram
-from demandmatch.policies import OCRS_TOL, OcrsPlan, _accept_step
+from demandmatch.oracles import _advance, _step_table
+from demandmatch.policies import OCRS_TOL, IndepAdvPlan, OcrsPlan, _accept_step
 
 
 def is_feasible(lp: LinearProgram, values, tol: float = 1e-9) -> bool:
@@ -29,6 +40,48 @@ def iter_orders(d: RealizedDemand):
             swap -= 1
         order[k], order[swap] = order[swap], order[k]
         order[k + 1 :] = reversed(order[k + 1 :])
+
+
+def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float:
+    """Exact expected reward of the threshold policy along one arrival order.
+
+    The expectation over the policy's routing randomness factorizes per
+    resource: a resource collects the reward of the first *qualifying*
+    arrival routed to it.  Within a type the routing targets distinct ranks,
+    so delivery events are mutually exclusive; across types the routings are
+    independent.  Walking the order position by position and tracking, per
+    resource, each type's accumulated qualifying-delivery probability gives
+    the exact value in O(len(order) * n * m).
+    """
+    steps = [iter(by_rank) for by_rank in _step_table(plan, [order.count(j) for j in range(plan.m)])]
+    delivered = [[0.0] * plan.m for _ in range(plan.n)]
+    value = 0.0
+    for j in order:
+        value = _advance(next(steps[j]), delivered, j, value)
+    return value
+
+
+def random_correl_instance(
+    rng: np.random.Generator,
+    max_total: int = 4,
+    max_n: int = 3,
+    max_m: int = 3,
+) -> Instance:
+    """Random instance with correlated demand (float probabilities)."""
+    n = int(rng.integers(1, max_n + 1))
+    m = int(rng.integers(1, max_m + 1))
+    caps = tuple(int(rng.integers(1, 3)) for _ in range(n))
+    rewards = _rewards(rng, n, m)
+    size = int(rng.integers(2, max_total + 2))
+    values = sorted(rng.choice(max_total + 1, size=min(size, max_total + 1), replace=False).tolist())
+    total = DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, len(values)))))
+    type_probs = tuple(_rounded_probs(rng, m))
+    return Instance(
+        rewards=rewards,
+        capacities=caps,
+        demand=CorrelDemandModel(total=total, type_probs=type_probs),
+        arrival=Arrival.RANDOM_ORDER,
+    )
 
 
 def _schedule_or_none(rates, k, gamma):

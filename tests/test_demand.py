@@ -19,7 +19,7 @@ from demandmatch.demand import (
     trial_rng,
 )
 from demandmatch.policies import HorizonPolicyState
-from reference import iter_orders
+from reference import iter_orders, random_correl_instance
 
 THREE_POINT = dm.DemandDistribution.from_pmf(
     {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
@@ -127,6 +127,12 @@ class TestDistributionValidation:
         with pytest.raises(ValueError, match="negative"):
             dm.DemandDistribution.from_pmf({0: 1.5, 1: -0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        # every comparison with NaN is false, so a plain sign test lets it through
+        with pytest.raises(ValueError, match="finite"):
+            dm.DemandDistribution.from_pmf({0: 0.5, 1: bad})
+
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError, match="sums to"):
             dm.DemandDistribution.from_pmf({0: 0.5, 1: 0.4})
@@ -216,6 +222,15 @@ class TestInstance:
                 rewards=((-1.0,),),
                 capacities=(1,),
                 demand=dm.IndepDemandModel((THREE_POINT,)),
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_reward(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dm.Instance(
+                rewards=((1.0, bad),),
+                capacities=(1,),
+                demand=dm.IndepDemandModel((THREE_POINT, THREE_POINT)),
             )
 
     def test_rejects_zero_capacity(self):
@@ -344,7 +359,9 @@ def route_past_mass(rng):
     plan = dataclasses.replace(
         dm.plan_horizon_policy(model, inst), route=np.array([[[0.5], [0.5 - 1e-13]]])
     )
-    return HorizonPolicyState(plan=plan).step(1, 0, rng).routed_to
+    # both resources accept with probability one, so None means routed nowhere
+    assert all(ocrs.accept_probs == (1.0,) for ocrs in plan.plans)
+    return HorizonPolicyState(plan=plan).step(1, 0, rng)
 
 
 @pytest.mark.parametrize(
@@ -429,11 +446,7 @@ class TestTruncatedPoisson:
 class TestSupportEnumeration:
     @pytest.mark.parametrize("kind", ["indep", "correl", "horizon"])
     def test_support_probabilities_sum_to_one(self, kind):
-        from demandmatch.experiments import (
-            random_correl_instance,
-            random_horizon_instance,
-            random_indep_instance,
-        )
+        from demandmatch.experiments import random_horizon_instance, random_indep_instance
 
         maker = {
             "indep": random_indep_instance,

@@ -86,6 +86,26 @@ class TestErrors:
                 """
             )
 
+    def test_nan_probability_names_path(self):
+        with pytest.raises(InstanceFormatError, match=r"distributions\[0\].*finite"):
+            loads_instance(
+                """
+                {"rewards": [[1.0]], "capacities": [1],
+                 "demand": {"kind": "indep", "distributions": [{"0": 0.5, "1": NaN}]}}
+                """
+            )
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_reward_names_cell(self, bad):
+        with pytest.raises(InstanceFormatError, match=r"rewards\[0\]\[1\]"):
+            loads_instance(
+                """
+                {"rewards": [[1.0, %s]], "capacities": [1],
+                 "demand": {"kind": "indep", "distributions": [{"1": 1}, {"1": 1}]}}
+                """
+                % bad
+            )
+
     def test_negative_reward_names_cell(self):
         with pytest.raises(InstanceFormatError, match=r"rewards\[0\]\[1\]"):
             loads_instance(

@@ -25,12 +25,11 @@ from demandmatch.oracles import (
     mc_policy_value,
     offline_optimum,
     optimal_online_dp,
-    threshold_value_for_order,
     worst_case_order,
 )
 from demandmatch.policies import plan_indep_adv_policy
 from demandmatch.relaxations import horizon_model_of
-from reference import iter_orders
+from reference import iter_orders, threshold_value_for_order
 
 
 def brute_force_offline(inst, counts):
@@ -140,6 +139,41 @@ class TestExpectedOffline:
         assert result.stderr > 0
         exact = expected_offline(inst).value
         assert abs(result.value - exact) <= 4 * result.stderr
+
+
+def _small_plan():
+    dist = dm.DemandDistribution.from_pmf({0: 0.5, 1: 0.5})
+    inst = dm.Instance(
+        rewards=((1.0, 2.0),), capacities=(1,), demand=dm.IndepDemandModel((dist, dist))
+    )
+    return plan_indep_adv_policy(inst)
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda plan: exact_policy_value(plan, order="wrost"),
+        lambda plan: mc_policy_value(plan, trials=10, order="wrost"),
+    ],
+    ids=["exact", "monte-carlo"],
+)
+def test_policy_oracles_reject_unknown_order(oracle):
+    with pytest.raises(ValueError, match="'worst' or 'random'"):
+        oracle(_small_plan())
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda plan, trials: mc_policy_value(plan, trials=trials),
+        lambda plan, trials: expected_offline(plan.instance, support_cap=1, trials=trials),
+    ],
+    ids=["policy", "offline"],
+)
+def test_monte_carlo_needs_a_trial(estimate, trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        estimate(_small_plan(), trials)
 
 
 class TestOptimalOnlineDp:

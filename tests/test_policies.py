@@ -93,27 +93,28 @@ class TestThresholdStep:
         state = ThresholdPolicyState(plan=plan, pis=(routing,))
         # reward equals the threshold at a fresh resource: accepted
         assert plan.instance.rewards[0][0] >= plan.taus[0]
-        decision = state.step(0)
-        assert decision.resource == 0
+        assert state.step(0) == 0
 
     def test_idle_routing_rejects(self):
         plan = self.plan()
         routing = dm.Routing(assignment=(None, 0))
         state = ThresholdPolicyState(plan=plan, pis=(routing,))
-        assert state.step(0).resource is None
-        assert state.step(0).resource == 0
+        assert state.step(0) is None
+        assert state.step(0) == 0
 
     def test_taken_resource_rejects_cross_type_collision(self):
         dist = dm.DemandDistribution.point_mass(1)
-        inst = indep_instance(((2.0, 3.0),), (1,), [dist, dist])
+        inst = indep_instance(((2.0, 3.0), (2.0, 3.0)), (1, 1), [dist, dist])
         plan = plan_indep_adv_policy(inst)
         state = ThresholdPolicyState(
             plan=plan, pis=(dm.Routing((0,)), dm.Routing((0,)))
         )
-        first = state.step(1)
-        second = state.step(0)
-        assert first.resource == 0
-        assert second.resource is None
+        # resource 1 is free and would take the type-0 query, but the routed
+        # resource 0 is already matched: rejected, not re-routed
+        assert plan.qualifies(1, 0)
+        assert state.step(1) == 0
+        assert state.step(0) is None
+        assert state.available == [False, True]
         assert state.collected == 3.0
 
 
@@ -341,9 +342,9 @@ class TestHorizonPolicy:
             rng = trial_rng(31337, trial)
             state = HorizonPolicyState(plan=plan)
             for t, j in enumerate(sample_horizon_path(plan.model, rng), start=1):
-                decision = state.step(t, j, rng)
-                if decision.accepted:
-                    hits[decision.routed_to, t - 1] += 1
+                accepted_by = state.step(t, j, rng)
+                if accepted_by is not None:
+                    hits[accepted_by, t - 1] += 1
         for i in range(plan.instance.n):
             gamma = plan.plans[i].gamma
             for t in range(1, plan.horizon + 1):
@@ -389,9 +390,7 @@ class TestHorizonPolicy:
         )
         plan = plan_horizon_policy(model, inst)
         assert plan.route[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
-        state = HorizonPolicyState(plan=plan)
-        decision = state.step(1, 0, 5)
-        assert decision.routed_to == 0 and decision.accepted
+        assert HorizonPolicyState(plan=plan).step(1, 0, 5) == 0
 
 
 class TestSamplePathDominance:
@@ -416,9 +415,9 @@ class TestSamplePathDominance:
                     state = ThresholdPolicyState(plan=plan, pis=pis)
                     per_resource = [0.0] * plan.n
                     for j in order:
-                        decision = state.step(j)
-                        if decision.resource is not None:
-                            per_resource[decision.resource] += decision.reward
+                        accepted_by = state.step(j)
+                        if accepted_by is not None:
+                            per_resource[accepted_by] += plan.instance.rewards[accepted_by][j]
                     for i in range(plan.n):
                         routed_rewards = [
                             plan.instance.rewards[i][j]
@@ -434,8 +433,8 @@ class TestSamplePathDominance:
 
 class TestTraces:
     def test_collected_is_sum_of_accepted_rewards(self):
-        """The decisions that ``step`` returns are the per-arrival record: their
-        accepted rewards add up to what the trial collects, draw for draw."""
+        """The resources that ``step`` returns are the per-arrival record: their
+        rewards add up to what the trial collects, draw for draw."""
         inst = random_horizon_instance(np.random.default_rng(2), max_horizon=3)
         plan = plan_horizon_policy_for(inst)
         for seed in range(20):
@@ -443,12 +442,12 @@ class TestTraces:
             state = HorizonPolicyState(plan=plan)
             accepted = 0.0
             for t, j in enumerate(sample_horizon_path(plan.model, rng), start=1):
-                decision = state.step(t, j, rng)
-                if decision.accepted:
-                    assert decision.reward == plan.instance.rewards[decision.routed_to][j]
-                    accepted += decision.reward
-                else:
-                    assert decision.reward == 0.0
+                before = list(state.remaining)
+                accepted_by = state.step(t, j, rng)
+                if accepted_by is not None:
+                    before[accepted_by] -= 1
+                    accepted += plan.instance.rewards[accepted_by][j]
+                assert state.remaining == before
             assert state.collected == accepted
             assert run_horizon_trial(plan, seed) == state.collected
 

@@ -15,7 +15,6 @@ from demandmatch.builtin import EXAMPLES
 from demandmatch.demand import trial_rng
 from demandmatch.experiments import (
     gen_counterexample,
-    random_correl_instance,
     random_horizon_instance,
     random_indep_instance,
 )
@@ -32,7 +31,7 @@ from demandmatch.relaxations import (
     separation_oracle,
     transportation_lp,
 )
-from reference import is_feasible
+from reference import is_feasible, random_correl_instance
 
 THREE_POINT = EXAMPLES["demo3"].dist.to_float()
 

@@ -382,6 +382,20 @@ class TestSampling:
         assert len(rd.branches()) == 2
         assert rd.support_bound() == 2
 
+    @pytest.mark.parametrize(
+        "x, routed",
+        [(Fraction(10**20 - 1, 10**20), (0,)), (Fraction(1, 10**400), (None,))],
+        ids=["coin-reads-one", "coin-reads-zero"],
+    )
+    def test_a_coin_that_reads_one_or_zero_draws_nothing(self, x, routed):
+        # one rank: the coin splits it from a spawned zero-probability rank
+        rd = typeround((x,), dm.DemandDistribution.from_pmf({1: Fraction(1)}))
+        assert rd.support_bound() == 2
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert rd.sample(rng).assignment == routed
+        assert rng.bit_generator.state == state
+
     @pytest.mark.parametrize("assignment", [[0, None, None], [0, 1, 2]])
     def test_replay_rejects_span_without_one_idle_rank(self, assignment):
         with pytest.raises(ValueError, match="idle ranks"):

@@ -7,7 +7,9 @@ import pytest
 
 import demandmatch
 
-SOURCES = sorted(Path(demandmatch.__file__).parent.glob("*.py"))
+PACKAGE = Path(demandmatch.__file__).parent
+SOURCES = sorted(PACKAGE.glob("*.py"))
+BENCH = PACKAGE.parent.parent / "bench"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -16,3 +18,46 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    """Every name a module reads, attribute it reads or name it imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def _is_criterion(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_criterion"
+        for d in node.decorator_list
+    )
+
+
+def test_no_public_name_serves_only_the_tests():
+    """Every public top-level function or class of the package is exported
+    from ``__init__``, registered as an acceptance criterion, or used by the
+    package's own code (its module included) or by the benchmark; code that
+    only the tests use lives in ``tests/``."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    init = PACKAGE / "__init__.py"
+    exported = {alias.name for node in trees.pop(init).body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(*map(_used_names, trees.values()))
+    for path in BENCH.glob("*.py"):
+        used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported | used
+        and not _is_criterion(node)
+    ]
+    assert not unused, f"public names no package or benchmark code uses: {unused}"

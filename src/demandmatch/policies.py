@@ -150,6 +150,8 @@ class ThresholdPolicyState:
         and may collide; a qualifying query finding its resource already
         matched is rejected, never re-routed.
         """
+        if not 0 <= j < self.plan.m:
+            raise ValueError(f"type {j} is outside 0..{self.plan.m - 1}")
         self.counters[j] += 1
         target = self.pis[j].resource_at(self.counters[j])
         if target is None or not self.plan.qualifies(target, j) or not self.available[target]:

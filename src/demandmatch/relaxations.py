@@ -121,17 +121,22 @@ class CutPool:
         return len(self.cuts)
 
 
-def separation_oracle(x: Sequence[float], inst: Instance) -> Optional[Cut]:
-    """Most-violated subset-demand cut for the candidate point, if any.
+def _expectation_table(inst: Instance) -> np.ndarray:
+    """``float(E[min(D_j, k)])`` for every type ``j`` and ``k = 0..total capacity``."""
+    total_cap = sum(inst.capacities)
+    return np.array([type_marginal(inst, j).truncated_expectation_table(total_cap) for j in range(inst.m)])
+
+
+def _violated_cuts(x: Sequence[float], inst: Instance, table: np.ndarray) -> list[Cut]:
+    """Each violated type's most violated subset-demand cut, in type order.
 
     For each type ``j`` and each capacity budget ``k`` up to the total
     capacity, a 0/1 knapsack over resources (weight ``k_i``, value
     ``x[i,j]``) finds the subset packing the most candidate mass under the
-    budget; that mass is compared against ``E[min(D_j, k)]``.  The scan is
-    O(m * n * total_capacity) plus one subset recovery.
+    budget; that mass is compared against ``table[j, k] = E[min(D_j, k)]``.
+    The scan is O(m * n * total_capacity) plus one subset recovery per cut.
     """
-    n, m = inst.n, inst.m
-    caps = inst.capacities
+    n, m, caps = inst.n, inst.m, inst.capacities
     total_cap = sum(caps)
     # a nonpositive value, lifted to -inf, is never taken
     xs = np.asarray(x, dtype=float).reshape(n, m)
@@ -148,22 +153,22 @@ def separation_oracle(x: Sequence[float], inst: Instance) -> Optional[Cut]:
         np.copyto(dp[:, w:], upgraded, where=better)
         np.copyto(weight[:, w:], weight[:, : total_cap + 1 - w] + w, where=better)
         take[:, i, w:] = better
-    table = np.array([type_marginal(inst, j).truncated_expectation_table(total_cap) for j in range(m)])
     # A budget's subset may use less than the budget, so its own row bound
     # E[min(D_j, weight)] is at least as tight as E[min(D_j, k)].  Its load is
     # dp itself, summed in the same item order as the subset.
     bound = np.take_along_axis(table, weight, axis=1)
     violation = np.where(dp - table > CUT_TOL, dp - bound, -np.inf)
-    # the first maximum in (type, budget) order
-    j, k = np.unravel_index(np.argmax(violation), violation.shape)
-    if not violation[j, k] > CUT_TOL:
-        return None
-    return Cut(
-        type_index=int(j),
-        subset=_recover_subset(take[j], caps, int(k)),
-        rhs=float(bound[j, k]),
-        violation=float(violation[j, k]),
-    )
+    # the first maximum over each type's budgets
+    return [
+        Cut(j, _recover_subset(take[j], caps, int(k)), float(bound[j, k]), float(violation[j, k]))
+        for j, k in enumerate(np.argmax(violation, axis=1))
+        if violation[j, k] > CUT_TOL
+    ]
+
+
+def separation_oracle(x: Sequence[float], inst: Instance) -> Optional[Cut]:
+    """The most violated subset-demand cut, if any: the first maximum, in type order, of the per-type cuts."""
+    return max(_violated_cuts(x, inst, _expectation_table(inst)), key=lambda c: c.violation, default=None)
 
 
 def _recover_subset(take: np.ndarray, caps: Sequence[int], budget: int) -> tuple[int, ...]:
@@ -212,16 +217,17 @@ def truncated_lp_base(inst: Instance) -> LinearProgram:
 def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
     """Cutting-plane solve of the subset-tightened relaxation.
 
-    Alternates solve / separate, adding the most violated cut each round,
-    until the oracle certifies feasibility.  One tableau lives across the
-    rounds: each cut is appended to it and the previous optimal basis is
-    reoptimized by dual simplex, and ``lp`` is assembled once at the end
-    from the base rows and the pool.  Terminates because each (type,
-    subset) pair is added at most once and there are finitely many; a cut
-    the pool already holds means the loop is numerically stuck, and
-    ``CutPool.add`` raises ``ValueError`` rather than accept the point.
+    Alternates solve / separate until the oracle certifies feasibility.  One
+    tableau lives across the rounds: each round appends every violated type's
+    most violated cut, in type order, and one dual-simplex reoptimization
+    from the previous optimal basis handles them all.  The float
+    ``E[min(D_j, k)]`` table is built once per solve, and ``lp`` once at the
+    end from the base rows and the pool.  Terminates because each (type,
+    subset) pair is added at most once; a cut the pool already holds means
+    the loop is numerically stuck, and ``CutPool.add`` raises ``ValueError``.
     """
     base = truncated_lp_base(inst)
+    table = _expectation_table(inst)
     tab = Tableau(base)
     pool = CutPool()
     rows = []
@@ -231,14 +237,15 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
         if rounds > MAX_CUT_ROUNDS:
             raise RuntimeError("cutting-plane loop exceeded the round budget")
         solution = reoptimize(tab)
-        cut = separation_oracle(solution.values, inst) if solution.is_optimal else None
-        if cut is None:
+        cuts = _violated_cuts(solution.values, inst, table) if solution.is_optimal else []
+        if not cuts:
             break
-        pool.add(cut)
-        row = np.zeros(base.num_vars)
-        row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
-        rows.append(row)
-        tab.add_row(row, cut.rhs)
+        for cut in cuts:
+            pool.add(cut)
+            row = np.zeros(base.num_vars)
+            row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
+            rows.append(row)
+            tab.add_row(row, cut.rhs)
     lp = LinearProgram(
         objective=base.objective,
         rows=np.vstack([base.rows, *rows]),

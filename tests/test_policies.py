@@ -117,6 +117,18 @@ class TestThresholdStep:
         assert state.available == [False, True]
         assert state.collected == 3.0
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_step_rejects_unknown_type(self, j):
+        # j = -1 would otherwise run as type 1 through counters[-1] and pis[-1]
+        dist = dm.DemandDistribution.point_mass(1)
+        plan = plan_indep_adv_policy(indep_instance(((2.0, 3.0),), (1,), [dist, dist]))
+        state = ThresholdPolicyState(plan=plan, pis=(dm.Routing((0,)), dm.Routing((0,))))
+        with pytest.raises(ValueError, match="outside 0..1"):
+            state.step(j)
+        assert state.counters == [0, 0]
+        assert state.available == [True]
+        assert state.collected == 0.0
+
 
 #: the most schedule passes ``ocrs_plan`` may make, as its docstring states
 OCRS_MAX_PASSES = 36

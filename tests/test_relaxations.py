@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import linprog as scipy_linprog
 
 import demandmatch as dm
+from demandmatch import relaxations
 from demandmatch.builtin import EXAMPLES
 from demandmatch.demand import trial_rng
 from demandmatch.experiments import (
@@ -105,15 +106,16 @@ class TestSeparationOracle:
             assert fast.violation == pytest.approx(slow.violation, abs=1e-9)
 
 
-def per_type_knapsack_cut(x, inst, tol=1e-9):
+def per_type_knapsack_cuts(x, inst, tol=1e-9):
     """The separation oracle as one knapsack per type and a scan over the
-    budgets, recovering every violated budget's subset: the reference the
-    vectorized oracle must match bit for bit."""
+    budgets, recovering every violated budget's subset: each violated type's
+    best cut, in type order, the reference the vectorized oracle must match
+    bit for bit."""
     from demandmatch.relaxations import Cut, _recover_subset, type_marginal
 
     n, m, caps = inst.n, inst.m, inst.capacities
     total_cap = sum(caps)
-    best = None
+    cuts = []
     for j in range(m):
         marginal = type_marginal(inst, j)
         values = [float(x[i * m + j]) for i in range(n)]
@@ -127,6 +129,7 @@ def per_type_knapsack_cut(x, inst, tol=1e-9):
             better = upgraded > dp[w:]
             dp[w:] = np.where(better, upgraded, dp[w:])
             take[i, w:] = better
+        best = None
         for k in range(1, total_cap + 1):
             if float(dp[k]) - float(marginal.truncated_expectation(k)) <= tol:
                 continue
@@ -136,6 +139,18 @@ def per_type_knapsack_cut(x, inst, tol=1e-9):
             violation = load - bound
             if violation > tol and (best is None or violation > best.violation):
                 best = Cut(type_index=j, subset=subset, rhs=bound, violation=violation)
+        if best is not None:
+            cuts.append(best)
+    return cuts
+
+
+def per_type_knapsack_cut(x, inst, tol=1e-9):
+    """The reference's single most violated cut: the first of the per-type
+    best cuts with the largest violation."""
+    best = None
+    for cut in per_type_knapsack_cuts(x, inst, tol):
+        if best is None or cut.violation > best.violation:
+            best = cut
     return best
 
 
@@ -154,6 +169,10 @@ class TestSeparationReference:
             x = np.round(rng.uniform(0.0, 1.3, size=inst.n * inst.m), 1)
             x *= rng.random(x.size) < 0.7
             assert separation_oracle(x, inst) == per_type_knapsack_cut(x, inst)
+            # the cutting-plane round's cut list: every violated type's best
+            assert relaxations._violated_cuts(
+                x, inst, relaxations._expectation_table(inst)
+            ) == per_type_knapsack_cuts(x, inst)
 
 
 class TestTruncatedLp:
@@ -223,9 +242,14 @@ class TestTruncatedLp:
 
     def test_bench_ladder_instance_matches_highs(self):
         # the trunc-plan generator at n = 50: 50 unit resources, 10 types,
-        # about 60 cutting rounds, each reoptimized from the previous basis
+        # n + m = 60 base rows, then each round's cuts reoptimized from the
+        # previous basis
         inst = bench_workloads().trunc_instance(np.random.default_rng(1), 0, 50)
         result = build_truncated_lp(inst)
+        # one cut per violated type per round takes 11 rounds here; a loop
+        # that adds one cut per round takes 59
+        assert result.rounds <= 20
+        assert len(result.pool) <= inst.m * result.rounds
         lp = result.lp
         assert lp.num_rows == 60 + len(result.pool)
         res = scipy_linprog(-lp.objective, A_ub=lp.rows, b_ub=lp.rhs, bounds=(0, None), method="highs")
@@ -233,6 +257,29 @@ class TestTruncatedLp:
         assert abs(result.solution.objective_value + res.fun) <= 1e-9 * max(1.0, abs(res.fun))
         assert is_feasible(lp, result.solution.values)
         assert separation_oracle(result.solution.values, inst) is None
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_round_appends_every_violated_type(self, trial, monkeypatch):
+        # the pool is each round's cut list in turn, every list in type
+        # order, and every round reads the one table built for the solve
+        oracle = relaxations._violated_cuts
+        rounds, tables = [], []
+
+        def spy(x, inst, table):
+            tables.append(table)
+            rounds.append(oracle(x, inst, table))
+            return rounds[-1]
+
+        monkeypatch.setattr(relaxations, "_violated_cuts", spy)
+        inst = bench_workloads().trunc_instance(np.random.default_rng(trial), 0, 15)
+        result = build_truncated_lp(inst)
+        assert len(rounds) == result.rounds and rounds[-1] == []
+        assert max(len(cuts) for cuts in rounds) > 1
+        assert result.pool.cuts == [cut for cuts in rounds for cut in cuts]
+        for cuts in rounds:
+            types = [cut.type_index for cut in cuts]
+            assert types == sorted(set(types))
+        assert all(table is tables[0] for table in tables)
 
     def test_cut_pool_rejects_duplicates(self):
         from demandmatch.relaxations import Cut, CutPool
@@ -243,11 +290,9 @@ class TestTruncatedLp:
             pool.add(Cut(type_index=0, subset=(0, 1), rhs=1.0))
 
     def test_repeated_cut_raises(self, monkeypatch):
-        # an oracle stuck on a row already in the pool is an error, not a point
-        from demandmatch import relaxations
-
+        # a round oracle stuck on a row already in the pool is an error, not a point
         cut = relaxations.Cut(type_index=0, subset=(0, 1), rhs=0.5, violation=1.0)
-        monkeypatch.setattr(relaxations, "separation_oracle", lambda x, inst: cut)
+        monkeypatch.setattr(relaxations, "_violated_cuts", lambda x, inst, table: [cut])
         with pytest.raises(ValueError, match="duplicate cut"):
             build_truncated_lp(single_type_instance(3, THREE_POINT))
 

@@ -7,7 +7,7 @@ Library layout:
 * :mod:`demandmatch.linprog` -- dense one-phase simplex in one normal form
   (``b >= 0``); every LP is numpy arrays ``(c, A, b)`` from builder to solver.
 * :mod:`demandmatch.relaxations` -- fluid, subset-tightened, and conditional
-  LPs, with the knapsack separation oracle and cutting-plane loop.  The
+  LPs, with the density-sort separation oracle and cutting-plane loop.  The
   fluid LP, the subset-tightened LP's starting relaxation, the offline
   optimum in :mod:`demandmatch.oracles` (all through ``transportation_lp``)
   and the conditional LP share one builder of the capacity/demand rows.

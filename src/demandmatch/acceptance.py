@@ -337,7 +337,7 @@ def check_conditional_tightness() -> tuple[bool, str]:
     "separation verdict matches 2^n enumeration on {count} candidates",
 )
 def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> tuple[bool, str]:
-    """Knapsack separation verdict matches full subset enumeration."""
+    """Density-sort separation verdict matches full subset enumeration."""
     for trial in range(count):
         rng = trial_rng(seed, trial)
         inst = random_indep_instance(

@@ -131,7 +131,7 @@ class DemandDistribution:
     def pmf(self) -> dict[int, Prob]:
         return dict(self.items)
 
-    @property
+    @functools.cached_property
     def is_exact(self) -> bool:
         return all(is_exact_number(p) for _, p in self.items)
 
@@ -171,6 +171,9 @@ class DemandDistribution:
         return self.truncated_expectation(self.max_support)
 
     def to_float(self) -> "DemandDistribution":
+        """The law with float probabilities; a law already in floats is its own copy."""
+        if all(type(p) is float for _, p in self.items):
+            return self
         return DemandDistribution(tuple((v, float(p)) for v, p in self.items))
 
     def sample(self, rng: np.random.Generator) -> int:

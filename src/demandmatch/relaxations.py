@@ -3,7 +3,8 @@
 * ``fluid``: uses only expected demands -- one demand row per type.
 * ``truncated``: tightens every subset of resources ``S`` to the expected
   matchable mass ``E[min(D_j, sum_{i in S} k_i)]``.  Exponentially many rows,
-  solved by cutting planes with a knapsack-DP separation oracle.
+  solved by cutting planes whose separation oracle sorts each type's column
+  by density ``x[i,j] / k_i`` and checks its prefixes.
 * ``conditional``: for stochastic horizons, per-step matching probabilities
   conditional on the horizon surviving to that step.
 
@@ -130,55 +131,39 @@ def _expectation_table(inst: Instance) -> np.ndarray:
 def _violated_cuts(x: Sequence[float], inst: Instance, table: np.ndarray) -> list[Cut]:
     """Each violated type's most violated subset-demand cut, in type order.
 
-    For each type ``j`` and each capacity budget ``k`` up to the total
-    capacity, a 0/1 knapsack over resources (weight ``k_i``, value
-    ``x[i,j]``) finds the subset packing the most candidate mass under the
-    budget; that mass is compared against ``table[j, k] = E[min(D_j, k)]``.
-    The scan is O(m * n * total_capacity) plus one subset recovery per cut.
+    Every column is sorted by density ``x[i,j] / k_i``, highest first (stable,
+    so ties keep index order); each prefix of whole resources is compared
+    against ``table[j, k(prefix)] = E[min(D_j, k(prefix))]``, and a violated
+    type's cut is its first prefix of largest violation.  All types are
+    sorted at once, in O(m * n log n).
+
+    The prefixes are exact over all 2^n subsets, for any capacities.  Split
+    each resource into ``k_i`` unit copies carrying ``x[i,j] / k_i`` each.  As
+    ``h(k) = E[min(D_j, k)]`` depends only on the copy count, the most
+    violated set of ``s`` copies is the ``s`` largest, so some prefix of the
+    copies in density order is most violated.  A resource's copies share its
+    density and sit next to each other in that order, and across one
+    resource's block the violation is linear minus the concave ``h``, so
+    convex: its maximum lies at an end of the block, a prefix of whole
+    resources.
     """
-    n, m, caps = inst.n, inst.m, inst.capacities
-    total_cap = sum(caps)
-    # a nonpositive value, lifted to -inf, is never taken
+    n, m = inst.n, inst.m
+    caps = np.asarray(inst.capacities)
     xs = np.asarray(x, dtype=float).reshape(n, m)
-    gains = np.where(xs > 0.0, xs, -np.inf)
-    # dp[j, c] = best type-j value with weight <= c, weight[j, c] = the weight
-    # that subset uses, take[j, i, c] marks item i chosen; all types at once
-    dp = np.zeros((m, total_cap + 1))
-    weight = np.zeros((m, total_cap + 1), dtype=np.intp)
-    take = np.zeros((m, n, total_cap + 1), dtype=bool)
-    for i in range(n):
-        w = caps[i]
-        upgraded = dp[:, : total_cap + 1 - w] + gains[i, :, None]
-        better = upgraded > dp[:, w:]
-        np.copyto(dp[:, w:], upgraded, where=better)
-        np.copyto(weight[:, w:], weight[:, : total_cap + 1 - w] + w, where=better)
-        take[:, i, w:] = better
-    # A budget's subset may use less than the budget, so its own row bound
-    # E[min(D_j, weight)] is at least as tight as E[min(D_j, k)].  Its load is
-    # dp itself, summed in the same item order as the subset.
-    bound = np.take_along_axis(table, weight, axis=1)
-    violation = np.where(dp - table > CUT_TOL, dp - bound, -np.inf)
-    # the first maximum over each type's budgets
+    order = np.argsort(-(xs / caps[:, None]), axis=0, kind="stable")
+    load = np.cumsum(np.take_along_axis(xs, order, axis=0), axis=0)
+    bound = table[np.arange(m), np.cumsum(caps[order], axis=0)]
+    violation = load - bound
     return [
-        Cut(j, _recover_subset(take[j], caps, int(k)), float(bound[j, k]), float(violation[j, k]))
-        for j, k in enumerate(np.argmax(violation, axis=1))
-        if violation[j, k] > CUT_TOL
+        Cut(j, tuple(sorted(order[: k + 1, j].tolist())), float(bound[k, j]), float(violation[k, j]))
+        for j, k in enumerate(np.argmax(violation, axis=0))
+        if violation[k, j] > CUT_TOL
     ]
 
 
 def separation_oracle(x: Sequence[float], inst: Instance) -> Optional[Cut]:
     """The most violated subset-demand cut, if any: the first maximum, in type order, of the per-type cuts."""
     return max(_violated_cuts(x, inst, _expectation_table(inst)), key=lambda c: c.violation, default=None)
-
-
-def _recover_subset(take: np.ndarray, caps: Sequence[int], budget: int) -> tuple[int, ...]:
-    chosen: list[int] = []
-    c = budget
-    for i in range(take.shape[0] - 1, -1, -1):
-        if take[i, c]:
-            chosen.append(i)
-            c -= caps[i]
-    return tuple(sorted(chosen))
 
 
 def enumerate_violated_cut(x: Sequence[float], inst: Instance) -> Optional[Cut]:

@@ -128,9 +128,10 @@ class RoundingState:
     """Mutable stage-by-stage state of the rounding scheme.
 
     Branch tracking is optional: the compact state (idle probabilities per
-    rank plus the segment partition) is enough to run all stages, while the
-    explicit weighted branch set is what the invariant checks inspect.  The
-    arithmetic is exact exactly when the law ``dist`` is.
+    rank, the segment partition and each segment's survival) is enough to
+    run all stages, while the explicit weighted branch set is what the
+    invariant checks inspect.  The arithmetic is exact exactly when the law
+    ``dist`` is.
     """
 
     def __init__(
@@ -156,6 +157,9 @@ class RoundingState:
         else:
             self.rank_survival = [float(s) for s in surv]
         self.idle_prob: list[Prob] = [one] * self.real_length
+        # segment_survival of each segment, kept across stages: a singleton
+        # of idle probability one sums to its rank's survival exactly
+        self.segment_survivals: list[Prob] = list(self.rank_survival)
         self.segments: list[tuple[int, int]] = [(k, k) for k in range(1, self.real_length + 1)]
         self.stage = 0
         self.decisions: list[StageDecision] = []
@@ -213,7 +217,7 @@ class RoundingState:
         zero, one = (Fraction(0), Fraction(1)) if self.exact else (0.0, 1.0)
         # walk back from the last segment to the first that covers x
         chosen = len(self.segments) - 1
-        s_here, s_next = self.segment_survival(chosen), zero
+        s_here, s_next = self.segment_survivals[chosen], zero
         while s_here < x - self.tol:
             if chosen == 0:
                 raise InfeasibleColumnError(
@@ -221,11 +225,12 @@ class RoundingState:
                     f"arrives with probability only {s_here}"
                 )
             chosen -= 1
-            s_here, s_next = self.segment_survival(chosen), s_here
+            s_here, s_next = self.segment_survivals[chosen], s_here
 
         if chosen == len(self.segments) - 1:  # _apply_decision spawns the next segment
             self.rank_survival.append(zero)
             self.idle_prob.append(one)
+            self.segment_survivals.append(zero)
         lam = (x - s_next) / (s_here - s_next)
         if not self.exact:
             lam = min(1.0, max(0.0, lam))
@@ -246,6 +251,9 @@ class RoundingState:
             if rank <= self.real_length:
                 row[rank - 1] = routed * self.idle_prob[rank - 1]
             self.idle_prob[rank - 1] = kept * self.idle_prob[rank - 1]
+        # only the merged segment's idle probabilities moved
+        self.segment_survivals[chosen] = self.segment_survival(chosen)
+        del self.segment_survivals[chosen + 1]
         self.decisions.append(decision)
 
     def distribution(self) -> "RoutingDistribution":

@@ -16,12 +16,90 @@ from demandmatch.experiments import _rewards, _rounded_probs
 from demandmatch.linprog import LinearProgram
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, IndepAdvPlan, OcrsPlan, _accept_step
+from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
 
 
 def is_feasible(lp: LinearProgram, values, tol: float = 1e-9) -> bool:
     """Whether a point satisfies ``x >= 0`` and ``rows @ x <= rhs`` up to ``tol``."""
     x = np.asarray(values, dtype=float)
     return bool(np.all(x >= -tol) and np.all(lp.rows @ x <= lp.rhs + tol))
+
+
+def knapsack_cuts(x, inst: Instance, tol: float = CUT_TOL) -> list[Cut]:
+    """Each violated type's best cut by a 0/1 knapsack per type (weight
+    ``k_i``, value ``x[i,j]``) and a scan over the budgets, recovering each
+    violated budget's subset; its violation is the load summed in index order
+    less ``E[min(D_j, weight)]``.  Independent of the sort in the library."""
+    n, m, caps = inst.n, inst.m, inst.capacities
+    total_cap = sum(caps)
+    cuts = []
+    for j in range(m):
+        marginal = type_marginal(inst, j)
+        values = [float(x[i * m + j]) for i in range(n)]
+        dp = np.zeros(total_cap + 1)
+        take = np.zeros((n, total_cap + 1), dtype=bool)
+        for i in range(n):
+            w, v = caps[i], values[i]
+            if v <= 0.0:
+                continue
+            upgraded = dp[: total_cap + 1 - w] + v
+            better = upgraded > dp[w:]
+            dp[w:] = np.where(better, upgraded, dp[w:])
+            take[i, w:] = better
+        best = None
+        for k in range(1, total_cap + 1):
+            if float(dp[k]) - float(marginal.truncated_expectation(k)) <= tol:
+                continue
+            subset = _recover_subset(take, caps, k)
+            load = sum(values[i] for i in subset)
+            bound = float(marginal.truncated_expectation(sum(caps[i] for i in subset)))
+            violation = load - bound
+            if violation > tol and (best is None or violation > best.violation):
+                best = Cut(type_index=j, subset=subset, rhs=bound, violation=violation)
+        if best is not None:
+            cuts.append(best)
+    return cuts
+
+
+def _recover_subset(take: np.ndarray, caps: Sequence[int], budget: int) -> tuple[int, ...]:
+    chosen: list[int] = []
+    c = budget
+    for i in range(take.shape[0] - 1, -1, -1):
+        if take[i, c]:
+            chosen.append(i)
+            c -= caps[i]
+    return tuple(sorted(chosen))
+
+
+def density_prefix_cuts(x, inst: Instance, tol: float = CUT_TOL) -> list[Cut]:
+    """The separation oracle's tie rule, one type at a time in plain Python:
+    resources by density ``x[i,j] / k_i``, highest first and ties in index
+    order; each violated type's cut is its first prefix of largest violation."""
+    n, m, caps = inst.n, inst.m, inst.capacities
+    cuts = []
+    for j in range(m):
+        marginal = type_marginal(inst, j)
+        order = sorted(range(n), key=lambda i: float(x[i * m + j]) / caps[i], reverse=True)
+        load, weight, best = 0.0, 0, None
+        for size, i in enumerate(order, start=1):
+            load += float(x[i * m + j])
+            weight += caps[i]
+            bound = float(marginal.truncated_expectation(weight))
+            if best is None or load - bound > best[0]:
+                best = (load - bound, size, bound)
+        violation, size, bound = best
+        if violation > tol:
+            cuts.append(Cut(type_index=j, subset=tuple(sorted(order[:size])), rhs=bound, violation=violation))
+    return cuts
+
+
+def first_largest(cuts: Sequence[Cut]):
+    """The first cut of largest violation, or None."""
+    best = None
+    for cut in cuts:
+        if best is None or cut.violation > best.violation:
+            best = cut
+    return best
 
 
 def iter_orders(d: RealizedDemand):

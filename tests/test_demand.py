@@ -64,6 +64,21 @@ class TestSurvival:
                 prev = s
 
 
+class TestFloatCopy:
+    def test_float_law_is_its_own_copy(self):
+        dist = dm.DemandDistribution.from_pmf({0: 0.9, 4: 0.1})
+        assert dist.to_float() is dist
+
+    def test_exact_and_mixed_laws_convert(self):
+        mixed = dm.DemandDistribution.from_pmf({1: Fraction(1, 2), 3: 0.5})
+        for dist in (THREE_POINT, mixed):
+            copy = dist.to_float()
+            assert copy is not dist and not copy.is_exact
+            assert all(type(p) is float for _, p in copy.items)
+            assert copy.items == tuple((v, float(p)) for v, p in dist.items)
+        assert THREE_POINT.is_exact and not mixed.is_exact
+
+
 class TestTruncatedExpectation:
     def test_three_point_values(self):
         assert THREE_POINT.truncated_expectation(2) == Fraction(3, 2)

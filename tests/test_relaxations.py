@@ -1,6 +1,7 @@
 """Fluid, subset-tightened, and conditional relaxations."""
 
 import importlib.util
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +33,13 @@ from demandmatch.relaxations import (
     separation_oracle,
     transportation_lp,
 )
-from reference import is_feasible, random_correl_instance
+from reference import (
+    density_prefix_cuts,
+    first_largest,
+    is_feasible,
+    knapsack_cuts,
+    random_correl_instance,
+)
 
 THREE_POINT = EXAMPLES["demo3"].dist.to_float()
 
@@ -106,54 +113,6 @@ class TestSeparationOracle:
             assert fast.violation == pytest.approx(slow.violation, abs=1e-9)
 
 
-def per_type_knapsack_cuts(x, inst, tol=1e-9):
-    """The separation oracle as one knapsack per type and a scan over the
-    budgets, recovering every violated budget's subset: each violated type's
-    best cut, in type order, the reference the vectorized oracle must match
-    bit for bit."""
-    from demandmatch.relaxations import Cut, _recover_subset, type_marginal
-
-    n, m, caps = inst.n, inst.m, inst.capacities
-    total_cap = sum(caps)
-    cuts = []
-    for j in range(m):
-        marginal = type_marginal(inst, j)
-        values = [float(x[i * m + j]) for i in range(n)]
-        dp = np.zeros(total_cap + 1)
-        take = np.zeros((n, total_cap + 1), dtype=bool)
-        for i in range(n):
-            w, v = caps[i], values[i]
-            if v <= 0.0:
-                continue
-            upgraded = dp[: total_cap + 1 - w] + v
-            better = upgraded > dp[w:]
-            dp[w:] = np.where(better, upgraded, dp[w:])
-            take[i, w:] = better
-        best = None
-        for k in range(1, total_cap + 1):
-            if float(dp[k]) - float(marginal.truncated_expectation(k)) <= tol:
-                continue
-            subset = _recover_subset(take, caps, k)
-            load = sum(values[i] for i in subset)
-            bound = float(marginal.truncated_expectation(sum(caps[i] for i in subset)))
-            violation = load - bound
-            if violation > tol and (best is None or violation > best.violation):
-                best = Cut(type_index=j, subset=subset, rhs=bound, violation=violation)
-        if best is not None:
-            cuts.append(best)
-    return cuts
-
-
-def per_type_knapsack_cut(x, inst, tol=1e-9):
-    """The reference's single most violated cut: the first of the per-type
-    best cuts with the largest violation."""
-    best = None
-    for cut in per_type_knapsack_cuts(x, inst, tol):
-        if best is None or cut.violation > best.violation:
-            best = cut
-    return best
-
-
 class TestSeparationReference:
     @pytest.mark.parametrize("trial", range(40))
     def test_matches_per_type_loop_exactly(self, trial):
@@ -168,11 +127,55 @@ class TestSeparationReference:
             # zeros and exact ties between resources are the hard cases
             x = np.round(rng.uniform(0.0, 1.3, size=inst.n * inst.m), 1)
             x *= rng.random(x.size) < 0.7
-            assert separation_oracle(x, inst) == per_type_knapsack_cut(x, inst)
-            # the cutting-plane round's cut list: every violated type's best
-            assert relaxations._violated_cuts(
-                x, inst, relaxations._expectation_table(inst)
-            ) == per_type_knapsack_cuts(x, inst)
+            # the cutting-plane round's cut list: every violated type's best,
+            # by the stated tie rule, bit for bit
+            cuts = relaxations._violated_cuts(x, inst, relaxations._expectation_table(inst))
+            assert cuts == density_prefix_cuts(x, inst)
+            assert separation_oracle(x, inst) == first_largest(cuts)
+            # the knapsack, an independent check: the same violated types and
+            # the same largest violation; tied subsets may differ
+            knapsack = knapsack_cuts(x, inst)
+            assert [c.type_index for c in cuts] == [c.type_index for c in knapsack]
+            for cut, other in zip(cuts, knapsack):
+                assert abs(cut.violation - other.violation) <= 1e-12
+
+    def test_density_order_beats_value_order(self):
+        # D is 2 or 4, so E[min(D, k)] = 1, 2, 2.5, 3 at k = 1..4.  Resource 0
+        # (capacity 3) carries more mass, resource 1 (capacity 1) more per
+        # unit: {1} is violated by 0.3, {0, 1} by 0.2 and {0} not at all.
+        dist = dm.DemandDistribution.from_pmf({2: 0.5, 4: 0.5})
+        inst = dm.Instance(rewards=((1.0,), (1.0,)), capacities=(3, 1), demand=dm.IndepDemandModel((dist,)))
+        cut = separation_oracle([1.9, 1.3], inst)
+        assert (cut.type_index, cut.subset, cut.rhs) == (0, (1,), 1.0)
+        assert cut.violation == pytest.approx(0.3, abs=1e-12)
+        assert enumerate_violated_cut([1.9, 1.3], inst) == cut
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_each_type_matches_subset_enumeration(self, trial):
+        # per type, the largest violation over all 2^n subsets, on random
+        # capacities; loads scale with k_i and some are zero, so most cuts
+        # are proper subsets
+        rng = trial_rng(656, trial)
+        inst = random_indep_instance(
+            rng, max_n=10, max_m=3, max_support=5, max_value=12, max_total_capacity=30
+        )
+        caps = np.repeat(inst.capacities, inst.m)
+        x = rng.uniform(0.0, 1.0, size=caps.size) * caps * (rng.random(caps.size) < 0.6)
+        cuts = {c.type_index: c for c in relaxations._violated_cuts(x, inst, relaxations._expectation_table(inst))}
+        for j in range(inst.m):
+            marginal = relaxations.type_marginal(inst, j)
+            worst = max(
+                sum(x[i * inst.m + j] for i in subset)
+                - float(marginal.truncated_expectation(sum(inst.capacities[i] for i in subset)))
+                for size in range(1, inst.n + 1)
+                for subset in itertools.combinations(range(inst.n), size)
+            )
+            if worst > relaxations.CUT_TOL:
+                assert abs(cuts[j].violation - worst) <= 1e-12
+                load = sum(x[i * inst.m + j] for i in cuts[j].subset)
+                assert abs(load - cuts[j].rhs - worst) <= 1e-12
+            else:
+                assert j not in cuts
 
 
 class TestTruncatedLp:

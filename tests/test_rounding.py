@@ -337,6 +337,25 @@ class TestRandomColumns:
         rd = typeround(column, dist, order=order)
         assert verify_marginals(rd, column, dist).max_abs_error == 0
 
+    @pytest.mark.parametrize("trial", range(40))
+    def test_kept_segment_survivals_match_the_loop(self, trial):
+        # each segment's survival is kept across stages; after every stage it
+        # equals a fresh segment_survival sum, exactly over the rational law
+        # and bit for bit over its float copy
+        rng = trial_rng(6060, trial)
+        n = int(rng.integers(1, 9))
+        column, dist = random_feasible_column(rng, n)
+        order = tuple(int(i) for i in rng.permutation(n))
+        for law, col in ((dist, column), (dist.to_float(), [float(x) for x in column])):
+            state = RoundingState(law, n, order=order, track_branches=False)
+            for i in order:
+                state.advance(col[i])
+                fresh = [state.segment_survival(k) for k in range(len(state.segments))]
+                if state.exact:
+                    assert state.segment_survivals == fresh
+                else:
+                    assert [s.hex() for s in state.segment_survivals] == [s.hex() for s in fresh]
+
     def test_compact_marginals_match_branch_summation(self):
         for trial in range(50):
             rng = trial_rng(7070, trial)

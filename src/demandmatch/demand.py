@@ -459,15 +459,6 @@ def sample_random_order(
     return ArrivalSequence(tuple(int(j) for j in pool))
 
 
-def order_count(d: RealizedDemand) -> int:
-    """|S(d)| = multinomial coefficient of the counts."""
-    total = sum(d.counts)
-    count = math.factorial(total)
-    for c in d.counts:
-        count //= math.factorial(c)
-    return count
-
-
 def truncated_poisson(rate: float, cutoff_mass: float) -> DemandDistribution:
     """Poisson(rate) truncated at the smallest point leaving tail mass below
     ``cutoff_mass``, then renormalized.

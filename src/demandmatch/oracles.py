@@ -3,11 +3,11 @@
 Everything here trades speed for being *right*: offline optima via the
 transportation LP, expectations by exhausting the demand support, the
 optimal online policy by backward induction, policy values by exact
-expectation over the policy's own randomness, and adversarial orders by
-enumerating every interleaving.  The interleavings are walked depth first,
-valuing each shared prefix once; the worst-order search skips a prefix whose
-value already fails to beat the best order, which is exact whenever values
-cannot fall along an order (checked on every call, else nothing is skipped).
+expectation over the policy's own randomness, and adversarial orders by an
+exact search over every interleaving.  That search is one forward pass over
+the count vectors below the realization: an arrival's gain depends only on
+the counts it arrives at, so the least value at each vector (or the mean,
+for uniformly random orders) carries forward exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .demand import (
     StochasticHorizonModel,
     demand_support_size,
     iter_demand_support,
-    order_count,
     sample_demand,
     sample_random_order,
     trial_rng,
@@ -38,7 +37,6 @@ from .relaxations import transportation_lp
 
 #: exact-expectation guardrails (keep the acceptance suite interactive)
 SUPPORT_CAP = 10**6
-ORDER_CAP = 10**5
 STATE_CAP = 10**7
 
 
@@ -207,113 +205,98 @@ def optimal_online_dp(
 # ---------------------------------------------------------------------------
 
 
-#: per resource an arrival reaches: ``(i, r[i][j] * p, delivered before, after)``
-_Step = list[tuple[int, float, float, float]]
+#: ``steps[j][rank-1]``: ``(i, r[i][j] * p)`` per resource the arrival reaches
+_Steps = list[list[list[tuple[int, float]]]]
+#: ``mass[j][c][i]``: type ``j``'s delivered mass at ``i`` after ``c`` arrivals
+_Mass = list[list[tuple[float, ...]]]
 
 
-def _step_table(plan: IndepAdvPlan, counts: Sequence[int]) -> list[list[_Step]]:
-    """``table[j][rank-1]``: each resource ``i`` that type ``j`` qualifies for
-    and that is routed the rank with probability ``p > 0``, and the mass of
-    type ``j`` delivered to ``i``, summed in rank order, around that rank."""
-    table: list[list[_Step]] = []
+def _step_table(plan: IndepAdvPlan, counts: Sequence[int]) -> tuple[_Steps, _Mass]:
+    """Each rank's steps: every resource ``i`` that type ``j`` qualifies for
+    and that is routed the rank with probability ``p > 0``, with its reward
+    times ``p``; and each type's delivered mass per resource after each rank,
+    summed in rank order."""
+    steps: _Steps = []
+    mass: _Mass = []
     for j, count in enumerate(counts):
-        rd, mass = plan.routings[j], [0.0] * plan.n
+        rd, delivered = plan.routings[j], [0.0] * plan.n
         quals = [i for i in range(plan.n) if plan.qualifies(i, j)]
-        table.append([])
+        steps.append([])
+        mass.append([tuple(delivered)])
         for rank in range(count):
             step = []
             for i in quals if rank < rd.length else ():
                 p = float(rd.rank_probs[i][rank])
                 if p > 0.0:
-                    before, mass[i] = mass[i], mass[i] + p
-                    step.append((i, float(plan.instance.rewards[i][j]) * p, before, mass[i]))
-            table[j].append(step)
-    return table
+                    delivered[i] += p
+                    step.append((i, float(plan.instance.rewards[i][j]) * p))
+            steps[j].append(step)
+            mass[j].append(tuple(delivered))
+    return steps, mass
 
 
-def _advance(step: _Step, delivered: list[list[float]], j: int, value: float) -> float:
-    """One arrival of type ``j``: each resource it reaches adds its reward times
-    the delivery probability times the chance no other type was delivered
-    there first, then records the delivered mass."""
-    for i, rp, _, after in step:
-        row = delivered[i]
+def _advance(steps: _Steps, mass: _Mass, c: Sequence[int], j: int, value: float) -> float:
+    """One arrival of type ``j`` after a prefix with counts ``c``: each
+    resource it reaches adds its reward times the delivery probability times
+    the chance no other type was delivered there first."""
+    for i, rp in steps[j][c[j]]:
         blocked = 1.0
-        for other, mass in enumerate(row):
+        for other, by_count in enumerate(mass):
             if other != j:
-                blocked *= 1.0 - mass
+                blocked *= 1.0 - by_count[c[other]][i]
         value += rp * blocked
-        row[j] = after
     return value
 
 
 def _search_orders(
-    plan: IndepAdvPlan, counts: Sequence[int], order_cap: int, worst: bool
+    plan: IndepAdvPlan, counts: Sequence[int], worst: bool
 ) -> tuple[tuple[int, ...], float]:
-    """The worst order (the first below the best so far by more than 1e-15)
-    and its value, or ``()`` and the mean value over all orders: one
-    depth-first walk over the distinct orders in lexicographic order, with an
-    explicit stack, that values each shared prefix once."""
-    count = order_count(RealizedDemand(tuple(counts)))
-    if count > order_cap:
-        raise ValueError(f"|S(d)| = {count} exceeds the enumeration cap {order_cap}")
-    table = _step_table(plan, counts)
-    # Every increment ``rp * blocked`` is >= 0 when every ``rp`` is (Instance
-    # rejects negative rewards) and every ``1 - delivered`` is, which holds
-    # when every delivered mass the table can set is at most one.  Float
-    # addition of a nonnegative term never decreases a sum, so a prefix's
-    # value is then a lower bound on every completion's value, and a prefix
-    # that already fails ``< best - 1e-15`` cannot lead to a new best:
-    # skipping it is exact.
-    prune = worst and all(
-        rp >= 0.0 and after <= 1.0 for steps in table for step in steps for _, rp, _, after in step
-    )
-    delivered = [[0.0] * plan.m for _ in range(plan.n)]
-    remaining = list(counts)
-    depth = sum(counts)
-    prefix: list[int] = []
-    best, best_order, total = float("inf"), (), 0.0
-    stack = [[0.0, 0]]  # per prefix length: the prefix's value, the next type to try
-    while True:
-        frame = stack[-1]
-        value, j = frame
-        while j < len(remaining) and remaining[j] == 0:
-            j += 1
-        if j < len(remaining):
-            frame[1] = j + 1
-            step = table[j][counts[j] - remaining[j]]
-            after = _advance(step, delivered, j, value)
-            if not prune or after < best - 1e-15:  # the safe bound above
-                remaining[j] -= 1
-                prefix.append(j)
-                stack.append([after, 0])
-                continue
-        else:
-            stack.pop()
-            if len(prefix) == depth:
-                if not worst:
-                    total += value
-                elif value < best - 1e-15:
-                    best, best_order = value, tuple(prefix)
-            if not prefix:
-                break
-            j = prefix.pop()
-            remaining[j] += 1
-            step = table[j][counts[j] - remaining[j]]
-        for i, _, before, _ in step:
-            delivered[i][j] = before
-    return (best_order, best) if worst else ((), total / count)
+    """The worst order and its value, or ``()`` and the mean value over
+    uniformly random orders: one forward pass over the count vectors
+    ``0 <= c <= counts``, layer by layer by ``|c|``.
+
+    What an arrival adds depends only on the counts it arrives at, and float
+    addition is monotone in its running sum, so the least ``(value, prefix)``
+    at each vector leads to the least over all orders.  The mean pushes
+    ``(probability, probability-weighted value)`` forward; the next type is
+    ``j`` with probability ``(d_j - c_j) / (arrivals left)``."""
+    steps, mass = _step_table(plan, counts)
+    layer: dict[tuple[int, ...], tuple] = {(0,) * len(counts): (0.0, ()) if worst else (1.0, 0.0)}
+    for left in range(sum(counts), 0, -1):
+        nxt: dict[tuple[int, ...], tuple] = {}
+        for c, state in layer.items():
+            for j, dj in enumerate(counts):
+                if c[j] == dj:
+                    continue
+                e = c[:j] + (c[j] + 1,) + c[j + 1 :]
+                if worst:
+                    value, prefix = state
+                    found = (_advance(steps, mass, c, j, value), prefix + (j,))
+                    if e not in nxt or found < nxt[e]:
+                        nxt[e] = found
+                else:
+                    prob, weighted = state
+                    q = (dj - c[j]) / left
+                    gain = prob * _advance(steps, mass, c, j, 0.0)
+                    p0, w0 = nxt.get(e, (0.0, 0.0))
+                    nxt[e] = (p0 + q * prob, w0 + q * (weighted + gain))
+        layer = nxt
+    ((first, second),) = layer.values()
+    return (second, first) if worst else ((), second)
 
 
-def worst_case_order(
-    plan: IndepAdvPlan, d: RealizedDemand, order_cap: int = ORDER_CAP
-) -> tuple[ArrivalSequence, float]:
-    """Adversarial interleaving for one realization: exhaustive minimum.
+def worst_case_order(plan: IndepAdvPlan, d: RealizedDemand) -> tuple[ArrivalSequence, float]:
+    """Adversarial interleaving for one realization: the exact float minimum
+    over every order, found by a forward pass over the count vectors.
 
     The adversary knows the realization and the policy but not its coins, so
-    it minimizes the coin-expected value.  Ties break on the first order in
-    lexicographic enumeration, keeping the result deterministic.
+    it minimizes the coin-expected value.  Ties between prefixes with the same
+    counts keep the lexicographically smaller prefix, so when minimal orders
+    tie at every prefix, the first in lexicographic order is returned.
     """
-    order, value = _search_orders(plan, d.counts, order_cap, worst=True)
+    if len(d.counts) != plan.m:
+        raise ValueError(f"the realization has {len(d.counts)} types but the plan has {plan.m}")
+    order, value = _search_orders(plan, d.counts, worst=True)
     return ArrivalSequence(types=order), value
 
 
@@ -321,23 +304,22 @@ def exact_policy_value(
     plan: IndepAdvPlan,
     order: str = "worst",
     support_cap: int = SUPPORT_CAP,
-    order_cap: int = ORDER_CAP,
     trials: int = 10**5,
     seed: int = 0,
 ) -> OracleValue:
     """Expected threshold-policy value over the policy's own randomness.
 
-    Each realization's order set is enumerated and minimized under ``worst``
-    or averaged under ``random``.  The expectation over the demand law is
-    exact while the support fits the cap and Monte-Carlo beyond it, with each
-    distinct realization evaluated once.  Horizon plans have their exact
-    value in :func:`horizon_policy_value`.
+    Each realization's orders are minimized under ``worst`` or averaged
+    under ``random`` by one forward pass over its count vectors.  The
+    expectation over the demand law is exact while the support fits the cap
+    and Monte-Carlo beyond it, with each distinct realization evaluated once.
+    Horizon plans have their exact value in :func:`horizon_policy_value`.
     """
     if order not in ("worst", "random"):
         raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
 
     def value_for(counts: tuple[int, ...]) -> float:
-        return _search_orders(plan, counts, order_cap, worst=order == "worst")[1]
+        return _search_orders(plan, counts, worst=order == "worst")[1]
 
     return _over_demand(
         plan.instance.demand, functools.cache(value_for), support_cap, trials, seed
@@ -345,24 +327,21 @@ def exact_policy_value(
 
 
 def mc_policy_value(
-    plan: IndepAdvPlan,
-    trials: int,
-    seed: int = 0,
-    order: str = "worst",
-    order_cap: int = ORDER_CAP,
+    plan: IndepAdvPlan, trials: int, seed: int = 0, order: str = "worst"
 ) -> OracleValue:
     """Monte-Carlo threshold-policy value with full path simulation.
 
-    Samples the demand, picks the arrival order (the exact adversarial one,
-    cached per realization, or a uniform shuffle), samples the routings, and
-    walks the path.  Converges to the exact value as trials grow.
+    Samples the demand, picks the arrival order (the exact adversarial one of
+    :func:`worst_case_order`, cached per realization, or a uniform shuffle),
+    samples the routings, and walks the path.  Converges to the exact value
+    as trials grow.
     """
     if order not in ("worst", "random"):
         raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
 
     @functools.cache
     def worst_path(d: RealizedDemand) -> tuple[int, ...]:
-        return worst_case_order(plan, d, order_cap)[0].types
+        return worst_case_order(plan, d)[0].types
 
     def draw(rng: np.random.Generator) -> float:
         d = sample_demand(plan.instance.demand, rng)

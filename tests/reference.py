@@ -1,6 +1,7 @@
 """Plain reference forms of library checks, for the tests to compare against,
 and the instance draws that only the tests use."""
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +121,15 @@ def iter_orders(d: RealizedDemand):
         order[k + 1 :] = reversed(order[k + 1 :])
 
 
+def order_count(d: RealizedDemand) -> int:
+    """|S(d)| = multinomial coefficient of the counts."""
+    total = sum(d.counts)
+    count = math.factorial(total)
+    for c in d.counts:
+        count //= math.factorial(c)
+    return count
+
+
 def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float:
     """Exact expected reward of the threshold policy along one arrival order.
 
@@ -127,15 +137,16 @@ def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float
     resource: a resource collects the reward of the first *qualifying*
     arrival routed to it.  Within a type the routing targets distinct ranks,
     so delivery events are mutually exclusive; across types the routings are
-    independent.  Walking the order position by position and tracking, per
-    resource, each type's accumulated qualifying-delivery probability gives
-    the exact value in O(len(order) * n * m).
+    independent.  Walking the order position by position and reading, per
+    resource, each type's accumulated qualifying-delivery probability at the
+    counts seen so far gives the exact value in O(len(order) * n * m).
     """
-    steps = [iter(by_rank) for by_rank in _step_table(plan, [order.count(j) for j in range(plan.m)])]
-    delivered = [[0.0] * plan.m for _ in range(plan.n)]
+    steps, mass = _step_table(plan, [order.count(j) for j in range(plan.m)])
+    counts = [0] * plan.m
     value = 0.0
     for j in order:
-        value = _advance(next(steps[j]), delivered, j, value)
+        value = _advance(steps, mass, counts, j, value)
+        counts[j] += 1
     return value
 
 

@@ -163,6 +163,16 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_threshold_value_on_a_realization_past_order_enumeration(self, capsys):
+        # the realization (10, 10) has 184,756 orders; any online value stays at k1
+        assert main(
+            ["simulate", "--generator", "two_stage_reward", "--param", "k1=10",
+             "--param", "eps=0.1", "--policy", "threshold", "--benchmark", "trunc"]
+        ) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert (fields["mode"], fields["numerator"]) == ("exact", "10")
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "row.csv"
         assert main(

@@ -15,11 +15,10 @@ from demandmatch.demand import (
     RealizedDemand,
     demand_support_size,
     iter_demand_support,
-    order_count,
     trial_rng,
 )
 from demandmatch.policies import HorizonPolicyState
-from reference import iter_orders, random_correl_instance
+from reference import iter_orders, order_count, random_correl_instance
 
 THREE_POINT = dm.DemandDistribution.from_pmf(
     {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import demandmatch as dm
+from demandmatch.acceptance import _guarantee_sweep
 from demandmatch.demand import (
     RealizedDemand,
     iter_demand_support,
-    order_count,
+    sample_random_order,
     trial_rng,
 )
 from demandmatch.experiments import (
@@ -20,6 +21,7 @@ from demandmatch.experiments import (
     random_indep_instance,
 )
 from demandmatch.oracles import (
+    _search_orders,
     exact_policy_value,
     expected_offline,
     mc_policy_value,
@@ -29,7 +31,7 @@ from demandmatch.oracles import (
 )
 from demandmatch.policies import plan_indep_adv_policy
 from demandmatch.relaxations import horizon_model_of
-from reference import iter_orders, threshold_value_for_order
+from reference import iter_orders, order_count, threshold_value_for_order
 
 
 def brute_force_offline(inst, counts):
@@ -259,31 +261,34 @@ class TestOptimalOnlineDp:
 
 
 def orders_one_by_one(plan, counts):
-    """The worst order and value, and the mean value, of one realization by
-    valuing every order of ``iter_orders`` from scratch."""
+    """The least value over every order of ``iter_orders``, each valued from
+    scratch, and the exact mean of those values."""
     d = RealizedDemand(counts)
-    best_order, best, total = None, float("inf"), 0.0
-    for order in iter_orders(d):
-        value = threshold_value_for_order(plan, order)
-        total += value
-        if value < best - 1e-15:
-            best_order, best = order, value
-    return best_order, best, total / order_count(d)
+    values = [threshold_value_for_order(plan, order) for order in iter_orders(d)]
+    return min(values), sum(map(Fraction, values)) / order_count(d)
 
 
-def policy_values_one_by_one(plan):
-    """``exact_policy_value`` in both order modes from ``orders_one_by_one``,
-    and each realization's worst order and value."""
-    worst = random_order = 0.0
-    worst_orders = {}
+def assert_search_matches_one_by_one(plan):
+    """Per realization: the worst value is the least over all orders bit for
+    bit, the returned order replays to it, and the random-order mean is
+    within 2e-15 relative of the exact mean.  ``exact_policy_value`` sums
+    those worst values and means over the demand law."""
+    worst = 0.0
+    random_order = Fraction(0)
     for counts, prob in iter_demand_support(plan.instance.demand):
-        order, low, mean = orders_one_by_one(plan, counts)
-        worst_orders[counts] = (order, low.hex())
+        low, mean = orders_one_by_one(plan, counts)
+        order, value = worst_case_order(plan, RealizedDemand(counts))
+        assert value.hex() == low.hex(), counts
+        assert threshold_value_for_order(plan, order.types).hex() == low.hex(), counts
+        found = Fraction(_search_orders(plan, counts, worst=False)[1])
+        assert abs(found - mean) <= 2e-15 * mean, counts
         p = float(prob)
         if p > 0.0:
             worst += p * low
-            random_order += p * mean
-    return worst, random_order, worst_orders
+            random_order += Fraction(p) * mean
+    assert exact_policy_value(plan, order="worst").value.hex() == worst.hex()
+    found = Fraction(exact_policy_value(plan, order="random").value)
+    assert abs(found - random_order) <= 2e-15 * random_order
 
 
 def over_unit_mass_plan(second_type_probs):
@@ -300,32 +305,23 @@ def over_unit_mass_plan(second_type_probs):
 
 
 class TestOrderSearchAgainstOneByOne:
-    """The depth-first order search returns, bit for bit, what valuing every
-    order from scratch returns."""
+    """The count-lattice order search returns the least value over every
+    order, valued from scratch, bit for bit, and the exact random-order mean
+    to within rounding."""
 
     def test_random_instances(self):
         for trial in range(300):
             inst = random_indep_instance(
                 trial_rng(2700, trial), max_n=3, max_m=3, max_support=3, max_value=3
             )
-            plan = plan_indep_adv_policy(inst)
-            worst, random_order, worst_orders = policy_values_one_by_one(plan)
-            for counts, want in worst_orders.items():
-                order, value = worst_case_order(plan, RealizedDemand(counts))
-                assert (order.types, value.hex()) == want, (trial, counts)
-            assert exact_policy_value(plan, order="worst").value.hex() == worst.hex(), trial
-            assert exact_policy_value(plan, order="random").value.hex() == random_order.hex(), trial
+            assert_search_matches_one_by_one(plan_indep_adv_policy(inst))
 
     @pytest.mark.parametrize("second_type_probs", [(0.5, 0.5000000000000002), (0.9, 0.6)])
     def test_rank_mass_above_one(self, second_type_probs):
-        # values can fall along an order here, so no prefix may be skipped
+        # an arrival can lower the value here (a blocked chance below zero);
+        # the least value at each count vector still leads to the least value
         assert sum(second_type_probs) > 1.0
-        plan = over_unit_mass_plan(second_type_probs)
-        worst, random_order, worst_orders = policy_values_one_by_one(plan)
-        order, value = worst_case_order(plan, RealizedDemand((2, 2)))
-        assert (order.types, value.hex()) == worst_orders[(2, 2)]
-        assert exact_policy_value(plan, order="worst").value.hex() == worst.hex()
-        assert exact_policy_value(plan, order="random").value.hex() == random_order.hex()
+        assert_search_matches_one_by_one(over_unit_mass_plan(second_type_probs))
 
     @pytest.mark.parametrize("type_two_mass", [None, (0.7, 0.7)])
     def test_ties_return_the_first_minimal_order(self, type_two_mass):
@@ -352,8 +348,8 @@ class TestOrderSearchAgainstOneByOne:
 
 class TestWorstCaseOrder:
     def test_five_thousand_arrivals_of_one_type(self):
-        """The walk keeps its own stack, so a long realization does not
-        reach the interpreter's recursion limit."""
+        """The forward pass runs layer by layer without recursion, so a long
+        realization does not reach the interpreter's recursion limit."""
         inst = dm.Instance(
             rewards=((1.0,),),
             capacities=(1,),
@@ -404,16 +400,30 @@ class TestWorstCaseOrder:
             base, abs=1e-12
         )
 
-    def test_rejects_oversized_order_sets(self):
-        dist = dm.DemandDistribution.point_mass(4)
+    @pytest.mark.parametrize("counts", [(2,), (1, 1, 1)])
+    def test_rejects_a_realization_of_the_wrong_length(self, counts):
+        plan = plan_indep_adv_policy(gen_counterexample("two_stage_reward", {"eps": 0.5, "k1": 2}))
+        with pytest.raises(ValueError, match="types"):
+            worst_case_order(plan, RealizedDemand(counts))
+
+    def test_orders_far_past_enumeration(self):
+        # about 1e17 orders; the search visits the 9**4 count vectors
+        dist = dm.DemandDistribution.from_pmf({1: 0.5, 8: 0.5})
         inst = dm.Instance(
-            rewards=((1.0, 1.0, 1.0),),
-            capacities=(1,),
-            demand=dm.IndepDemandModel((dist, dist, dist)),
+            rewards=((1.0, 2.0, 3.0, 4.0), (4.0, 3.0, 2.0, 1.0)),
+            capacities=(1, 2),
+            demand=dm.IndepDemandModel((dist,) * 4),
         )
         plan = plan_indep_adv_policy(inst)
-        with pytest.raises(ValueError, match="cap"):
-            worst_case_order(plan, RealizedDemand((4, 4, 4)), order_cap=10)
+        d = RealizedDemand((8, 8, 8, 8))
+        order, value = worst_case_order(plan, d)
+        assert threshold_value_for_order(plan, order.types) == value
+        rng = np.random.default_rng(0)
+        shuffles = [sample_random_order(d, rng).types for _ in range(400)]
+        values = [threshold_value_for_order(plan, o) for o in shuffles]
+        assert value <= min(values)
+        mean = _search_orders(plan, d.counts, worst=False)[1]
+        assert abs(mean - np.mean(values)) <= 4 * np.std(values, ddof=1) / np.sqrt(len(values))
 
 
 class TestExactPolicyValue:
@@ -441,6 +451,18 @@ class TestExactPolicyValue:
             worst = exact_policy_value(plan, order="worst").value
             random_order = exact_policy_value(plan, order="random").value
             assert random_order >= worst - 1e-9
+
+    def test_half_guarantee_on_large_realizations(self):
+        # realizations up to (8, 8, 8, 8), far too many orders to enumerate
+        def trial(rng):
+            inst = random_indep_instance(
+                rng, max_n=3, max_m=4, max_support=3, max_value=8, max_total_capacity=4
+            )
+            plan = plan_indep_adv_policy(inst)
+            return exact_policy_value(plan, order="worst").value, plan.lp_value
+
+        failure, _ = _guarantee_sweep(trial, 0.5, 60, 3017)
+        assert not failure, failure
 
     def test_matches_monte_carlo_within_four_se(self):
         dist0 = dm.DemandDistribution.from_pmf({0: 0.5, 2: 0.5})

@@ -195,6 +195,8 @@ SWEEPS = (
 
 
 def _cmd_verify_invariants(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     passed = True
     for key, count, offset in SWEEPS:
         result = acceptance.CRITERIA[key](count or args.samples, args.seed + offset)

@@ -78,8 +78,8 @@ class DemandDistribution:
     """
 
     items: tuple[tuple[int, Prob], ...]
-    _survival: tuple[Prob, ...] = field(repr=False, compare=False, default=())
-    _prefix: tuple[Prob, ...] = field(repr=False, compare=False, default=())
+    _survival: tuple[Prob, ...] = field(init=False, repr=False, compare=False)
+    _prefix: tuple[Prob, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.items:

@@ -31,7 +31,7 @@ from .demand import (
     sample_random_order,
     trial_rng,
 )
-from .linprog import LpStatus, Tableau, reoptimize, solve_lp
+from .linprog import LpStatus, Tableau, reoptimize
 from .policies import HorizonPlan, IndepAdvPlan, run_threshold_trial
 from .relaxations import transportation_lp
 
@@ -85,20 +85,33 @@ def _over_demand(
     )
 
 
+def _offline_solver(inst: Instance) -> Callable[[Sequence[int]], float]:
+    """The offline optimum of ``inst`` as a function of the realized counts.
+    One tableau serves every call: each sets the counts as the demand rhs and
+    reoptimizes from the last optimal basis by dual simplex; a fresh tableau's
+    basis inverse is the identity, so the first call pivots as a cold solve."""
+    tab = Tableau(transportation_lp(inst, [0] * inst.m))
+
+    def offline(counts: Sequence[int]) -> float:
+        if len(counts) != inst.m:
+            raise ValueError(f"the realization has {len(counts)} types but the instance has {inst.m}")
+        tab.set_rhs([*inst.capacities, *counts])
+        solution = reoptimize(tab)
+        if solution.status is not LpStatus.OPTIMAL:
+            raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
+        return solution.objective_value
+
+    return offline
+
+
 def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> float:
     """Max-weight offline matching for one demand realization.
 
-    Solved as the transportation LP (capacity rows and realized-count rows);
-    its constraint matrix is totally unimodular, so the LP value is attained
-    by an integral matching.
+    Solved as the transportation LP (capacity rows and realized-count rows)
+    on a fresh tableau of ``inst``; its constraint matrix is totally
+    unimodular, so the LP value is attained by an integral matching.
     """
-    counts = d.counts if isinstance(d, RealizedDemand) else tuple(d)
-    if sum(counts) == 0:
-        return 0.0
-    solution = solve_lp(transportation_lp(inst, counts))
-    if solution.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
-    return solution.objective_value
+    return _offline_solver(inst)(d.counts if isinstance(d, RealizedDemand) else tuple(d))
 
 
 def expected_offline(
@@ -110,21 +123,10 @@ def expected_offline(
     """E[offline optimum] over the demand law.
 
     Exact by support enumeration while the joint support fits under the cap;
-    beyond that, a seeded Monte-Carlo estimate with its standard error.
-    Either way one transportation tableau serves the whole instance: each
-    realization only sets its counts as the demand rhs and reoptimizes from
-    the previous optimal basis by dual simplex.
+    beyond that, a seeded Monte-Carlo estimate with its standard error.  One
+    warm solver serves the whole instance; ``offline_optimum`` uses a fresh one.
     """
-    tab = Tableau(transportation_lp(inst, [0] * inst.m))
-
-    def offline(counts: Sequence[int]) -> float:
-        tab.set_rhs([*inst.capacities, *counts])
-        solution = reoptimize(tab)
-        if solution.status is not LpStatus.OPTIMAL:
-            raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
-        return solution.objective_value
-
-    return _over_demand(inst.demand, offline, support_cap, trials, seed)
+    return _over_demand(inst.demand, _offline_solver(inst), support_cap, trials, seed)
 
 
 # ---------------------------------------------------------------------------

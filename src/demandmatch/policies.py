@@ -47,7 +47,8 @@ from .relaxations import (
 )
 from .rounding import Routing, RoutingDistribution, typeround
 
-#: slack used when consuming LP solutions (solver feasibility tolerance)
+#: how far an OCRS activity rate, read off an LP solution, may stray outside
+#: ``[0, 1]`` and its budget (solver feasibility tolerance)
 LP_SLACK = 1e-9
 #: OCRS ``gamma`` is the largest feasible point on the grid of spacing
 #: ``2**-_OCRS_GRID_BITS``, the coarsest power of two within a quarter of this
@@ -106,11 +107,9 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
         tuple(max(0.0, float(result.solution.values[i * m + j])) for j in range(m))
         for i in range(n)
     )
-    routings = []
-    for j in range(m):
-        column = [x[i][j] for i in range(n)]
-        dist = inst.demand.per_type[j].to_float()
-        routings.append(typeround(column, dist, tol=LP_SLACK))
+    routings = tuple(
+        typeround([x[i][j] for i in range(n)], inst.demand.per_type[j]) for j in range(m)
+    )
     taus = tuple(
         sum(unit.rewards[i][j] * x[i][j] for j in range(m)) / 2.0 for i in range(n)
     )
@@ -119,7 +118,7 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
         parent=parent,
         x=x,
         lp_value=result.solution.objective_value,
-        routings=tuple(routings),
+        routings=routings,
         taus=taus,
     )
 
@@ -130,15 +129,14 @@ class ThresholdPolicyState:
 
     plan: IndepAdvPlan
     pis: tuple[Routing, ...]
-    counters: list[int] = field(default_factory=list)
-    available: list[bool] = field(default_factory=list)
-    collected: float = 0.0
+    counters: list[int] = field(init=False)
+    available: list[bool] = field(init=False)
+    collected: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.counters:
-            self.counters = [0] * self.plan.m
-        if not self.available:
-            self.available = [True] * self.plan.n
+        self.counters = [0] * self.plan.m
+        self.available = [True] * self.plan.n
+        self.collected = 0.0
 
     def step(self, j: int) -> Optional[int]:
         """Route the next type-``j`` arrival and apply the threshold rule.
@@ -386,12 +384,12 @@ class HorizonPolicyState:
     """Runtime state of the horizon policy: remaining capacities."""
 
     plan: HorizonPlan
-    remaining: list[int] = field(default_factory=list)
-    collected: float = 0.0
+    remaining: list[int] = field(init=False)
+    collected: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.remaining:
-            self.remaining = list(self.plan.instance.capacities)
+        self.remaining = list(self.plan.instance.capacities)
+        self.collected = 0.0
 
     def step(
         self, t: int, j: Optional[int], rng_seed: Union[int, np.random.Generator]

@@ -108,8 +108,8 @@ class Cut:
 class CutPool:
     """Subset-demand rows accumulated by the cutting-plane loop."""
 
-    cuts: list[Cut] = field(default_factory=list)
-    _seen: set[tuple[int, tuple[int, ...]]] = field(default_factory=set)
+    cuts: list[Cut] = field(init=False, default_factory=list)
+    _seen: set[tuple[int, tuple[int, ...]]] = field(init=False, default_factory=set)
 
     def add(self, cut: Cut) -> None:
         key = (cut.type_index, cut.subset)

@@ -39,8 +39,9 @@ draw of a single routing (``RoutingDistribution.sample``): that flips each
 coin and replays the decided coin, 1 or 0, so each coin yields one child.
 
 All arithmetic stays in `fractions.Fraction` when the law and the column are
-rational, so the worked-example distributions reproduce exactly; a float
-column over an exact law rounds over the law's float copy.
+rational, so the worked-example distributions reproduce exactly and no slack
+is forgiven; a float column rounds over the law's float copy and may
+overshoot the residual demand by ``COLUMN_SLACK``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ import numpy as np
 from .demand import DemandDistribution, Prob, as_generator, is_exact_number
 
 FLOAT_TOL = 1e-12
+#: how far a float column may overshoot the residual demand: the cutting-plane
+#: loop stops once no subset cut is violated by more than ``relaxations.CUT_TOL``
+COLUMN_SLACK = 1e-9
 #: ``RoutingDistribution.branches`` refuses supports that may exceed this
 MAX_SUPPORT = 1 << 16
 
@@ -131,7 +135,7 @@ class RoundingState:
     rank, the segment partition and each segment's survival) is enough to
     run all stages, while the explicit weighted branch set is what the
     invariant checks inspect.  The arithmetic is exact exactly when the law
-    ``dist`` is.
+    ``dist`` is, and then forgives no slack; over a float law, ``COLUMN_SLACK``.
     """
 
     def __init__(
@@ -140,7 +144,6 @@ class RoundingState:
         num_resources: int,
         order: Optional[Sequence[int]] = None,
         track_branches: bool = True,
-        tol: Optional[float] = None,
     ):
         if num_resources < 1:
             raise ValueError("need at least one resource")
@@ -148,15 +151,11 @@ class RoundingState:
         if sorted(self.order) != list(range(num_resources)):
             raise ValueError(f"order {self.order} is not a permutation of the resources")
         self.exact = dist.is_exact
-        self.tol = (0 if self.exact else FLOAT_TOL) if tol is None else tol
-        zero, one = (Fraction(0), Fraction(1)) if self.exact else (0.0, 1.0)
+        self.num = Fraction if self.exact else float
+        self.slack = 0 if self.exact else COLUMN_SLACK
         self.real_length = max(num_resources, dist.max_support)
-        surv = [dist.survival(ell) for ell in range(1, self.real_length + 1)]
-        if self.exact:
-            self.rank_survival: list[Prob] = [Fraction(s) for s in surv]
-        else:
-            self.rank_survival = [float(s) for s in surv]
-        self.idle_prob: list[Prob] = [one] * self.real_length
+        self.rank_survival: list[Prob] = [self.num(dist.survival(k)) for k in range(1, self.real_length + 1)]
+        self.idle_prob: list[Prob] = [self.num(1)] * self.real_length
         # segment_survival of each segment, kept across stages: a singleton
         # of idle probability one sums to its rank's survival exactly
         self.segment_survivals: list[Prob] = list(self.rank_survival)
@@ -165,9 +164,10 @@ class RoundingState:
         self.decisions: list[StageDecision] = []
         self.targets: dict[int, Prob] = {}
         # rank_probs[i][ℓ-1] = Pr[rank ℓ is routed to resource i], real ranks only
+        zero = self.num(0)
         self.rank_probs: list[list[Prob]] = [[zero] * self.real_length for _ in range(num_resources)]
         self.branches: Optional[list[tuple[list[Optional[int]], Prob]]] = (
-            [([None] * self.real_length, one)] if track_branches else None
+            [([None] * self.real_length, self.num(1))] if track_branches else None
         )
 
     # -- queries ---------------------------------------------------------
@@ -181,7 +181,7 @@ class RoundingState:
         """Idle-weighted survival mass of one segment: the probability that
         its combined arrival occurs."""
         lo, hi = self.segments[seg_index]
-        total: Prob = Fraction(0) if self.exact else 0.0
+        total = self.num(0)
         for rank in range(lo, hi + 1):
             total = total + self.idle_prob[rank - 1] * self.rank_survival[rank - 1]
         return total
@@ -189,14 +189,12 @@ class RoundingState:
     # -- the stage step --------------------------------------------------
 
     def _coerce(self, x: Prob) -> Prob:
-        if self.exact:
-            if not is_exact_number(x):
-                raise TypeError(
-                    f"exact-mode rounding got a float marginal {x!r}; "
-                    "pass Fractions or round over dist.to_float()"
-                )
-            return Fraction(x)
-        return float(x)
+        if self.exact and not is_exact_number(x):
+            raise TypeError(
+                f"exact-mode rounding got a float marginal {x!r}; "
+                "pass Fractions or round over dist.to_float()"
+            )
+        return self.num(x)
 
     def advance(self, x_next: Prob) -> None:
         """Process the next resource in the order with marginal ``x_next``."""
@@ -204,21 +202,22 @@ class RoundingState:
             raise ValueError("all resources already processed")
         resource = self.order[self.stage]
         x = self._coerce(x_next)
-        if x < -self.tol:
+        if x < -self.slack:
             raise InfeasibleColumnError(f"negative marginal {x} for resource {resource}")
-        if x > self.tol:
+        if x > self.slack:
             self._route(resource, x)
         self.targets[resource] = x
         self.stage += 1
 
     def _route(self, resource: int, x: Prob) -> None:
         """Route ``resource`` into the latest segment whose combined arrival
-        covers ``x`` or into the next one, and merge the two."""
-        zero, one = (Fraction(0), Fraction(1)) if self.exact else (0.0, 1.0)
+        covers ``x`` or into the next one, and merge the two.  The walk stops at
+        ``s_next < x <= s_here + slack``: with no slack the coin lies in ``(0, 1]``."""
+        zero = self.num(0)
         # walk back from the last segment to the first that covers x
         chosen = len(self.segments) - 1
         s_here, s_next = self.segment_survivals[chosen], zero
-        while s_here < x - self.tol:
+        while s_here < x - self.slack:
             if chosen == 0:
                 raise InfeasibleColumnError(
                     f"resource {resource} needs marginal {x} but the residual demand "
@@ -229,7 +228,7 @@ class RoundingState:
 
         if chosen == len(self.segments) - 1:  # _apply_decision spawns the next segment
             self.rank_survival.append(zero)
-            self.idle_prob.append(one)
+            self.idle_prob.append(self.num(1))
             self.segment_survivals.append(zero)
         lam = (x - s_next) / (s_here - s_next)
         if not self.exact:
@@ -244,7 +243,7 @@ class RoundingState:
 
         # the chosen segment's idle rank takes the resource with probability
         # lam, the next segment's with 1 - lam
-        rest = one - lam
+        rest = 1 - lam
         row = self.rank_probs[resource]
         for rank in range(lo_a, hi_b + 1):
             routed, kept = (lam, rest) if rank <= hi_a else (rest, lam)
@@ -295,9 +294,9 @@ class RoundingState:
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
         exact = self.exact
-        tol = 0 if exact else 1e-9
+        tol = self.slack
         problems: list[str] = []
-        zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+        zero, one = self.num(0), self.num(1)
         ratio = Fraction if exact else (lambda num, den: num / den)
         weights, wden = _common_denominator([p for _, p in self.branches], exact)
         surv, sden = _common_denominator(self.rank_survival, exact)
@@ -494,28 +493,21 @@ def _unique_idle(assignment: list[Optional[int]], span: tuple[int, int]) -> int:
     return idle[0]
 
 
-def typeround(
-    x_col: Sequence[Prob],
-    dist: DemandDistribution,
-    order: Optional[Sequence[int]] = None,
-    tol: Optional[float] = None,
-) -> RoutingDistribution:
-    """Round a feasible column into a routing distribution with exact marginals.
+def typeround(x_col: Sequence[Prob], dist: DemandDistribution) -> RoutingDistribution:
+    """Round a feasible column into a routing distribution with exact marginals,
+    processing the resources in index order.
 
-    ``order`` fixes the processing order of resources (default ascending);
-    different orders are valid and may give different distributions.  An
-    infeasible column is rejected as soon as the residual demand cannot cover
-    the next requested marginal, rather than rounded approximately.  ``tol``
-    loosens that rejection for float columns coming out of an LP solver.  The
-    arithmetic is exact when the law and the column are; a float column over
-    an exact law rounds over ``dist.to_float()``.
+    An infeasible column is rejected as soon as the residual demand cannot
+    cover the next requested marginal, rather than rounded approximately.  The
+    arithmetic is exact when the law and the column are, and then forgives
+    nothing; a float column, as an LP solver returns it, rounds over
+    ``dist.to_float()`` and may overshoot by ``COLUMN_SLACK``.
     """
-    n = len(x_col)
     if dist.is_exact and not all(is_exact_number(x) for x in x_col):
         dist = dist.to_float()
-    state = RoundingState(dist, n, order=order, track_branches=False, tol=tol)
-    for _ in range(n):
-        state.advance(x_col[state.order[state.stage]])
+    state = RoundingState(dist, len(x_col), track_branches=False)
+    for x in x_col:
+        state.advance(x)
     return state.distribution()
 
 

@@ -18,6 +18,7 @@ from demandmatch.linprog import LinearProgram
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, IndepAdvPlan, OcrsPlan, _accept_step
 from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
+from demandmatch.rounding import RoundingState, RoutingDistribution
 
 
 def is_feasible(lp: LinearProgram, values, tol: float = 1e-9) -> bool:
@@ -148,6 +149,15 @@ def threshold_value_for_order(plan: IndepAdvPlan, order: Sequence[int]) -> float
         value = _advance(steps, mass, counts, j, value)
         counts[j] += 1
     return value
+
+
+def round_in_order(column, dist: DemandDistribution, order: Sequence[int]) -> RoutingDistribution:
+    """``typeround`` with the resources processed in ``order`` (a permutation)
+    instead of index order, by driving ``RoundingState(order=...)``."""
+    state = RoundingState(dist, len(column), order=order, track_branches=False)
+    for i in state.order:
+        state.advance(column[i])
+    return state.distribution()
 
 
 def random_correl_instance(

@@ -254,6 +254,11 @@ class TestUsageErrors:
     def test_missing_file(self, capsys):
         assert main(["solve", "--instance", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_verify_invariants_needs_a_sample(self, samples, capsys):
+        assert main(["verify-invariants", "--samples", samples]) == 2
+        assert f"--samples must be at least 1, got {samples}" in capsys.readouterr().err
+
     def test_fluid_on_horizon_instance(self, capsys):
         assert main(
             ["solve", "--generator", "escalating_rewards", "--param", "T=3",

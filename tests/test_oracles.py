@@ -29,8 +29,9 @@ from demandmatch.oracles import (
     optimal_online_dp,
     worst_case_order,
 )
+from demandmatch.linprog import solve_lp
 from demandmatch.policies import plan_indep_adv_policy
-from demandmatch.relaxations import horizon_model_of
+from demandmatch.relaxations import horizon_model_of, transportation_lp
 from reference import iter_orders, order_count, threshold_value_for_order
 
 
@@ -71,6 +72,28 @@ class TestOfflineOptimum:
         inst = random_indep_instance(np.random.default_rng(0), max_m=1)
         with pytest.raises(ValueError, match="nonnegative"):
             offline_optimum(inst, (-1,))
+
+    @pytest.mark.parametrize("counts", [(0,), (1,), (1, 1, 1)])
+    def test_rejects_a_realization_of_the_wrong_length(self, counts):
+        dist = dm.DemandDistribution.point_mass(1)
+        inst = dm.Instance(
+            rewards=((1.0, 2.0), (3.0, 0.0)),
+            capacities=(1, 1),
+            demand=dm.IndepDemandModel((dist, dist)),
+        )
+        with pytest.raises(ValueError, match=f"has {len(counts)} types but the instance has 2"):
+            offline_optimum(inst, counts)
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_warm_and_fresh_solves_match_a_cold_solve_bit_for_bit(self, trial):
+        # expected_offline's warm solver and offline_optimum's fresh one both
+        # return the cold solve's value on every support point
+        inst = random_indep_instance(trial_rng(2200, trial))
+        support = list(iter_demand_support(inst.demand))
+        cold = [solve_lp(transportation_lp(inst, counts)).objective_value for counts, _ in support]
+        assert [offline_optimum(inst, counts) for counts, _ in support] == cold
+        want = sum(float(p) * value for (_, p), value in zip(support, cold) if float(p) > 0.0)
+        assert expected_offline(inst).value.hex() == want.hex()
 
     @pytest.mark.parametrize("trial", range(30))
     def test_matches_assignment_enumeration(self, trial):

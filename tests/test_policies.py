@@ -1,5 +1,6 @@
 """Threshold and horizon policies, contention resolution, static baselines."""
 
+import dataclasses
 import itertools
 import math
 
@@ -128,6 +129,21 @@ class TestThresholdStep:
         assert state.counters == [0, 0]
         assert state.available == [True]
         assert state.collected == 0.0
+
+    @pytest.mark.parametrize(
+        "cls, derived",
+        [
+            (ThresholdPolicyState, {"counters", "available", "collected"}),
+            (HorizonPolicyState, {"remaining", "collected"}),
+            (dm.DemandDistribution, {"_survival", "_prefix"}),
+            (dm.CutPool, {"cuts", "_seen"}),
+        ],
+        ids=lambda v: getattr(v, "__name__", ""),
+    )
+    def test_derived_state_is_not_a_constructor_argument(self, cls, derived):
+        fields = {f.name: f.init for f in dataclasses.fields(cls)}
+        assert derived <= fields.keys()
+        assert not any(fields[name] for name in derived)
 
 
 #: the most schedule passes ``ocrs_plan`` may make, as its docstring states

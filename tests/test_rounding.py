@@ -1,6 +1,7 @@
 """The lossless rounding scheme: golden distributions, stage invariants,
 feasibility rejection, and sampling consistency."""
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,16 @@ import demandmatch as dm
 from demandmatch.builtin import EXAMPLES
 from demandmatch.demand import trial_rng
 from demandmatch.experiments import random_feasible_column
+from demandmatch.relaxations import CUT_TOL
 from demandmatch.rounding import (
+    COLUMN_SLACK,
     InfeasibleColumnError,
     RoundingState,
     _unique_idle,
     typeround,
     verify_marginals,
 )
+from reference import round_in_order
 
 
 def perm(*one_based):
@@ -56,7 +60,7 @@ class TestGoldenDistributions:
     def test_tight_column_unique_point_mass(self):
         tight = EXAMPLES["demo3-tight"]
         for order in [(0, 1, 2), (2, 1, 0), (1, 0, 2), (0, 2, 1)]:
-            rd = typeround(tight.column, tight.dist, order=order)
+            rd = round_in_order(tight.column, tight.dist, order)
             assert [(r.assignment, p) for r, p in rd.branches()] == [
                 (perm(1, 2, 3), Fraction(1))
             ]
@@ -270,7 +274,7 @@ class TestRankTable:
             rng = trial_rng(6060, trial)
             n = int(rng.integers(1, 9))
             column, dist = random_feasible_column(rng, n)
-            rd = typeround(column, dist, order=tuple(int(i) for i in rng.permutation(n)))
+            rd = round_in_order(column, dist, tuple(int(i) for i in rng.permutation(n)))
             assert [list(row) for row in rd.rank_probs] == self.routed_mass(rd)
 
     def test_pinned_float_column(self):
@@ -306,12 +310,37 @@ class TestFeasibilityRejection:
         with pytest.raises(InfeasibleColumnError):
             typeround((Fraction(-1, 4), Fraction(0), Fraction(0)), DEMO3.dist)
 
+    def test_rejects_exact_overshoot_below_float_slack(self):
+        # 1/10**10 above the tight column's last residual: a float slack would
+        # round it into a coin above one and a negative branch weight
+        tight = EXAMPLES["demo3-tight"]
+        column = tight.column[:2] + (tight.column[2] + Fraction(1, 10**10),)
+        with pytest.raises(InfeasibleColumnError):
+            typeround(column, tight.dist)
+
+    #: demo3's column with LP noise below ``COLUMN_SLACK`` on its first entry
+    NOISY_COLUMN = (0.75 + 5e-10, 2 / 3, 1 / 3)
+
     def test_float_tolerance_forgives_solver_noise(self):
         dist = DEMO3.dist.to_float()
-        column = (0.75 + 5e-10, 2 / 3, 1 / 3)
-        rd = typeround(column, dist, tol=1e-9)
-        report = verify_marginals(rd, column, dist)
+        rd = typeround(self.NOISY_COLUMN, dist)
+        report = verify_marginals(rd, self.NOISY_COLUMN, dist)
         assert report.max_abs_error < 1e-9
+
+    def test_float_tolerance_forgives_solver_noise_stage_by_stage(self):
+        # the path of ``demandmatch round``
+        state = RoundingState(DEMO3.dist.to_float(), 3, track_branches=True)
+        for x in self.NOISY_COLUMN:
+            state.advance(x)
+            assert state.check_invariants() == []
+        assert all(0.0 <= d.lam <= 1.0 for d in state.decisions)
+
+    def test_float_slack_is_the_cutting_plane_tolerance(self):
+        assert COLUMN_SLACK == CUT_TOL
+
+    def test_no_rounding_options(self):
+        assert list(inspect.signature(typeround).parameters) == ["x_col", "dist"]
+        assert "tol" not in inspect.signature(RoundingState).parameters
 
 
 class TestRandomColumns:
@@ -334,8 +363,28 @@ class TestRandomColumns:
         n = int(rng.integers(2, 5))
         column, dist = random_feasible_column(rng, n)
         order = tuple(int(i) for i in rng.permutation(n))
-        rd = typeround(column, dist, order=order)
+        rd = round_in_order(column, dist, order)
         assert verify_marginals(rd, column, dist).max_abs_error == 0
+
+    @pytest.mark.parametrize("trial", range(50))
+    def test_exact_coins_and_weights_stay_in_range(self, trial):
+        # an exact column nudged up by less than any float slack either rounds
+        # exactly, with every coin in (0, 1] and every branch weight positive,
+        # or is rejected
+        rng = trial_rng(7070, trial)
+        n = int(rng.integers(1, 9))
+        column, dist = random_feasible_column(rng, n)
+        k = int(rng.integers(0, n))
+        nudged = column[:k] + (column[k] + Fraction(1, 10**10),) + column[k + 1 :]
+        for col in (column, nudged):
+            try:
+                rd = typeround(col, dist)
+            except InfeasibleColumnError:
+                assert col is nudged
+                continue
+            assert all(0 < d.lam <= 1 for d in rd.decisions)
+            assert all(p > 0 for _, p in rd.branches())
+            assert verify_marginals(rd, col, dist).exact
 
     @pytest.mark.parametrize("trial", range(40))
     def test_kept_segment_survivals_match_the_loop(self, trial):

@@ -37,7 +37,7 @@ from .experiments import (
 )
 from .io import InstanceFormatError, load_instance
 from .linprog import format_tableau, solution_to_csv, solve_lp
-from .policies import plan_indep_adv_policy
+from .policies import _solve_threshold_lp
 from .relaxations import (
     UnsupportedDemandModel,
     build_fluid_lp,
@@ -125,11 +125,11 @@ def _cmd_round(args: argparse.Namespace) -> int:
         column = example.column if not args.float else tuple(float(x) for x in example.column)
     elif args.instance:
         inst = load_instance(args.instance)
-        plan = plan_indep_adv_policy(inst)
+        unit, _, _, x = _solve_threshold_lp(inst)
         j = args.type
-        if not 0 <= j < plan.m:
-            raise ValueError(f"--type {j} out of range for {plan.m} types")
-        column = tuple(plan.x[i][j] for i in range(plan.n))
+        if not 0 <= j < unit.m:
+            raise ValueError(f"--type {j} out of range for {unit.m} types")
+        column = tuple(x[i][j] for i in range(unit.n))
         dist = inst.demand.per_type[j].to_float()  # type: ignore[union-attr]
     else:
         raise ValueError("pick one of --example or --instance")

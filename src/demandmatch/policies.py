@@ -92,8 +92,11 @@ class IndepAdvPlan:
         return self.instance.rewards[i][j] >= self.taus[i]
 
 
-def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
-    """Deterministic part of the policy: expand, solve, round, set thresholds."""
+def _solve_threshold_lp(
+    inst: Instance,
+) -> tuple[Instance, tuple[int, ...], float, tuple[tuple[float, ...], ...]]:
+    """The LP half of the threshold plan: the unit-capacity expansion, its
+    copy -> parent map, and the tightened LP's value and clamped ``x[i][j]``."""
     if not isinstance(inst.demand, IndepDemandModel):
         raise UnsupportedDemandModel(
             "the threshold policy is defined for independent per-type demand"
@@ -102,11 +105,17 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
     result = build_truncated_lp(unit)
     if result.solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"tightened LP did not solve: {result.solution.status}")
-    n, m = unit.n, unit.m
     x = tuple(
-        tuple(max(0.0, float(result.solution.values[i * m + j])) for j in range(m))
-        for i in range(n)
+        tuple(max(0.0, float(result.solution.values[i * unit.m + j])) for j in range(unit.m))
+        for i in range(unit.n)
     )
+    return unit, parent, result.solution.objective_value, x
+
+
+def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
+    """Deterministic part of the policy: expand, solve, round, set thresholds."""
+    unit, parent, lp_value, x = _solve_threshold_lp(inst)
+    n, m = unit.n, unit.m
     routings = tuple(
         typeround([x[i][j] for i in range(n)], inst.demand.per_type[j]) for j in range(m)
     )
@@ -117,7 +126,7 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
         instance=unit,
         parent=parent,
         x=x,
-        lp_value=result.solution.objective_value,
+        lp_value=lp_value,
         routings=routings,
         taus=taus,
     )

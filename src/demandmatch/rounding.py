@@ -38,10 +38,11 @@ expansion (``RoutingDistribution.branches``) go through it, and so does the
 draw of a single routing (``RoutingDistribution.sample``): that flips each
 coin and replays the decided coin, 1 or 0, so each coin yields one child.
 
-All arithmetic stays in `fractions.Fraction` when the law and the column are
-rational, so the worked-example distributions reproduce exactly and no slack
-is forgiven; a float column rounds over the law's float copy and may
-overshoot the residual demand by ``COLUMN_SLACK``.
+Arithmetic is exact when the law and the column are rational: the rounded
+distribution is in `fractions.Fraction`, so the worked examples reproduce
+exactly, and the invariant checks and segment sums compare and sum integers
+over common denominators; no slack is forgiven.  A float column rounds over
+the law's float copy and may overshoot the residual demand by ``COLUMN_SLACK``.
 """
 
 from __future__ import annotations
@@ -178,13 +179,15 @@ class RoundingState:
         return len(self.rank_survival)
 
     def segment_survival(self, seg_index: int) -> Prob:
-        """Idle-weighted survival mass of one segment: the probability that
-        its combined arrival occurs."""
+        """Idle-weighted survival mass of one segment, the probability that its
+        combined arrival occurs: in exact mode an integer dot product."""
         lo, hi = self.segments[seg_index]
-        total = self.num(0)
-        for rank in range(lo, hi + 1):
-            total = total + self.idle_prob[rank - 1] * self.rank_survival[rank - 1]
-        return total
+        idle, iden = _common_denominator(self.idle_prob[lo - 1 : hi], self.exact)
+        surv, sden = _common_denominator(self.rank_survival[lo - 1 : hi], self.exact)
+        total = 0
+        for a, b in zip(idle, surv):
+            total = total + a * b
+        return Fraction(total, iden * sden) if self.exact else total
 
     # -- the stage step --------------------------------------------------
 
@@ -285,63 +288,74 @@ class RoundingState:
           every branch.
 
         One pass visits each branch once.  In exact mode the branch weights,
-        survivals and idle probabilities are integers over common
-        denominators, so every sum runs in integers and becomes a `Fraction`
-        once, and the comparisons are exact, so an error below the smallest
-        float is still reported; float mode runs the same sums, branch by
-        branch, in floats.
+        survivals, idle probabilities and targets are integers over common
+        denominators, so every sum runs in integers and every comparison is
+        an integer cross-multiplication: an error below the smallest float is
+        still reported, and a `Fraction` is built only to format a problem.
+        Float mode runs the same sums, branch by branch, in floats and
+        compares within its slack.
         """
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
         exact = self.exact
-        tol = self.slack
         problems: list[str] = []
-        zero, one = self.num(0), self.num(1)
         ratio = Fraction if exact else (lambda num, den: num / den)
+
+        def differ(a, aden: int, b, bden: int, tol: float = self.slack) -> bool:
+            """``a / aden != b / bden``; in float mode (denominators 1) beyond ``tol``."""
+            return a * bden != b * aden if exact else abs(a / aden - b / bden) > tol
+
         weights, wden = _common_denominator([p for _, p in self.branches], exact)
         surv, sden = _common_denominator(self.rank_survival, exact)
         idle, iden = _common_denominator(self.idle_prob, exact)
+        wants, tden = _common_denominator([self.targets.get(r, 0) for r in range(len(self.order))], exact)
+        mden = wden * sden
         nseg = len(self.segments)
         seg_of = [-1] * (self.universe + 1)  # rank -> segment
         for idx, (lo, hi) in enumerate(SegmentPartition(tuple(self.segments)).spans):
             seg_of[lo : hi + 1] = [idx] * (hi + 1 - lo)
+        every_segment = list(range(nseg))
         processed = set(self.targets)
         homes: dict[int, set[int]] = {r: set() for r in processed if self.targets[r] != 0}
-        mass = [0] * len(self.order)  # per resource, over wden * sden
-        direct = [0] * nseg  # per ℓ: arrival mass of the ℓ-th idle rank, over wden * sden
+        mass = [0] * len(self.order)  # per resource, over mden
+        direct = [0] * nseg  # per ℓ: arrival mass of the ℓ-th idle rank, over mden
         bad_idle: dict[int, int] = {}  # segment -> its idle ranks in the first bad branch
         bad_count: dict[int, int] = {}  # resource -> its ranks in the first bad branch
+        watched = set(homes)  # routed resources not yet seen at a bad count
         checked = nseg  # segments whose ℓ-th idle rank exists on every branch
         for (assignment, _), w in zip(self.branches, weights):
-            idles = [k for k, res in enumerate(assignment, start=1) if res is None]
+            idles = []
             for rank, res in enumerate(assignment, start=1):
-                if res is not None:
-                    mass[res] = mass[res] + w * surv[rank - 1]
-            if [seg_of[k] for k in idles] != list(range(nseg)):
+                if res is None:
+                    idles.append(rank)
+                else:
+                    mass[res] += w * surv[rank - 1]
+            if [seg_of[k] for k in idles] != every_segment:
                 counts = Counter(seg_of[k] for k in idles)
-                for s in range(nseg):
+                for s in every_segment:
                     if counts[s] != 1:
                         bad_idle.setdefault(s, counts[s])
             checked = min(checked, len(idles))
             for ell, k in enumerate(idles[:nseg]):
-                direct[ell] = direct[ell] + w * surv[k - 1]
-            for res in homes.keys() - bad_count.keys():
+                direct[ell] += w * surv[k - 1]
+            for res in watched:
                 count = assignment.count(res)
                 if count == 1:
                     homes[res].add(seg_of[assignment.index(res) + 1])
-                else:
+                else:  # the running loop keeps the set it started with
                     bad_count[res] = count
+                    watched = homes.keys() - bad_count.keys()
 
-        total_prob = ratio(sum(weights), wden)
-        if abs(total_prob - one) > (0 if exact else FLOAT_TOL):
-            problems.append(f"branch probabilities sum to {float(total_prob)!r}")
+        total = sum(weights)
+        if differ(total, wden, 1, 1, FLOAT_TOL):
+            problems.append(f"branch probabilities sum to {float(ratio(total, wden))!r}")
 
         for res in range(len(self.order)):
-            achieved, want = ratio(mass[res], wden * sden), self.targets.get(res, zero)
-            if res not in processed and achieved != 0:
-                problems.append(f"unprocessed resource {res} already has mass {achieved}")
-            elif abs(achieved - want) > tol:
-                problems.append(f"resource {res} achieves {float(achieved)!r}, wants {float(want)!r}")
+            if res not in processed and mass[res] != 0:
+                problems.append(f"unprocessed resource {res} already has mass {ratio(mass[res], mden)}")
+            elif differ(mass[res], mden, wants[res], tden):
+                achieved, want = float(ratio(mass[res], mden)), float(self.targets.get(res, 0))
+                problems.append(f"resource {res} achieves {achieved!r}, wants {want!r}")
 
         arrival = []  # per segment: its idle-weighted survival, over iden * sden
         for seg_idx, (lo, hi) in enumerate(self.segments):
@@ -353,17 +367,15 @@ class RoundingState:
             for k in range(lo - 1, hi):
                 union, arrival_num = union + idle[k], arrival_num + idle[k] * surv[k]
             arrival.append(arrival_num)
-            if abs(ratio(union, iden) - one) > tol:
+            if differ(union, iden, 1, 1):
                 problems.append(f"segment {seg_idx} idle mass sums to {float(ratio(union, iden))!r}")
 
-        # residual survival: ℓ-th idle arrival across branches
+        # residual survival: ℓ-th idle arrival across branches (both over sden)
         for seg_idx in range(checked):
-            branch_side = ratio(direct[seg_idx], wden * sden)
-            survival = ratio(arrival[seg_idx], iden * sden)
-            if abs(branch_side - survival) > tol:
+            if differ(direct[seg_idx], wden, arrival[seg_idx], iden):
                 problems.append(
-                    f"segment {seg_idx} survival {float(survival)!r} "
-                    f"!= branch-side value {float(branch_side)!r}"
+                    f"segment {seg_idx} survival {float(ratio(arrival[seg_idx], iden * sden))!r} "
+                    f"!= branch-side value {float(ratio(direct[seg_idx], mden))!r}"
                 )
 
         for res in processed:
@@ -468,19 +480,20 @@ def _apply_decision(
         segments.append((rank, rank))
         for assignment, _ in branches:
             assignment.append(None)
-    seg = dec.segment
-    rest = 1 - dec.lam
+    seg, resource, lam = dec.segment, dec.resource, dec.lam
+    rest, into_chosen, into_next = 1 - lam, lam != 0, lam != 1
+    chosen, following = segments[seg], segments[seg + 1]
     children: list[tuple[list[Optional[int]], Prob]] = []
     for assignment, prob in branches:
-        if dec.lam != 0:
+        if into_chosen:
             routed = list(assignment)
-            routed[_unique_idle(assignment, segments[seg]) - 1] = dec.resource
-            children.append((routed, prob * dec.lam))
-        if dec.lam != 1:
+            routed[_unique_idle(assignment, chosen) - 1] = resource
+            children.append((routed, prob * lam))
+        if into_next:
             parked = list(assignment)
-            parked[_unique_idle(assignment, segments[seg + 1]) - 1] = dec.resource
+            parked[_unique_idle(assignment, following) - 1] = resource
             children.append((parked, prob * rest))
-    segments[seg] = (segments[seg][0], segments[seg + 1][1])
+    segments[seg] = (chosen[0], following[1])
     del segments[seg + 1]
     return children
 
@@ -521,6 +534,8 @@ def verify_marginals(
     (zero in exact mode).  Exact sums run in integers over common
     denominators.
     """
+    if len(x_col) != rd.num_resources:
+        raise ValueError(f"column has {len(x_col)} entries for {rd.num_resources} resources")
     exact = rd.exact and dist.is_exact
     branches = rd.branches()
     weights, wden = _common_denominator([p for _, p in branches], exact)
@@ -542,5 +557,6 @@ def _common_denominator(values: Sequence[Prob], exact: bool) -> tuple[list, int]
     denominator; float values pass through, over the denominator 1."""
     if not exact:
         return list(values), 1
-    denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+    ratios = [v.as_integer_ratio() for v in values]
+    denom = math.lcm(*(d for _, d in ratios))
+    return [n * (denom // d) for n, d in ratios], denom

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from demandmatch import acceptance
+from demandmatch import acceptance, policies, rounding
 from demandmatch.cli import SWEEPS, build_parser, main
 
 
@@ -37,6 +37,42 @@ class TestRound:
         path.write_text(json.dumps(doc))
         assert main(["round", "--instance", str(path), "--type", "0"]) == 0
         assert "invariants: all hold" in capsys.readouterr().out
+
+    def test_instance_column_is_rounded_once(self, tmp_path, capsys, monkeypatch):
+        # only the printed column is rounded: the planner's per-type
+        # typeround calls are not made
+        doc = {
+            "rewards": [[2.0, 1.0, 3.0], [1.5, 2.0, 1.0], [1.0, 2.5, 2.0]],
+            "capacities": [2, 1, 1],
+            "demand": {
+                "kind": "indep",
+                "distributions": [
+                    {"0": 0.4, "2": 0.3, "4": 0.3},
+                    {"1": 0.5, "2": 0.5},
+                    {"0": 0.25, "1": 0.25, "2": 0.25, "3": 0.25},
+                ],
+            },
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(policies, "typeround", lambda *a: calls.append(a) or rounding.typeround(*a))
+        assert main(["round", "--instance", str(path), "--type", "0"]) == 0
+        assert calls == []
+        assert capsys.readouterr().out == (
+            "column: (0.500000000, 0.250000000, 0.250000000, 0.000000000)\n"
+            "routing (rank -> resource, 1-based; '-' idle) | probability\n"
+            "  (-, -, 1, 2)  0.119047619\n"
+            "  (-, -, 1, 3)  0.023809524\n"
+            "  (-, 1, -, 2)  0.238095238\n"
+            "  (-, 1, -, 3)  0.047619048\n"
+            "  (-, 1, 3, -)  0.063492063\n"
+            "  (-, 1, 3, 2)  0.317460317\n"
+            "  (-, 3, 1, -)  0.031746032\n"
+            "  (-, 3, 1, 2)  0.158730159\n"
+            "achieved marginals: (0.500000000, 0.250000000, 0.250000000, 0.000000000), max error 1.110e-16\n"
+            "invariants: all hold\n"
+        )
 
 
 class TestSolve:

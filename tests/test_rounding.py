@@ -50,6 +50,13 @@ class TestGoldenDistributions:
         assert report.max_abs_error == 0
         assert report.exact
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_column_of_the_wrong_length_is_rejected(self, extra):
+        rd = typeround(DEMO3.column, DEMO3.dist)
+        column = DEMO3.column + (Fraction(1),) if extra > 0 else DEMO3.column[:-1]
+        with pytest.raises(ValueError, match=f"column has {3 + extra} entries for 3 resources"):
+            verify_marginals(rd, column, DEMO3.dist)
+
     def test_rational_error_below_float_resolution_is_not_exact(self):
         rd = typeround(DEMO3.column, DEMO3.dist)
         target = (DEMO3.column[0] + Fraction(1, 10**400),) + tuple(DEMO3.column[1:])
@@ -200,6 +207,24 @@ class TestBrokenStates:
             "resource 2 achieves 0.875, wants 0.875",
             "segment 0 survival 0.5 != branch-side value 0.5",
             "segment 1 survival 0.0625 != branch-side value 0.0625",
+        ]
+
+    def test_idle_prob_nudged_below_float_resolution(self):
+        state = demo5_stage_three()
+        state.idle_prob[0] += Fraction(1, 10**400)
+        assert state.check_invariants() == [
+            "segment 0 idle mass sums to 1.0",
+            "segment 0 survival 0.5 != branch-side value 0.5",
+        ]
+
+    def test_rank_survival_nudged_below_float_resolution(self):
+        # rank 2 holds resource 1 or 2 on every branch; as with the halved
+        # survival, both sides of the residual-survival check read the nudge
+        state = demo5_stage_three()
+        state.rank_survival[1] += Fraction(1, 10**400)
+        assert state.check_invariants() == [
+            "resource 1 achieves 0.375, wants 0.375",
+            "resource 2 achieves 0.875, wants 0.875",
         ]
 
     def test_target_nudged_below_float_resolution(self):
@@ -404,6 +429,22 @@ class TestRandomColumns:
                     assert state.segment_survivals == fresh
                 else:
                     assert [s.hex() for s in state.segment_survivals] == [s.hex() for s in fresh]
+
+    @pytest.mark.parametrize("trial", range(50))
+    def test_kept_segment_survivals_match_a_fraction_sum(self, trial):
+        # the integer dot product over common denominators equals the plain
+        # Fraction sum of idle probability times survival over each span
+        rng = trial_rng(5050, trial)
+        n = int(rng.integers(1, 9))
+        column, dist = random_feasible_column(rng, n)
+        state = RoundingState(dist, n, track_branches=False)
+        for x in column:
+            state.advance(x)
+            idle, surv = state.idle_prob, state.rank_survival
+            fresh = [
+                sum((idle[k] * surv[k] for k in range(lo - 1, hi)), Fraction(0)) for lo, hi in state.segments
+            ]
+            assert state.segment_survivals == fresh
 
     def test_compact_marginals_match_branch_summation(self):
         for trial in range(50):

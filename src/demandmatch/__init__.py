@@ -42,7 +42,6 @@ from .demand import (
 from .linprog import LinearProgram, LpSolution, LpStatus, solve_lp
 from .relaxations import (
     Cut,
-    CutPool,
     build_fluid_lp,
     build_truncated_lp,
     separation_oracle,
@@ -52,7 +51,6 @@ from .rounding import (
     Routing,
     RoundingState,
     RoutingDistribution,
-    SegmentPartition,
     typeround,
     verify_marginals,
 )

@@ -226,7 +226,7 @@ def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> tuple[boo
             rng, max_n=3, max_m=3, max_support=3, max_value=2, max_total_capacity=3
         )
         plan = plan_indep_adv_policy(inst)
-        return exact_policy_value(plan, order="worst").value, plan.lp_value
+        return exact_policy_value(plan).value, plan.lp_value
 
     failure, worst = _guarantee_sweep(trial, 0.5, count, seed)
     return not failure, failure or f"worst observed ratio {worst:.6f}"
@@ -243,7 +243,7 @@ def check_capacity_tightness() -> tuple[bool, str]:
         off = expected_offline(inst).value
         ok = ok and abs(off - (2 - eps) * k1) <= TOL
         plan = plan_indep_adv_policy(inst)
-        value = exact_policy_value(plan, order="worst").value
+        value = exact_policy_value(plan).value
         ok = ok and value <= k1 + TOL
         rows.append(f"k1={k1}: off={off:.9f}, policy={value:.9f}, ratio={value / off:.6f}")
     return ok, "; ".join(rows)
@@ -355,11 +355,12 @@ def check_oracle_equivalence(count: int = 200, seed: int = 6006) -> tuple[bool, 
     return True, "all verdicts agree"
 
 
-@_criterion("ocrs-schedule", "OCRS accepts exactly gamma * rate at every step of {count} schedules")
+@_criterion("ocrs-schedule", "OCRS accepts exactly gamma * rate per step, gamma >= floor, on {count} schedules")
 def check_ocrs_schedule(count: int = 1000, seed: int = 7007) -> tuple[bool, str]:
     """Each step's unconditional acceptance ``rate * availability * accept``
-    equals ``gamma * rate`` on random schedules within the capacity budget."""
-    worst = 0.0
+    equals ``gamma * rate`` on random schedules within the capacity budget,
+    and ``gamma`` clears the floor ``1 - 1/sqrt(k+3)``."""
+    worst, margin = 0.0, math.inf
     for trial in range(count):
         rng = trial_rng(seed, trial)
         k = int(rng.integers(1, 5))
@@ -367,12 +368,15 @@ def check_ocrs_schedule(count: int = 1000, seed: int = 7007) -> tuple[bool, str]
         rates = rng.uniform(0.0, 1.0, size=steps)
         scale = rng.uniform(0.3, 1.0) * k / max(rates.sum(), 1e-9)
         plan = ocrs_plan(np.minimum(rates * min(scale, 1.0), 1.0).tolist(), k)
+        margin = min(margin, plan.gamma - (1.0 - 1.0 / math.sqrt(k + 3)))
+        if margin < -TOL:
+            return False, f"trial {trial}: gamma {plan.gamma} falls {-margin:.3e} below the k={k} floor"
         for t, y in enumerate(plan.rates):
             got = y * plan.availability[t] * plan.accept_probs[t]
             worst = max(worst, abs(got - plan.gamma * y))
             if worst > TOL:
                 return False, f"trial {trial} step {t}: {got} vs {plan.gamma * y}"
-    return True, f"worst deviation {worst:.3e}"
+    return True, f"worst deviation {worst:.3e}, least margin over the floor {margin:.4f}"
 
 
 def run_acceptance(

@@ -45,6 +45,14 @@ def is_exact_number(value: Prob) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+def as_count(value: Prob, what: str) -> int:
+    """``value`` as an int: a bool, NaN, an infinity or a value with a
+    fractional part is rejected, not truncated."""
+    if isinstance(value, bool) or value % 1 != 0:  # NaN % 1 and inf % 1 are NaN
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def as_generator(seed: Union[int, Sequence[int], np.random.Generator]) -> np.random.Generator:
     """Accept either a seed (int or sequence of ints) or a ready Generator."""
     if isinstance(seed, np.random.Generator):
@@ -87,7 +95,7 @@ class DemandDistribution:
         total: Prob = 0
         prev = -1
         for value, prob in self.items:
-            if not isinstance(value, int) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"support values must be nonnegative integers, got {value!r}")
             if value <= prev:
                 raise ValueError("support values must be sorted and distinct")
@@ -118,9 +126,10 @@ class DemandDistribution:
     @classmethod
     def from_pmf(cls, pmf: Mapping[int, Prob]) -> "DemandDistribution":
         """Build from a value -> probability mapping; zero entries are dropped."""
-        items = tuple(sorted((int(v), p) for v, p in pmf.items() if p != 0))
-        if not items and 0 in pmf:
-            items = ((0, pmf[0]),)
+        counts = {as_count(v, "a support value"): p for v, p in pmf.items()}
+        items = tuple(sorted((v, p) for v, p in counts.items() if p != 0))
+        if not items and 0 in counts:
+            items = ((0, counts[0]),)
         return cls(items)
 
     @classmethod
@@ -346,7 +355,7 @@ class Instance:
         if len(self.capacities) != n:
             raise ValueError(f"{len(self.capacities)} capacities for {n} resources")
         for i, k in enumerate(self.capacities):
-            if not isinstance(k, int) or k < 1:
+            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"capacities[{i}] = {k!r}; capacities are positive integers")
         model_m = _model_type_count(self.demand)
         if model_m != m:
@@ -379,7 +388,7 @@ class RealizedDemand:
 
     def __post_init__(self) -> None:
         for j, d in enumerate(self.counts):
-            if not isinstance(d, int) or d < 0:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise ValueError(f"counts[{j}] = {d!r} is not a nonnegative integer")
 
 

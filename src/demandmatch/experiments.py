@@ -36,6 +36,7 @@ from .demand import (
     Instance,
     Prob,
     StochasticHorizonModel,
+    as_count,
     is_exact_number,
 )
 from .oracles import (
@@ -78,7 +79,7 @@ def gen_counterexample(name: str, params: Mapping[str, Prob]) -> Instance:
             arrival=Arrival.ADVERSARIAL,
         )
     if name == "fluid_gap_capped":
-        n = int(params["n"])
+        n = as_count(params["n"], "n")
         if n < 2:
             raise ValueError(f"n must be at least 2, got {n}")
         dist = DemandDistribution.from_pmf({0: Fraction(n - 1, n), n: Fraction(1, n)})
@@ -91,7 +92,7 @@ def gen_counterexample(name: str, params: Mapping[str, Prob]) -> Instance:
         )
     if name == "two_stage_reward":
         eps = params["eps"]
-        k1 = int(params["k1"])
+        k1 = as_count(params["k1"], "k1")
         if not 0 < eps < 1:
             raise ValueError(f"eps must lie in (0,1), got {eps}")
         if k1 < 1:
@@ -106,7 +107,7 @@ def gen_counterexample(name: str, params: Mapping[str, Prob]) -> Instance:
             arrival=Arrival.ADVERSARIAL,
         )
     if name == "escalating_rewards":
-        horizon = int(params["T"])
+        horizon = as_count(params["T"], "T")
         eps = float(params["eps"])
         if horizon < 1:
             raise ValueError(f"T must be positive, got {horizon}")
@@ -132,7 +133,7 @@ def gen_counterexample(name: str, params: Mapping[str, Prob]) -> Instance:
             arrival=Arrival.RANDOM_ORDER,
         )
     if name == "rare_long_horizon":
-        big = int(params["N"])
+        big = as_count(params["N"], "N")
         if big < 2:
             raise ValueError(f"N must be at least 2, got {big}")
         total = DemandDistribution.from_pmf(
@@ -356,10 +357,9 @@ def _numerator(cfg: ExperimentConfig) -> OracleValue:
         return OracleValue(value=result.value, mode="exact")
     if cfg.policy == "threshold":
         plan = plan_indep_adv_policy(inst)
-        order = "worst" if inst.arrival is Arrival.ADVERSARIAL else "random"
         if cfg.exact:
-            return exact_policy_value(plan, order=order)
-        return mc_policy_value(plan, trials=cfg.trials, seed=cfg.seed, order=order)
+            return exact_policy_value(plan)
+        return mc_policy_value(plan, trials=cfg.trials, seed=cfg.seed)
     if cfg.policy == "horizon":
         plan = plan_horizon_policy_for(inst)
         if cfg.exact:

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .demand import (
+    Arrival,
     ArrivalSequence,
     DemandModel,
     Instance,
@@ -304,42 +305,37 @@ def worst_case_order(plan: IndepAdvPlan, d: RealizedDemand) -> tuple[ArrivalSequ
 
 def exact_policy_value(
     plan: IndepAdvPlan,
-    order: str = "worst",
     support_cap: int = SUPPORT_CAP,
     trials: int = 10**5,
     seed: int = 0,
 ) -> OracleValue:
     """Expected threshold-policy value over the policy's own randomness.
 
-    Each realization's orders are minimized under ``worst`` or averaged
-    under ``random`` by one forward pass over its count vectors.  The
-    expectation over the demand law is exact while the support fits the cap
-    and Monte-Carlo beyond it, with each distinct realization evaluated once.
-    Horizon plans have their exact value in :func:`horizon_policy_value`.
+    Each realization's orders are minimized, or averaged if the plan's
+    instance arrives in random order, by one forward pass over its count
+    vectors.  The expectation over the demand law is exact while the support
+    fits the cap and Monte-Carlo beyond it, with each distinct realization
+    evaluated once.  Horizon plans have their value in :func:`horizon_policy_value`.
     """
-    if order not in ("worst", "random"):
-        raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
+    worst = plan.instance.arrival is Arrival.ADVERSARIAL
 
     def value_for(counts: tuple[int, ...]) -> float:
-        return _search_orders(plan, counts, worst=order == "worst")[1]
+        return _search_orders(plan, counts, worst)[1]
 
     return _over_demand(
         plan.instance.demand, functools.cache(value_for), support_cap, trials, seed
     )
 
 
-def mc_policy_value(
-    plan: IndepAdvPlan, trials: int, seed: int = 0, order: str = "worst"
-) -> OracleValue:
+def mc_policy_value(plan: IndepAdvPlan, trials: int, seed: int = 0) -> OracleValue:
     """Monte-Carlo threshold-policy value with full path simulation.
 
-    Samples the demand, picks the arrival order (the exact adversarial one of
-    :func:`worst_case_order`, cached per realization, or a uniform shuffle),
-    samples the routings, and walks the path.  Converges to the exact value
-    as trials grow.
+    Samples the demand, picks the order the plan's instance arrives in (the
+    exact adversarial one of :func:`worst_case_order`, cached per realization,
+    or a uniform shuffle), samples the routings, and walks the path.
+    Converges to the exact value as trials grow.
     """
-    if order not in ("worst", "random"):
-        raise ValueError(f"order must be 'worst' or 'random', got {order!r}")
+    worst = plan.instance.arrival is Arrival.ADVERSARIAL
 
     @functools.cache
     def worst_path(d: RealizedDemand) -> tuple[int, ...]:
@@ -347,7 +343,7 @@ def mc_policy_value(
 
     def draw(rng: np.random.Generator) -> float:
         d = sample_demand(plan.instance.demand, rng)
-        path = worst_path(d) if order == "worst" else sample_random_order(d, rng).types
+        path = worst_path(d) if worst else sample_random_order(d, rng).types
         return run_threshold_trial(plan, path, rng)
 
     return OracleValue.monte_carlo(draw, trials, seed)

@@ -23,7 +23,6 @@ degrades to zero on escalating-reward horizons.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -266,11 +265,9 @@ def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     Points are moved so that ``s`` grid passes leave ``hi - lo <= 2**(34-s)``:
     at most 36 schedule passes in all (one at ``gamma = 1``, 34 on the grid,
     one at ``gamma = 0`` if nothing above it is feasible), about 5 on average.
-
-    The certified ``gamma`` is checked against the closed-form floor
-    ``1 - 1/sqrt(k+3)``; falling short is reported as a warning since the
-    floor is only known to be attainable by some schedule, not necessarily
-    a uniform one.
+    Alaei's gamma-conservative magician is such a uniform schedule, so the
+    certified ``gamma`` clears the floor ``1 - 1/sqrt(k+3)``; the
+    ``ocrs-schedule`` acceptance criterion checks that it does.
     """
     if k < 1:
         raise ValueError(f"capacity must be positive, got {k}")
@@ -307,13 +304,6 @@ def ocrs_plan(rates: Sequence[float], k: int) -> OcrsPlan:
     gamma = lo / top
     # with no feasible grid point above 0, gamma = 0 remains: it accepts nothing
     cs, avail = schedule or _ocrs_schedule(clean, k, 0.0)[2:]
-    floor = 1.0 - 1.0 / math.sqrt(k + 3)
-    if gamma < floor - 1e-9:
-        warnings.warn(
-            f"uniform acceptance rate {gamma:.9f} fell below the k={k} floor {floor:.9f}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return OcrsPlan(
         rates=tuple(clean),
         capacity=k,

@@ -15,7 +15,7 @@ the demand-vector LPs and ``y[((t-1)*n + i)*m + j]`` for the horizon LP.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,24 +104,6 @@ class Cut:
     violation: float = 0.0
 
 
-@dataclass
-class CutPool:
-    """Subset-demand rows accumulated by the cutting-plane loop."""
-
-    cuts: list[Cut] = field(init=False, default_factory=list)
-    _seen: set[tuple[int, tuple[int, ...]]] = field(init=False, default_factory=set)
-
-    def add(self, cut: Cut) -> None:
-        key = (cut.type_index, cut.subset)
-        if key in self._seen:
-            raise ValueError(f"duplicate cut for type {cut.type_index}, subset {cut.subset}")
-        self._seen.add(key)
-        self.cuts.append(cut)
-
-    def __len__(self) -> int:
-        return len(self.cuts)
-
-
 def _expectation_table(inst: Instance) -> np.ndarray:
     """``float(E[min(D_j, k)])`` for every type ``j`` and ``k = 0..total capacity``."""
     total_cap = sum(inst.capacities)
@@ -186,7 +168,7 @@ def enumerate_violated_cut(x: Sequence[float], inst: Instance) -> Optional[Cut]:
 @dataclass(frozen=True)
 class TruncatedLpResult:
     solution: LpSolution
-    pool: CutPool
+    pool: tuple[Cut, ...]  # the cuts in the order they were added
     lp: LinearProgram
     rounds: int
 
@@ -207,14 +189,15 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
     most violated cut, in type order, and one dual-simplex reoptimization
     from the previous optimal basis handles them all.  The float
     ``E[min(D_j, k)]`` table is built once per solve, and ``lp`` once at the
-    end from the base rows and the pool.  Terminates because each (type,
-    subset) pair is added at most once; a cut the pool already holds means
-    the loop is numerically stuck, and ``CutPool.add`` raises ``ValueError``.
+    end from the base rows and the cuts.  Terminates because each (type,
+    subset) pair is added at most once; a cut already added means the loop
+    is numerically stuck, and raises ``ValueError``.
     """
     base = truncated_lp_base(inst)
     table = _expectation_table(inst)
     tab = Tableau(base)
-    pool = CutPool()
+    pool: list[Cut] = []
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     rows = []
     rounds = 0
     while True:
@@ -226,7 +209,10 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
         if not cuts:
             break
         for cut in cuts:
-            pool.add(cut)
+            if (cut.type_index, cut.subset) in seen:
+                raise ValueError(f"duplicate cut for type {cut.type_index}, subset {cut.subset}")
+            seen.add((cut.type_index, cut.subset))
+            pool.append(cut)
             row = np.zeros(base.num_vars)
             row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
             rows.append(row)
@@ -234,9 +220,9 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
     lp = LinearProgram(
         objective=base.objective,
         rows=np.vstack([base.rows, *rows]),
-        rhs=np.append(base.rhs, [c.rhs for c in pool.cuts]),
+        rhs=np.append(base.rhs, [c.rhs for c in pool]),
     )
-    return TruncatedLpResult(solution=solution, pool=pool, lp=lp, rounds=rounds)
+    return TruncatedLpResult(solution=solution, pool=tuple(pool), lp=lp, rounds=rounds)
 
 
 def conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LinearProgram:

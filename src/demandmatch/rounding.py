@@ -92,20 +92,6 @@ class Routing:
 
 
 @dataclass(frozen=True)
-class SegmentPartition:
-    """Ordered, disjoint, contiguous rank spans covering [1..L]."""
-
-    spans: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        expected = 1
-        for lo, hi in self.spans:
-            if lo != expected or hi < lo:
-                raise ValueError(f"spans {self.spans} do not tile the rank range")
-            expected = hi + 1
-
-
-@dataclass(frozen=True)
 class StageDecision:
     """The coin of one routed resource, sufficient to replay the branch; on
     the last segment the replay first spawns a zero-probability rank."""
@@ -277,6 +263,9 @@ class RoundingState:
 
         Returns human-readable violation strings (empty means all hold):
 
+        * the segments tile the ranks ``1..universe``; when they do not, that
+          is the one problem reported, as every other check maps ranks to
+          segments;
         * matched marginals: processed resources achieve their target mass,
           unprocessed resources none;
         * combined arrivals (a): per branch exactly one idle rank per
@@ -297,6 +286,11 @@ class RoundingState:
         """
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
+        seg_of = [-1]  # rank -> segment; an empty span, or one not at the next rank, adds a None
+        for idx, (lo, hi) in enumerate(self.segments):
+            seg_of += [idx] * (hi + 1 - lo) if lo == len(seg_of) <= hi else [None]
+        if len(seg_of) != self.universe + 1 or None in seg_of:
+            return [f"segments {self.segments} do not tile ranks 1..{self.universe}"]
         exact = self.exact
         problems: list[str] = []
         ratio = Fraction if exact else (lambda num, den: num / den)
@@ -311,9 +305,6 @@ class RoundingState:
         wants, tden = _common_denominator([self.targets.get(r, 0) for r in range(len(self.order))], exact)
         mden = wden * sden
         nseg = len(self.segments)
-        seg_of = [-1] * (self.universe + 1)  # rank -> segment
-        for idx, (lo, hi) in enumerate(SegmentPartition(tuple(self.segments)).spans):
-            seg_of[lo : hi + 1] = [idx] * (hi + 1 - lo)
         every_segment = list(range(nseg))
         processed = set(self.targets)
         homes: dict[int, set[int]] = {r: set() for r in processed if self.targets[r] != 0}

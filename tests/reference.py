@@ -1,6 +1,7 @@
 """Plain reference forms of library checks, for the tests to compare against,
 and the instance draws that only the tests use."""
 
+import dataclasses
 import math
 from typing import Sequence
 
@@ -19,6 +20,13 @@ from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, IndepAdvPlan, OcrsPlan, _accept_step
 from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
 from demandmatch.rounding import RoundingState, RoutingDistribution
+
+
+def under_random_order(plan: IndepAdvPlan) -> IndepAdvPlan:
+    """``plan`` over a copy of its instance whose arrivals come in uniformly
+    random order, which the policy oracles then average over."""
+    instance = dataclasses.replace(plan.instance, arrival=Arrival.RANDOM_ORDER)
+    return dataclasses.replace(plan, instance=instance)
 
 
 def is_feasible(lp: LinearProgram, values, tol: float = 1e-9) -> bool:
@@ -210,7 +218,7 @@ def _schedule_or_none(rates, k, gamma):
 
 def ocrs_bisection(rates, k) -> OcrsPlan:
     """``ocrs_plan`` by bisection on ``[0, 1]`` until the bracket is at most
-    ``OCRS_TOL / 4`` wide (depth 32), with no floor warning."""
+    ``OCRS_TOL / 4`` wide (depth 32)."""
     clean = [max(0.0, float(y)) for y in rates]
     lo, hi = 0.0, 1.0
     schedule = _schedule_or_none(clean, k, 1.0)

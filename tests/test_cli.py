@@ -287,6 +287,14 @@ class TestUsageErrors:
              "--policy", "offline", "--benchmark", "fluid"]
         ) == 2
 
+    @pytest.mark.parametrize("n", ["2.5", "inf"])
+    def test_non_integral_count_param(self, n, capsys):
+        assert main(
+            ["simulate", "--generator", "fluid_gap_capped", "--param", f"n={n}",
+             "--policy", "offline", "--benchmark", "fluid"]
+        ) == 2
+        assert f"n must be an integer, got {float(n)!r}" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["solve", "--instance", "/nonexistent.json"]) == 2
 

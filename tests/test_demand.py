@@ -159,6 +159,16 @@ class TestDistributionValidation:
         with pytest.raises(ValueError):
             dm.DemandDistribution.from_pmf({-1: 0.5, 1: 0.5})
 
+    def test_rejects_non_integral_support(self):
+        # 1.5 is not truncated to the support point 1, nor dropped with a zero
+        # probability; numpy integers and integral floats are counts
+        for pmf in ({1.5: 0.5, 3: 0.5}, {1.5: 0, 3: 1}):
+            with pytest.raises(ValueError, match="a support value must be an integer, got 1.5"):
+                dm.DemandDistribution.from_pmf(pmf)
+        law = dm.DemandDistribution.from_pmf({np.int64(1): 0.5, 3.0: 0.5})
+        assert law.items == ((1, 0.5), (3, 0.5))
+        assert all(type(value) is int for value, _ in law.items)
+
     def test_max_support_skips_zero_mass(self):
         dist = dm.DemandDistribution.from_pmf({1: 1.0, 7: 0.0})
         assert dist.max_support == 1
@@ -246,6 +256,20 @@ class TestInstance:
                 capacities=(1,),
                 demand=dm.IndepDemandModel((THREE_POINT, THREE_POINT)),
             )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dm.Instance(rewards=((1.0,),), capacities=(True,), demand=dm.IndepDemandModel((THREE_POINT,))),
+            lambda: RealizedDemand((True, 2)),
+            lambda: dm.DemandDistribution(((True, 1.0),)),
+        ],
+        ids=["capacity", "realized-count", "support-value"],
+    )
+    def test_rejects_bool_counts(self, build):
+        # io.parse_instance rejects a bool count; so do the constructors
+        with pytest.raises(ValueError, match="True"):
+            build()
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError, match="positive integers"):

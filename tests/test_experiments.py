@@ -1,5 +1,7 @@
 """Instance families, ratio experiments, and report rendering."""
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +70,18 @@ class TestGenerators:
             gen_counterexample("fluid_gap_capped", {"n": 1})
         with pytest.raises(ValueError):
             gen_counterexample("rare_long_horizon", {"N": 1})
+        # a count with a fractional part is rejected, not truncated; an
+        # integral float is still a count
+        for name, key, params in (
+            ("fluid_gap_capped", "n", {}),
+            ("two_stage_reward", "k1", {"eps": 0.1}),
+            ("escalating_rewards", "T", {"eps": 0.1}),
+            ("rare_long_horizon", "N", {}),
+        ):
+            for bad in (2.7, Fraction(7, 2), math.inf, math.nan):
+                with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {bad!r}")):
+                    gen_counterexample(name, {**params, key: bad})
+            assert gen_counterexample(name, {**params, key: 5.0}) == gen_counterexample(name, {**params, key: 5})
 
     def test_single_step_escalating_family_degenerates(self):
         inst = gen_counterexample("escalating_rewards", {"T": 1, "eps": 0.3})

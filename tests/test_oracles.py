@@ -1,6 +1,7 @@
 """Offline optima, exact expectations, the online DP, and order search."""
 
 import dataclasses
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from demandmatch.oracles import (
 from demandmatch.linprog import solve_lp
 from demandmatch.policies import plan_indep_adv_policy
 from demandmatch.relaxations import horizon_model_of, transportation_lp
-from reference import iter_orders, order_count, threshold_value_for_order
+from reference import iter_orders, order_count, threshold_value_for_order, under_random_order
 
 
 def brute_force_offline(inst, counts):
@@ -174,17 +175,26 @@ def _small_plan():
     return plan_indep_adv_policy(inst)
 
 
-@pytest.mark.parametrize(
-    "oracle",
-    [
-        lambda plan: exact_policy_value(plan, order="wrost"),
-        lambda plan: mc_policy_value(plan, trials=10, order="wrost"),
-    ],
-    ids=["exact", "monte-carlo"],
-)
-def test_policy_oracles_reject_unknown_order(oracle):
-    with pytest.raises(ValueError, match="'worst' or 'random'"):
-        oracle(_small_plan())
+@pytest.mark.parametrize("oracle", [exact_policy_value, mc_policy_value], ids=["exact", "monte-carlo"])
+def test_policy_oracles_take_no_order(oracle):
+    """The plan's instance names its arrival pattern; no argument repeats it."""
+    assert "order" not in inspect.signature(oracle).parameters
+
+
+def test_random_order_instance_gets_the_random_order_mean():
+    """A plan over a random-order copy of the instance is valued at the mean
+    over uniformly random orders, exactly and by Monte-Carlo; the same plan
+    over the adversarial instance gets the strictly smaller worst order."""
+    worst_plan = _small_plan()
+    plan = plan_indep_adv_policy(dataclasses.replace(worst_plan.instance, arrival=dm.Arrival.RANDOM_ORDER))
+    mean = Fraction(0)
+    for counts, prob in iter_demand_support(plan.instance.demand):
+        mean += Fraction(float(prob)) * orders_one_by_one(plan, counts)[1]
+    exact = exact_policy_value(plan)
+    assert abs(Fraction(exact.value) - mean) <= 2e-15 * mean
+    assert exact_policy_value(worst_plan).value < exact.value
+    mc = mc_policy_value(plan, trials=4000, seed=11)
+    assert abs(mc.value - exact.value) <= 4 * mc.stderr
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -309,8 +319,8 @@ def assert_search_matches_one_by_one(plan):
         if p > 0.0:
             worst += p * low
             random_order += Fraction(p) * mean
-    assert exact_policy_value(plan, order="worst").value.hex() == worst.hex()
-    found = Fraction(exact_policy_value(plan, order="random").value)
+    assert exact_policy_value(plan).value.hex() == worst.hex()
+    found = Fraction(exact_policy_value(under_random_order(plan)).value)
     assert abs(found - random_order) <= 2e-15 * random_order
 
 
@@ -381,8 +391,8 @@ class TestWorstCaseOrder:
         plan = plan_indep_adv_policy(inst)
         order, value = worst_case_order(plan, RealizedDemand((5000,)))
         assert order.types == (0,) * 5000 and value == 1.0
-        for mode in ("worst", "random"):
-            assert exact_policy_value(plan, order=mode) == dm.OracleValue(value=1.0, mode="exact")
+        for arrival_plan in (plan, under_random_order(plan)):
+            assert exact_policy_value(arrival_plan) == dm.OracleValue(value=1.0, mode="exact")
 
     def test_single_type_unique_order(self):
         dist = dm.DemandDistribution.from_pmf({0: 0.5, 2: 0.5})
@@ -456,13 +466,13 @@ class TestExactPolicyValue:
             rewards=((1.0,),), capacities=(1,), demand=dm.IndepDemandModel((dist,))
         )
         plan = plan_indep_adv_policy(inst)
-        assert exact_policy_value(plan, order="worst").value == 0.0
+        assert exact_policy_value(plan).value == 0.0
 
     def test_two_stage_reward_capped_by_capacity(self):
         for k1 in (1, 3):
             inst = gen_counterexample("two_stage_reward", {"eps": 0.05, "k1": k1})
             plan = plan_indep_adv_policy(inst)
-            assert exact_policy_value(plan, order="worst").value <= k1 + 1e-9
+            assert exact_policy_value(plan).value <= k1 + 1e-9
 
     def test_random_order_at_least_worst_order(self):
         for trial in range(10):
@@ -471,8 +481,8 @@ class TestExactPolicyValue:
                 max_total_capacity=3,
             )
             plan = plan_indep_adv_policy(inst)
-            worst = exact_policy_value(plan, order="worst").value
-            random_order = exact_policy_value(plan, order="random").value
+            worst = exact_policy_value(plan).value
+            random_order = exact_policy_value(under_random_order(plan)).value
             assert random_order >= worst - 1e-9
 
     def test_half_guarantee_on_large_realizations(self):
@@ -482,7 +492,7 @@ class TestExactPolicyValue:
                 rng, max_n=3, max_m=4, max_support=3, max_value=8, max_total_capacity=4
             )
             plan = plan_indep_adv_policy(inst)
-            return exact_policy_value(plan, order="worst").value, plan.lp_value
+            return exact_policy_value(plan).value, plan.lp_value
 
         failure, _ = _guarantee_sweep(trial, 0.5, 60, 3017)
         assert not failure, failure
@@ -496,9 +506,9 @@ class TestExactPolicyValue:
             demand=dm.IndepDemandModel((dist0, dist1)),
         )
         plan = plan_indep_adv_policy(inst)
-        exact = exact_policy_value(plan, order="worst")
+        exact = exact_policy_value(plan)
         assert exact.mode == "exact"
-        mc = mc_policy_value(plan, trials=100_000, seed=4, order="worst")
+        mc = mc_policy_value(plan, trials=100_000, seed=4)
         assert abs(mc.value - exact.value) <= 4 * mc.stderr
 
     def test_monte_carlo_fallback_reports_mode(self):
@@ -507,7 +517,7 @@ class TestExactPolicyValue:
             max_total_capacity=2,
         )
         plan = plan_indep_adv_policy(inst)
-        result = exact_policy_value(plan, order="worst", support_cap=1, trials=2000, seed=1)
+        result = exact_policy_value(plan, support_cap=1, trials=2000, seed=1)
         assert result.mode == "monte-carlo"
-        exact = exact_policy_value(plan, order="worst").value
+        exact = exact_policy_value(plan).value
         assert abs(result.value - exact) <= max(4 * result.stderr, 1e-9)

@@ -8,6 +8,7 @@ their arithmetic or in the order of random draws fails here.  README promises
 that seeded runs reproduce.
 """
 
+import dataclasses
 import types
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 
 import demandmatch as dm
 from demandmatch.builtin import EXAMPLES
-from demandmatch.demand import DemandDistribution
+from demandmatch.demand import Arrival, DemandDistribution
 from demandmatch.experiments import (
     ExperimentConfig,
     gen_counterexample,
@@ -180,12 +181,12 @@ def _two_type_offline():
     )
 
 
-def _small_threshold_plan():
+def _small_threshold_plan(arrival=Arrival.ADVERSARIAL):
     inst = random_indep_instance(
         np.random.default_rng(6), max_n=2, max_m=2, max_support=3, max_value=2,
         max_total_capacity=2,
     )
-    return plan_indep_adv_policy(inst)
+    return plan_indep_adv_policy(dataclasses.replace(inst, arrival=arrival))
 
 
 def _horizon_numerator():
@@ -205,16 +206,16 @@ MONTE_CARLO = {
     ),
     "exact_policy_value": (
         lambda: exact_policy_value(
-            _small_threshold_plan(), order="worst", support_cap=1, trials=2000, seed=1
+            _small_threshold_plan(), support_cap=1, trials=2000, seed=1
         ),
         ("0x1.c8fa5e675774ep+2", "0x1.7b472d928eadbp-6", 2000),
     ),
     "mc_policy_value-worst": (
-        lambda: mc_policy_value(_small_threshold_plan(), trials=3000, seed=4, order="worst"),
+        lambda: mc_policy_value(_small_threshold_plan(), trials=3000, seed=4),
         ("0x1.c885915d43605p+2", "0x1.45e894810c426p-6", 3000),
     ),
     "mc_policy_value-random": (
-        lambda: mc_policy_value(_small_threshold_plan(), trials=3000, seed=4, order="random"),
+        lambda: mc_policy_value(_small_threshold_plan(Arrival.RANDOM_ORDER), trials=3000, seed=4),
         ("0x1.c83b379cddaa1p+2", "0x1.494607015c157p-6", 3000),
     ),
 }
@@ -236,11 +237,11 @@ def test_horizon_monte_carlo_numerator():
 
 
 PUBLIC_SURFACE = (
-    "Arrival ArrivalSequence CorrelDemandModel Cut CutPool DemandDistribution "
+    "Arrival ArrivalSequence CorrelDemandModel Cut DemandDistribution "
     "ExperimentConfig HorizonPlan IndepAdvPlan IndepDemandModel InfeasibleColumnError "
     "Instance InstanceFormatError LinearProgram LpSolution LpStatus OcrsPlan OracleValue "
     "RatioEstimate RealizedDemand RoundingState Routing RoutingDistribution "
-    "SegmentPartition StochasticHorizonModel best_static_threshold build_fluid_lp "
+    "StochasticHorizonModel best_static_threshold build_fluid_lp "
     "build_truncated_lp exact_policy_value expand_unit_capacity expected_offline "
     "gen_counterexample horizon_policy_value load_instance loads_instance ocrs_plan "
     "offline_optimum optimal_online_dp parse_instance plan_horizon_policy "

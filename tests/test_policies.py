@@ -136,7 +136,6 @@ class TestThresholdStep:
             (ThresholdPolicyState, {"counters", "available", "collected"}),
             (HorizonPolicyState, {"remaining", "collected"}),
             (dm.DemandDistribution, {"_survival", "_prefix"}),
-            (dm.CutPool, {"cuts", "_seen"}),
         ],
         ids=lambda v: getattr(v, "__name__", ""),
     )

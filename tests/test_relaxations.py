@@ -189,7 +189,7 @@ class TestTruncatedLp:
         result = build_truncated_lp(inst)
         assert result.solution.objective_value == pytest.approx(0.1, abs=1e-9)
         # the rewarded resource alone is the binding cut
-        assert any(cut.subset == (0,) for cut in result.pool.cuts)
+        assert any(cut.subset == (0,) for cut in result.pool)
 
     @pytest.mark.parametrize("trial", range(30))
     def test_never_exceeds_fluid(self, trial):
@@ -278,19 +278,11 @@ class TestTruncatedLp:
         result = build_truncated_lp(inst)
         assert len(rounds) == result.rounds and rounds[-1] == []
         assert max(len(cuts) for cuts in rounds) > 1
-        assert result.pool.cuts == [cut for cuts in rounds for cut in cuts]
+        assert result.pool == tuple(cut for cuts in rounds for cut in cuts)
         for cuts in rounds:
             types = [cut.type_index for cut in cuts]
             assert types == sorted(set(types))
         assert all(table is tables[0] for table in tables)
-
-    def test_cut_pool_rejects_duplicates(self):
-        from demandmatch.relaxations import Cut, CutPool
-
-        pool = CutPool()
-        pool.add(Cut(type_index=0, subset=(0, 1), rhs=1.0))
-        with pytest.raises(ValueError, match="duplicate"):
-            pool.add(Cut(type_index=0, subset=(0, 1), rhs=1.0))
 
     def test_repeated_cut_raises(self, monkeypatch):
         # a round oracle stuck on a row already in the pool is an error, not a point

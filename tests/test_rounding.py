@@ -116,6 +116,17 @@ class TestStageState:
     def test_invariants_hold_at_stage_three(self):
         assert self.three_stage_state().check_invariants() == []
 
+    @pytest.mark.parametrize(
+        "segments",
+        [[(1, 2), (4, 5)], [(1, 3), (3, 5)], [(1, 3), (4, 4)]],
+        ids=["gap", "overlap", "short"],
+    )
+    def test_segments_that_do_not_tile_are_the_one_problem(self, segments):
+        # every other check maps ranks to segments, so a bad tiling stops there
+        state = self.three_stage_state()
+        state.segments = segments
+        assert state.check_invariants() == [f"segments {segments} do not tile ranks 1..5"]
+
     def test_zero_marginal_stage_is_a_no_op(self):
         state = self.three_stage_state()
         state.advance(DEMO5.column[3])
@@ -520,8 +531,3 @@ class TestRoutingType:
         routing = dm.Routing(assignment=perm(2, 0, 1))
         assert routing.resource_at(1) == 1
         assert routing.resource_at(2) is None
-
-    def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            dm.SegmentPartition(spans=((1, 2), (4, 5)))
-        assert dm.SegmentPartition(spans=((1, 2), (3, 5))).spans == ((1, 2), (3, 5))

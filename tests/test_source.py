@@ -20,6 +20,21 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_warnings_or_logging(path):
+    """Layers report through their results, not a separate logging layer:
+    no module imports ``warnings`` or ``logging``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    found = sorted(imported & {"warnings", "logging"})
+    assert not found, f"{path.name} imports {found}"
+
+
 def _used_names(tree: ast.AST) -> set[str]:
     """Every name a module reads, attribute it reads or name it imports."""
     used = set()

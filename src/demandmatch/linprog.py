@@ -11,8 +11,9 @@ demands, truncated expectations, per-step probabilities) is nonnegative, so
 Pivoting is Dantzig (most negative reduced cost) until a run of degenerate
 pivots suggests cycling, then Bland's rule, whose termination guarantee makes
 the solver total on degenerate inputs.  The problems are small, so no
-factorization machinery is attempted; the rank-1 update of a pivot skips the
-rows whose pivot-column entry is zero.
+factorization machinery is attempted.  The tableau is one augmented array
+(reduced costs in row 0, basic values in column 0), so a pivot is one row
+division and one rank-1 update.
 
 An optimal ``Tableau`` is reoptimized in place after ``add_row`` (a cutting
 plane) or ``set_rhs`` (a new demand realization): both leave its basis dual
@@ -108,53 +109,57 @@ class LpSolution:
 
 
 class Tableau:
-    """Simplex tableau ``T`` over [vars | slacks], basic values ``rhs`` and
-    reduced costs ``cost``.  The slack columns of ``T`` hold the basis inverse;
-    ``T`` is a view into a buffer with spare rows, so ``add_row`` rarely copies.
+    """Simplex tableau in one augmented array: row 0 holds the reduced costs
+    ``cost`` and column 0 the basic values ``rhs``, around the constraint
+    rows ``T`` over [vars | slacks], whose slack columns hold the basis
+    inverse.  ``T``, ``rhs`` and ``cost`` are views, so a pivot is one row
+    division and one rank-1 update of the whole array.  The array is a view
+    into a buffer with spare rows, so ``add_row`` rarely copies.
     """
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, lp.num_rows
         self.objective = lp.objective
-        self.T = self._buffer = np.hstack([lp.rows, np.eye(m)])
-        self.rhs = lp.rhs.copy()
-        self.basis = [n + r for r in range(m)]
         # the slack basis costs nothing
-        self.cost = np.concatenate([-lp.objective, np.zeros(m)])
+        self._buffer = np.zeros((m + 1, n + m + 1))
+        self._view(self._buffer)
+        self.T[:, :n], self.T[:, n:], self.rhs[:], self.cost[:n] = lp.rows, np.eye(m), lp.rhs, -lp.objective
+        self.basis = [n + r for r in range(m)]
         self.bland_after = max(20, 5 * (n + m))
+
+    def _view(self, aug: np.ndarray) -> None:
+        self._aug, self.T, self.rhs, self.cost = aug, aug[1:, 1:], aug[1:, 0], aug[0, 1:]
 
     def add_row(self, a: np.ndarray, b: float) -> None:
         """Append ``a.x <= b`` with its slack basic; an optimal basis stays dual feasible."""
         b = _checked_rhs([b])[0]
         r, cols = self.T.shape
-        if r == self._buffer.shape[0]:
+        if r + 1 == self._buffer.shape[0]:
             # room for r + 1 more rows, each with its slack column
-            self._buffer = np.zeros((2 * r + 1, cols + r + 1))
-            self._buffer[:r, :cols] = self.T
-        T = self.T = self._buffer[: r + 1, : cols + 1]
+            self._buffer = np.zeros((2 * r + 2, cols + r + 2))
+            self._buffer[: r + 1, : cols + 1] = self._aug
+        self._view(self._buffer[: r + 2, : cols + 2])
+        T = self.T
         T[r, : self.objective.size] = a
         T[r, cols] = 1.0
         # zero the new row on the basic columns, where T[:r] is an identity
         coef = T[r, self.basis]
         nz = np.nonzero(coef)[0]
         T[r] -= coef[nz] @ T[nz]
-        self.rhs = np.append(self.rhs, b - coef[nz] @ self.rhs[nz])
-        self.cost = np.append(self.cost, 0.0)
+        self.rhs[r] = b - coef[nz] @ self.rhs[nz]
         self.basis.append(cols)
 
     def set_rhs(self, b) -> None:
         """Replace ``b``: the basic values become B^-1 b."""
         n, r = self.objective.size, len(self.basis)
-        self.rhs = self.T[:, n : n + r] @ _checked_rhs(b)
+        self.rhs[:] = self.T[:, n : n + r] @ _checked_rhs(b)
 
     def _entering(self) -> int:
         rc = self.cost
-        candidates = np.nonzero(rc < -RC_TOL)[0]
-        if candidates.size == 0:
+        if not rc.size:
             return -1
-        if self.bland:
-            return int(candidates[0])
-        return int(candidates[np.argmin(rc[candidates])])
+        col = int((rc < -RC_TOL).argmax() if self.bland else rc.argmin())
+        return col if rc[col] < -RC_TOL else -1
 
     def _leaving(self, col: int) -> int:
         """Primal ratio test: among the rows within 1e-12 of the minimum
@@ -188,25 +193,21 @@ class Tableau:
         return int(cols[np.argmax(ratios <= ratios.min() + 1e-12)])
 
     def _pivot(self, row: int, col: int) -> None:
-        T, rhs = self.T, self.rhs
-        piv = T[row, col]
-        T[row] /= piv
-        rhs[row] /= piv
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        rhs -= factors * rhs[row]
-        if T.size <= _BLOCK_CELLS:
-            T -= np.outer(factors, T[row])
+        A, r = self._aug, row + 1
+        A[r] /= A[r, col + 1]
+        factors = A[:, col + 1].copy()
+        factors[r] = 0.0
+        gain = factors[0] * A[r, 0]
+        if A.size <= _BLOCK_CELLS:
+            A -= np.outer(factors, A[r])
         else:
             # only rows with a nonzero factor change; update them in blocks
             # small enough that each gathered copy stays in cache
             nz = np.nonzero(factors)[0]
-            step = max(1, _BLOCK_CELLS // T.shape[1])
+            step = max(1, _BLOCK_CELLS // A.shape[1])
             for start in range(0, nz.size, step):
                 rows = nz[start : start + step]
-                T[rows] -= np.outer(factors[rows], T[row])
-        gain = self.cost[col] * rhs[row]
-        self.cost = self.cost - self.cost[col] * T[row]
+                A[rows] -= np.outer(factors[rows], A[r])
         self.basis[row] = col
         if abs(gain) <= DEGENERATE_TOL:
             self.degenerate_run += 1

@@ -32,7 +32,7 @@ from .demand import (
     sample_random_order,
     trial_rng,
 )
-from .linprog import LpStatus, Tableau, reoptimize
+from .linprog import FEAS_TOL, LpStatus, Tableau, reoptimize
 from .policies import HorizonPlan, IndepAdvPlan, run_threshold_trial
 from .relaxations import transportation_lp
 
@@ -51,58 +51,68 @@ class OracleValue:
     trials: int = 0
 
     @classmethod
-    def monte_carlo(
-        cls, draw: Callable[[np.random.Generator], float], trials: int, seed: int
-    ) -> "OracleValue":
-        """Sample mean and standard error of ``draw(trial_rng(seed, t))`` over
-        trials ``t``: the one place that draws the seeded trial streams."""
+    def monte_carlo(cls, draw: Callable[[np.random.Generator], float], trials: int, seed: int) -> "OracleValue":
+        """Sample mean and standard error of ``draw(trial_rng(seed, t))`` over trials ``t``."""
+        return cls._of_trials([draw(trial_rng(seed, t)) for t in range(trials)], trials)
+
+    @classmethod
+    def _of_trials(cls, values: Sequence[float], trials: int) -> "OracleValue":
         if trials < 1:
             raise ValueError(f"a Monte-Carlo estimate needs at least one trial, got {trials}")
-        values = np.empty(trials)
-        for t in range(trials):
-            values[t] = draw(trial_rng(seed, t))
-        stderr = float(values.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
-        return cls(value=float(values.mean()), mode="monte-carlo", stderr=stderr, trials=trials)
+        stderr = float(np.std(values, ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
+        return cls(value=float(np.mean(values)), mode="monte-carlo", stderr=stderr, trials=trials)
 
 
 def _over_demand(
     model: DemandModel,
-    value_of: Callable[[tuple[int, ...]], float],
+    values_of: Callable[[list[tuple[int, ...]]], Sequence[float]],
     support_cap: int,
     trials: int,
     seed: int,
 ) -> OracleValue:
-    """E[value_of(counts)] over the demand law: exact by enumerating a support
-    that fits the cap, a seeded Monte-Carlo estimate beyond it."""
+    """E[value] over the demand law, where ``values_of`` values a list of
+    realized counts at once: exact by enumerating a support that fits the
+    cap, a seeded Monte-Carlo estimate beyond it, with every trial's counts
+    drawn from its ``trial_rng`` stream before any is valued."""
     if demand_support_size(model) <= support_cap:
+        support = [(c, p) for c, prob in iter_demand_support(model) if (p := float(prob)) > 0.0]
         total = 0.0
-        for counts, prob in iter_demand_support(model):
-            p = float(prob)
-            if p > 0.0:
-                total += p * value_of(counts)
+        for (_, p), value in zip(support, values_of([c for c, _ in support])):
+            total += p * value
         return OracleValue(value=total, mode="exact")
-    return OracleValue.monte_carlo(
-        lambda rng: value_of(sample_demand(model, rng).counts), trials, seed
-    )
+    draws = [sample_demand(model, trial_rng(seed, t)).counts for t in range(trials)]
+    return OracleValue._of_trials(values_of(draws), trials)
 
 
-def _offline_solver(inst: Instance) -> Callable[[Sequence[int]], float]:
-    """The offline optimum of ``inst`` as a function of the realized counts.
-    One tableau serves every call: each sets the counts as the demand rhs and
-    reoptimizes from the last optimal basis by dual simplex; a fresh tableau's
-    basis inverse is the identity, so the first call pivots as a cold solve."""
+def _offline_values(inst: Instance, realizations: Sequence[Sequence[int]]) -> list[float]:
+    """The offline optimum of ``inst`` for each realized count vector, priced
+    by basis on one tableau.  The first unpriced realization is set as the
+    demand rhs and reoptimized from the last optimal basis (a fresh tableau's
+    first solve is cold).  Reduced costs do not depend on the rhs, so that
+    basis is optimal for every pending realization whose basic values
+    ``B^-1 b`` are all >= -FEAS_TOL: one product prices them all."""
     tab = Tableau(transportation_lp(inst, [0] * inst.m))
-
-    def offline(counts: Sequence[int]) -> float:
-        if len(counts) != inst.m:
-            raise ValueError(f"the realization has {len(counts)} types but the instance has {inst.m}")
-        tab.set_rhs([*inst.capacities, *counts])
+    n = tab.objective.size
+    rhs = np.array([(*inst.capacities, *counts) for counts in realizations], dtype=float)
+    values = [0.0] * len(rhs)
+    pending = np.arange(len(rhs))
+    while pending.size:
+        first, pending = pending[0], pending[1:]
+        tab.set_rhs(rhs[first])
         solution = reoptimize(tab)
         if solution.status is not LpStatus.OPTIMAL:
             raise RuntimeError(f"offline transportation LP did not solve: {solution.status}")
-        return solution.objective_value
-
-    return offline
+        values[first] = solution.objective_value
+        basic = rhs[pending] @ tab.T[:, n:].T
+        optimal = (basic >= -FEAS_TOL).all(axis=1)
+        basis = np.array(tab.basis)
+        # contiguous rows of x, so each dot sums in the order reoptimize's does
+        x = np.zeros((int(optimal.sum()), n))
+        x[:, basis[basis < n]] = basic[optimal][:, basis < n]
+        for k, xk in zip(pending[optimal], x):
+            values[k] = float(tab.objective @ xk)
+        pending = pending[~optimal]
+    return values
 
 
 def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> float:
@@ -112,7 +122,10 @@ def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> 
     on a fresh tableau of ``inst``; its constraint matrix is totally
     unimodular, so the LP value is attained by an integral matching.
     """
-    return _offline_solver(inst)(d.counts if isinstance(d, RealizedDemand) else tuple(d))
+    counts = d.counts if isinstance(d, RealizedDemand) else tuple(d)
+    if len(counts) != inst.m:
+        raise ValueError(f"the realization has {len(counts)} types but the instance has {inst.m}")
+    return _offline_values(inst, [counts])[0]
 
 
 def expected_offline(
@@ -124,10 +137,11 @@ def expected_offline(
     """E[offline optimum] over the demand law.
 
     Exact by support enumeration while the joint support fits under the cap;
-    beyond that, a seeded Monte-Carlo estimate with its standard error.  One
-    warm solver serves the whole instance; ``offline_optimum`` uses a fresh one.
+    beyond that, a seeded Monte-Carlo estimate with its standard error.  Each
+    optimal basis prices every realization it is optimal for, and only the
+    first of the rest is reoptimized (the draws are all made first).
     """
-    return _over_demand(inst.demand, _offline_solver(inst), support_cap, trials, seed)
+    return _over_demand(inst.demand, lambda batch: _offline_values(inst, batch), support_cap, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +333,11 @@ def exact_policy_value(
     """
     worst = plan.instance.arrival is Arrival.ADVERSARIAL
 
+    @functools.cache
     def value_for(counts: tuple[int, ...]) -> float:
         return _search_orders(plan, counts, worst)[1]
 
-    return _over_demand(
-        plan.instance.demand, functools.cache(value_for), support_cap, trials, seed
-    )
+    return _over_demand(plan.instance.demand, lambda batch: [*map(value_for, batch)], support_cap, trials, seed)
 
 
 def mc_policy_value(plan: IndepAdvPlan, trials: int, seed: int = 0) -> OracleValue:

@@ -50,14 +50,15 @@ def type_marginal(inst: Instance, j: int) -> DemandDistribution:
     )
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=64)
 def _bipartite_rows(n: int, m: int, steps: int = 1) -> np.ndarray:
     """The capacity rows, then one demand row per (step, type).
 
     Variable ``((t-1)*n + i)*m + j`` is resource ``i`` serving type ``j`` at
     step ``t``; its column has a one in capacity row ``i`` and in demand row
     ``n + (t-1)*m + j``.  The matrix depends only on the shape, so it is
-    cached and read-only, and every LP of that shape shares it.
+    cached and read-only, and every LP of that shape shares it.  A sweep of
+    small instances cycles through some 50 shapes, hence room for 64.
     """
     t, i, j = np.indices((steps, n, m)).reshape(3, -1)
     var = np.arange(steps * n * m)

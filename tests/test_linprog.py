@@ -304,9 +304,19 @@ def leaving_by_loop(tab: Tableau, col: int) -> int:
     return best
 
 
+def entering_by_loop(tab: Tableau) -> int:
+    """Dantzig's rule column by column: the first index of the most negative
+    reduced cost below -RC_TOL, or -1."""
+    best = -1
+    for j, c in enumerate(tab.cost):
+        if c < -linprog.RC_TOL and (best == -1 or c < tab.cost[best]):
+            best = j
+    return best
+
+
 class TestPivotRules:
-    """The vectorized ratio test and Bland's entering rule against loops, on
-    small-integer tableaux, where exact ratio ties are common."""
+    """The vectorized ratio test and both entering rules against loops, on
+    small-integer tableaux, where exact ratio and cost ties are common."""
 
     def test_against_loops(self):
         for seed in range(200):
@@ -322,6 +332,10 @@ class TestPivotRules:
             rng.shuffle(tab.basis)  # the tie-break reads the basic indices' order
             for col in range(n + r):
                 assert tab._leaving(col) == leaving_by_loop(tab, col)
+            for cost in (tab.cost.copy(), rng.integers(-3, 4, n + r)):
+                tab.cost[:] = cost  # the slack columns' costs too
+                tab.bland = False
+                assert tab._entering() == entering_by_loop(tab)
             tab.bland = True
             first = next((j for j, c in enumerate(tab.cost) if c < -linprog.RC_TOL), -1)
             assert tab._entering() == first

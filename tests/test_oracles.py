@@ -21,7 +21,9 @@ from demandmatch.experiments import (
     random_horizon_instance,
     random_indep_instance,
 )
+from demandmatch import oracles
 from demandmatch.oracles import (
+    _offline_values,
     _search_orders,
     exact_policy_value,
     expected_offline,
@@ -124,6 +126,95 @@ class TestOfflineOptimum:
                 arrival=inst.arrival,
             )
             assert offline_optimum(more_cap, counts) >= base - 1e-9
+
+
+def cold_offline_values(inst, realizations) -> list[float]:
+    """One cold solve per realization, each on its own fresh tableau."""
+    return [solve_lp(transportation_lp(inst, counts)).objective_value for counts in realizations]
+
+
+def count_reoptimizes(monkeypatch) -> list:
+    """Record every tableau the offline pricing reoptimizes."""
+    calls = []
+    reoptimize = oracles.reoptimize
+
+    def spy(tab):
+        calls.append(tab)
+        return reoptimize(tab)
+
+    monkeypatch.setattr(oracles, "reoptimize", spy)
+    return calls
+
+
+def _equal_reward_instance(rng, reward: float) -> dm.Instance:
+    n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    dists = tuple(
+        dm.DemandDistribution.from_pmf({0: 0.25, int(rng.integers(1, 3)): 0.5, 3: 0.25}) for _ in range(m)
+    )
+    return dm.Instance(
+        rewards=tuple((reward,) * m for _ in range(n)),
+        capacities=tuple(int(k) for k in rng.integers(1, 3, size=n)),
+        demand=dm.IndepDemandModel(dists),
+    )
+
+
+class TestPricingByBasis:
+    """The offline values priced by basis equal one cold solve per
+    realization, bit for bit, with fewer reoptimizations than realizations."""
+
+    @pytest.mark.parametrize("trial", range(10))
+    @pytest.mark.parametrize("reward", [1.0, 0.1])
+    def test_equal_rewards_and_zero_counts(self, trial, reward, monkeypatch):
+        # every matching of the same size is optimal, so every basis is
+        # degenerate; the zero counts make whole demand rows degenerate
+        inst = _equal_reward_instance(trial_rng(2300, trial), reward)
+        support = [counts for counts, _ in iter_demand_support(inst.demand)]
+        assert any(sum(counts) == 0 for counts in support)
+        calls = count_reoptimizes(monkeypatch)
+        assert [v.hex() for v in _offline_values(inst, support)] == [
+            v.hex() for v in cold_offline_values(inst, support)
+        ]
+        assert len(calls) < len(support)
+
+    @pytest.mark.parametrize("trial", range(10))
+    def test_support_that_needs_several_bases(self, trial, monkeypatch):
+        rng = trial_rng(2301, trial)
+        n, m = 3, 3
+        dists = tuple(dm.DemandDistribution.from_pmf({d: 0.25 for d in range(4)}) for _ in range(m))
+        inst = dm.Instance(
+            rewards=tuple(tuple(float(r) for r in rng.uniform(0.5, 2.0, size=m)) for _ in range(n)),
+            capacities=(1, 2, 3),
+            demand=dm.IndepDemandModel(dists),
+        )
+        support = list(iter_demand_support(inst.demand))
+        calls = count_reoptimizes(monkeypatch)
+        result = expected_offline(inst)
+        assert 1 < len(calls) < len(support)
+        cold = cold_offline_values(inst, [counts for counts, _ in support])
+        want = sum(float(p) * value for (_, p), value in zip(support, cold) if float(p) > 0.0)
+        assert result.value.hex() == want.hex()
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_monte_carlo_draws_priced_as_cold_solves(self, trial, monkeypatch):
+        inst = random_indep_instance(trial_rng(2302, trial))
+        trials, seed = 300, 40 + trial
+        calls = count_reoptimizes(monkeypatch)
+        result = expected_offline(inst, support_cap=1, trials=trials, seed=seed)
+        draws = [dm.sample_demand(inst.demand, trial_rng(seed, t)).counts for t in range(trials)]
+        cold = np.array(cold_offline_values(inst, draws))
+        assert result.mode == "monte-carlo"
+        assert result.value.hex() == float(cold.mean()).hex()
+        assert result.stderr.hex() == float(cold.std(ddof=1) / np.sqrt(trials)).hex()
+        assert len(calls) < len(set(draws))
+
+    def test_repeated_realization_reoptimizes_once(self, monkeypatch):
+        # the first solve's basis is optimal for its own realization, so the
+        # repeats are priced from it without another reoptimization
+        inst = random_indep_instance(trial_rng(2303, 0))
+        counts = next(c for c, _ in iter_demand_support(inst.demand) if sum(c) > 0)
+        calls = count_reoptimizes(monkeypatch)
+        assert _offline_values(inst, [counts] * 5) == cold_offline_values(inst, [counts]) * 5
+        assert len(calls) == 1
 
 
 class TestExpectedOffline:

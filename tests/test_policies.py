@@ -207,6 +207,16 @@ class TestOcrs:
         with pytest.raises(ValueError, match=r"within \[0, 1\]"):
             ocrs_plan(rates, k)
 
+    @pytest.mark.parametrize(
+        "rates, k, match",
+        [([1.0 + 1e-8, 0.5], 2, r"within \[0, 1\]"), ([0.5, 0.5 + 1e-8], 1, "capacity"), ([1.0, 1.0, 1e-8], 2, "capacity")],
+        ids=["rate", "sum-k1", "sum-k2"],
+    )
+    def test_ten_times_the_slack_rejected(self, rates, k, match):
+        # 1e-8 is ten times LP_SLACK = 1e-9 past a rate's or the budget's bound
+        with pytest.raises(ValueError, match=match):
+            ocrs_plan(rates, k)
+
     def test_rate_noise_above_one_clamped(self):
         plan = ocrs_plan([1.0 + 1e-12, 0.5], 2)
         assert plan.rates == (1.0, 0.5)

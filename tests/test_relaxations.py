@@ -474,6 +474,18 @@ class TestBipartiteRows:
             assert np.array_equal(lp.rhs, np.array(rhs))
 
 
+    def test_cache_holds_a_sweep_of_small_shapes(self):
+        # the horizon oracles' sweep over 2-8 steps, 1-3 resources and 1-3
+        # types cycles through 36 shapes; a second pass builds none of them
+        shapes = [(n, m, steps) for steps in (2, 4, 6, 8) for n in (1, 2, 3) for m in (1, 2, 3)]
+        relaxations._bipartite_rows.cache_clear()
+        for _ in range(2):
+            for shape in shapes:
+                relaxations._bipartite_rows(*shape)
+        info = relaxations._bipartite_rows.cache_info()
+        relaxations._bipartite_rows.cache_clear()
+        assert (info.misses, info.hits) == (36, 36)
+
 class TestZeroStepHorizon:
     """A total demand that is always zero gives a horizon of no steps."""
 

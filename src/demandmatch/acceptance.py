@@ -163,7 +163,7 @@ def check_rounding_golden() -> tuple[bool, str]:
     state = RoundingState(ex5.dist, 5, track_branches=True)
     for x in ex5.column[:3]:
         state.advance(x)
-    branches = {tuple(a): p for a, p in state.branches}
+    branches = {tuple(a): Fraction(w, state.branch_den) for a, w in state.branches}
     want5 = {
         (2, 1, None, 0, None): Fraction(2, 5),
         (2, None, 1, 0, None): Fraction(2, 5),

@@ -33,25 +33,27 @@ the table directly.
 
 One replay of the recorded stage decisions, ``_apply_decision``, spawns the
 zero-probability rank, splits each branch on the stage coin and merges the two
-segments.  The branch set tracked while rounding and the full support
-expansion (``RoutingDistribution.branches``) go through it, and so does the
-draw of a single routing (``RoutingDistribution.sample``): that flips each
-coin and replays the decided coin, 1 or 0, so each coin yields one child.
+segments.  The branch set tracked while rounding, the support expansion
+(``RoutingDistribution.branches``) and the marginal check go through it, and
+so does the draw of a single routing (``RoutingDistribution.sample``), which
+replays each coin as decided, so each coin yields one child.
 
 Arithmetic is exact when the law and the column are rational: the rounded
 distribution is in `fractions.Fraction`, so the worked examples reproduce
-exactly, and the invariant checks and segment sums compare and sum integers
-over common denominators; no slack is forgiven.  A float column rounds over
-the law's float copy and may overshoot the residual demand by ``COLUMN_SLACK``.
+exactly.  The replays weigh branches in integers, a coin ``a / b`` splitting a
+weight ``w`` into ``w * a`` and ``w * (b - a)`` over a denominator times ``b``,
+and the invariant checks and segment sums compare and sum integers over common
+denominators; no slack is forgiven.  A float column rounds over the law's
+float copy and may overshoot the residual demand by ``COLUMN_SLACK``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -153,8 +155,9 @@ class RoundingState:
         # rank_probs[i][ℓ-1] = Pr[rank ℓ is routed to resource i], real ranks only
         zero = self.num(0)
         self.rank_probs: list[list[Prob]] = [[zero] * self.real_length for _ in range(num_resources)]
+        self.branch_den = 1  # of the branch weights: product of coin denominators, or 1 in floats
         self.branches: Optional[list[tuple[list[Optional[int]], Prob]]] = (
-            [([None] * self.real_length, self.num(1))] if track_branches else None
+            [([None] * self.real_length, 1 if self.exact else 1.0)] if track_branches else None
         )
 
     # -- queries ---------------------------------------------------------
@@ -225,9 +228,11 @@ class RoundingState:
 
         decision = StageDecision(resource=resource, segment=chosen, lam=lam)
         hi_a = self.segments[chosen][1]
-        branches = _apply_decision(decision, self.segments, self.branches or [])
+        coin, den = _split(lam, self.exact)
+        branches = _apply_decision(decision, self.segments, self.branches or [], coin)
         if self.branches is not None:
             self.branches = branches
+            self.branch_den *= den
         lo_a, hi_b = self.segments[chosen]
 
         # the chosen segment's idle rank takes the resource with probability
@@ -276,13 +281,13 @@ class RoundingState:
         * separated routing: a routed resource sits in one fixed segment on
           every branch.
 
-        One pass visits each branch once.  In exact mode the branch weights,
-        survivals, idle probabilities and targets are integers over common
-        denominators, so every sum runs in integers and every comparison is
-        an integer cross-multiplication: an error below the smallest float is
-        still reported, and a `Fraction` is built only to format a problem.
-        Float mode runs the same sums, branch by branch, in floats and
-        compares within its slack.
+        One pass visits each rank of each branch once.  In exact mode the branch
+        weights are integers over ``branch_den``, and survivals, idle
+        probabilities and targets over common denominators, so every sum runs
+        in integers and every comparison is an integer cross-multiplication:
+        an error below the smallest float is still reported, and a `Fraction`
+        is built only to format a problem.  Float mode runs the same sums,
+        branch by branch, in floats and compares within its slack.
         """
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
@@ -299,7 +304,7 @@ class RoundingState:
             """``a / aden != b / bden``; in float mode (denominators 1) beyond ``tol``."""
             return a * bden != b * aden if exact else abs(a / aden - b / bden) > tol
 
-        weights, wden = _common_denominator([p for _, p in self.branches], exact)
+        wden = self.branch_den
         surv, sden = _common_denominator(self.rank_survival, exact)
         idle, iden = _common_denominator(self.idle_prob, exact)
         wants, tden = _common_denominator([self.targets.get(r, 0) for r in range(len(self.order))], exact)
@@ -314,13 +319,16 @@ class RoundingState:
         bad_count: dict[int, int] = {}  # resource -> its ranks in the first bad branch
         watched = set(homes)  # routed resources not yet seen at a bad count
         checked = nseg  # segments whose ℓ-th idle rank exists on every branch
-        for (assignment, _), w in zip(self.branches, weights):
+        for assignment, w in self.branches:
             idles = []
+            count, at = [0] * len(mass), [0] * len(mass)  # per resource: its ranks, its last one
             for rank, res in enumerate(assignment, start=1):
                 if res is None:
                     idles.append(rank)
                 else:
                     mass[res] += w * surv[rank - 1]
+                    count[res] += 1
+                    at[res] = rank
             if [seg_of[k] for k in idles] != every_segment:
                 counts = Counter(seg_of[k] for k in idles)
                 for s in every_segment:
@@ -330,14 +338,13 @@ class RoundingState:
             for ell, k in enumerate(idles[:nseg]):
                 direct[ell] += w * surv[k - 1]
             for res in watched:
-                count = assignment.count(res)
-                if count == 1:
-                    homes[res].add(seg_of[assignment.index(res) + 1])
+                if count[res] == 1:
+                    homes[res].add(seg_of[at[res]])
                 else:  # the running loop keeps the set it started with
-                    bad_count[res] = count
+                    bad_count[res] = count[res]
                     watched = homes.keys() - bad_count.keys()
 
-        total = sum(weights)
+        total = sum(w for _, w in self.branches)
         if differ(total, wden, 1, 1, FLOAT_TOL):
             problems.append(f"branch probabilities sum to {float(ratio(total, wden))!r}")
 
@@ -409,7 +416,7 @@ class RoutingDistribution:
         """Expand the full weighted support (projected to real ranks).
 
         Branches that differ only in where a resource was parked on a
-        never-arriving rank collapse together.
+        never-arriving rank collapse together, adding integer weights.
         """
         if "branches" in self._cache:
             return self._cache["branches"]
@@ -417,45 +424,55 @@ class RoutingDistribution:
             raise ValueError(
                 f"support may reach {self.support_bound()} routings, above MAX_SUPPORT = {MAX_SUPPORT}"
             )
-        one: Prob = Fraction(1) if self.exact else 1.0
-        segments = [(k, k) for k in range(1, self.length + 1)]
-        work: list[tuple[list[Optional[int]], Prob]] = [([None] * self.length, one)]
-        for dec in self.decisions:
-            work = _apply_decision(dec, segments, work)
+        work, den = self._support()
         merged: dict[tuple[Optional[int], ...], Prob] = {}
-        for assignment, prob in work:
+        for assignment, weight in work:
             key = tuple(assignment[: self.length])
-            merged[key] = merged.get(key, Fraction(0) if self.exact else 0.0) + prob
-        result = tuple(
-            (Routing(key), prob)
-            for key, prob in sorted(
-                merged.items(), key=lambda kv: tuple(-1 if r is None else r for r in kv[0])
-            )
-        )
+            merged[key] = merged.get(key, 0) + weight
+        order = sorted(merged, key=lambda key: tuple(-1 if r is None else r for r in key))
+        result = tuple((Routing(k), Fraction(merged[k], den) if self.exact else merged[k] / den) for k in order)
         self._cache["branches"] = result
         return result
 
     def sample(self, rng_seed: Union[int, np.random.Generator]) -> Routing:
         """Draw one routing: flip each stage coin and replay the decided coin
-        (1 or 0), so each coin yields one child.  A coin that reads 1.0 or
-        0.0 as a float draws no uniform."""
+        (child weights 1 and 0), so each coin yields one child.  A coin that
+        reads 1.0 or 0.0 as a float draws no uniform."""
         rng = as_generator(rng_seed)
-        if "decided" not in self._cache:  # (float coin, routed, parked) per stage
-            self._cache["decided"] = tuple(
-                (float(d.lam), replace(d, lam=1), replace(d, lam=0)) for d in self.decisions
-            )
+        if "coins" not in self._cache:
+            self._cache["coins"] = tuple(float(d.lam) for d in self.decisions)
+        decided = (
+            (1, 0) if coin == 1.0 or (coin > 0.0 and rng.random() < coin) else (0, 1)
+            for coin in self._cache["coins"]
+        )
+        return Routing(tuple(self._replay(decided)[0][0][: self.length]))
+
+    def _support(self) -> tuple[list[tuple[list[Optional[int]], Prob]], int]:
+        """The unmerged branches, over the product of the coins' denominators."""
+        coins = [_split(d.lam, self.exact) for d in self.decisions]
+        return self._replay(coin for coin, _ in coins), math.prod(den for _, den in coins)
+
+    def _replay(self, coins: Iterable[tuple[Prob, Prob]]) -> list[tuple[list[Optional[int]], Prob]]:
+        """Replay each decision on its pair of child weights from ``coins``."""
         segments = [(k, k) for k in range(1, self.length + 1)]
-        branch: list[tuple[list[Optional[int]], Prob]] = [([None] * self.length, 1)]
-        for coin, routed, parked in self._cache["decided"]:
-            into_chosen = coin == 1.0 or (coin > 0.0 and rng.random() < coin)
-            branch = _apply_decision(routed if into_chosen else parked, segments, branch)
-        return Routing(tuple(branch[0][0][: self.length]))
+        work: list[tuple[list[Optional[int]], Prob]] = [([None] * self.length, 1)]
+        for dec, coin in zip(self.decisions, coins):
+            work = _apply_decision(dec, segments, work, coin)
+        return work
+
+
+def _split(lam: Prob, exact: bool) -> tuple[tuple[Prob, Prob], int]:
+    """A coin's child weights over their denominator: ``(a, b - a)`` over ``b`` for ``lam = a / b``."""
+    if not exact:
+        return (lam, 1 - lam), 1
+    return (lam.numerator, lam.denominator - lam.numerator), lam.denominator
 
 
 def _apply_decision(
     dec: StageDecision,
     segments: list[tuple[int, int]],
     branches: list[tuple[list[Optional[int]], Prob]],
+    coin: tuple[Prob, Prob],
 ) -> list[tuple[list[Optional[int]], Prob]]:
     """Replay one stage decision: the only place ranks are spawned, branches
     split on the coin, and segments merged.
@@ -463,27 +480,27 @@ def _apply_decision(
     ``segments`` is updated in place; a decision on the last segment first
     appends a zero-probability rank as the next one.  Each branch yields a
     child that routes the resource to its idle rank in the chosen segment
-    (weight ``lam``) and then one that routes it to its idle rank in the next
-    segment (weight ``1 - lam``); a child of weight zero is left out.
+    (weight times ``coin[0]``) and then one that routes it to its idle rank in
+    the next segment (times ``coin[1]``); a child of weight zero is left out.
     """
     if dec.segment == len(segments) - 1:
         rank = segments[-1][1] + 1
         segments.append((rank, rank))
         for assignment, _ in branches:
             assignment.append(None)
-    seg, resource, lam = dec.segment, dec.resource, dec.lam
-    rest, into_chosen, into_next = 1 - lam, lam != 0, lam != 1
+    seg, resource = dec.segment, dec.resource
+    into_chosen, into_next = coin
     chosen, following = segments[seg], segments[seg + 1]
     children: list[tuple[list[Optional[int]], Prob]] = []
-    for assignment, prob in branches:
+    for assignment, weight in branches:
         if into_chosen:
             routed = list(assignment)
             routed[_unique_idle(assignment, chosen) - 1] = resource
-            children.append((routed, prob * lam))
+            children.append((routed, weight * into_chosen))
         if into_next:
             parked = list(assignment)
             parked[_unique_idle(assignment, following) - 1] = resource
-            children.append((parked, prob * rest))
+            children.append((parked, weight * into_next))
     segments[seg] = (chosen[0], following[1])
     del segments[seg + 1]
     return children
@@ -518,28 +535,25 @@ def typeround(x_col: Sequence[Prob], dist: DemandDistribution) -> RoutingDistrib
 def verify_marginals(
     rd: RoutingDistribution, x_col: Sequence[Prob], dist: DemandDistribution
 ) -> MarginalReport:
-    """Recompute achieved marginals from the expanded support.
+    """Recompute achieved marginals by replaying the coins.
 
-    This path sums over explicit routings, independently of the compact
-    bookkeeping used while rounding, and reports the worst absolute error
-    (zero in exact mode).  Exact sums run in integers over common
-    denominators.
+    This path reads only the decisions and the law, independently of the
+    compact bookkeeping used while rounding, and reports the worst absolute
+    error (zero in exact mode).  Exact sums run in integers over the product
+    of the coins' and the survivals' denominators.
     """
     if len(x_col) != rd.num_resources:
         raise ValueError(f"column has {len(x_col)} entries for {rd.num_resources} resources")
     exact = rd.exact and dist.is_exact
-    branches = rd.branches()
-    weights, wden = _common_denominator([p for _, p in branches], exact)
+    work, wden = rd._support()
     surv, sden = _common_denominator([dist.survival(k) for k in range(1, rd.length + 1)], exact)
     mass = [0] * rd.num_resources  # over wden * sden
-    for (routing, _), w in zip(branches, weights):
-        for rank, res in enumerate(routing.assignment, start=1):
+    for assignment, w in work:
+        for res, s in zip(assignment, surv):  # spawned ranks never arrive
             if res is not None:
-                mass[res] = mass[res] + w * surv[rank - 1]
+                mass[res] = mass[res] + w * s
     achieved = tuple(Fraction(m, wden * sden) if exact else m / (wden * sden) for m in mass)
-    worst = 0.0
-    for res in range(rd.num_resources):
-        worst = max(worst, abs(float(achieved[res] - x_col[res])))
+    worst = max((abs(float(a - x)) for a, x in zip(achieved, x_col)), default=0.0)
     return MarginalReport(achieved=achieved, target=tuple(x_col), max_abs_error=worst)
 
 

@@ -3,6 +3,7 @@ and the instance draws that only the tests use."""
 
 import dataclasses
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ from demandmatch.demand import (
     CorrelDemandModel,
     DemandDistribution,
     Instance,
+    Prob,
     RealizedDemand,
 )
 from demandmatch.experiments import _rewards, _rounded_probs
@@ -19,7 +21,7 @@ from demandmatch.linprog import LinearProgram
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, IndepAdvPlan, OcrsPlan, _accept_step
 from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
-from demandmatch.rounding import RoundingState, RoutingDistribution
+from demandmatch.rounding import RoundingState, Routing, RoutingDistribution, _apply_decision
 
 
 def under_random_order(plan: IndepAdvPlan) -> IndepAdvPlan:
@@ -166,6 +168,23 @@ def round_in_order(column, dist: DemandDistribution, order: Sequence[int]) -> Ro
     for i in state.order:
         state.advance(column[i])
     return state.distribution()
+
+
+def fraction_branches(rd: RoutingDistribution) -> tuple[tuple[Routing, Prob], ...]:
+    """``rd.branches()`` as the expansion in `Fraction` weights: every coin
+    ``lam`` multiplies each branch's weight by ``lam`` and ``1 - lam``, and
+    the routings that collapse together add their weights.  Independent of
+    the integer weights and the one denominator in the library."""
+    segments = [(k, k) for k in range(1, rd.length + 1)]
+    work = [([None] * rd.length, Fraction(1) if rd.exact else 1.0)]
+    for dec in rd.decisions:
+        work = _apply_decision(dec, segments, work, (dec.lam, 1 - dec.lam))
+    merged = {}
+    for assignment, prob in work:
+        key = tuple(assignment[: rd.length])
+        merged[key] = merged.get(key, Fraction(0) if rd.exact else 0.0) + prob
+    ordered = sorted(merged.items(), key=lambda kv: tuple(-1 if r is None else r for r in kv[0]))
+    return tuple((Routing(key), prob) for key, prob in ordered)
 
 
 def random_correl_instance(

@@ -6,6 +6,8 @@ seeds, and tolerances live in :mod:`demandmatch.acceptance` and are not
 calibrated here.
 """
 
+import math
+
 import pytest
 
 from demandmatch import acceptance
@@ -38,3 +40,32 @@ def test_adversarial_guarantee_twin(shortfall, passed, monkeypatch):
     result = acceptance.check_adversarial_guarantee(count=1, seed=3004)
     assert result.passed is passed, result.detail
     assert len(lp_values) == 1 and lp_values[0] > 1.0
+
+
+@pytest.mark.parametrize("shortfall, passed", [(1e-8, False), (0.0, True)], ids=["below", "at"])
+def test_horizon_capacity_floor_twin(shortfall, passed, monkeypatch):
+    """Known-bad twin of the capacity-k floor: a plan whose resources all
+    have capacity k >= 2 is valued 1e-8 (ten times the gate's TOL) below
+    ``floor_k * LP``, with ``floor_k = 1 - 1/sqrt(k + 3)``, and any other plan
+    at its LP.  Both clear LP/2, so only a floor sweep can fail the bad one,
+    and floors cut to 0.9 of ``floor_k`` would let it through; a plan
+    exactly at the floor passes."""
+    capacities = []
+
+    def twin(plan):
+        caps = set(plan.instance.capacities)
+        k = caps.pop() if len(caps) == 1 else 1
+        capacities.append(k)
+        if k < 2:
+            return OracleValue(value=plan.lp_value, mode="exact")
+        floor = 1.0 - 1.0 / math.sqrt(k + 3)
+        return OracleValue(value=floor * plan.lp_value - shortfall, mode="exact")
+
+    monkeypatch.setattr(acceptance, "horizon_policy_value", twin)
+    # the floors run count // 2 trials each
+    result = acceptance.check_horizon_guarantee(count=2)
+    assert result.passed is passed, result.detail
+    # two half-LP trials, then one trial per floor up to the first failure
+    assert capacities[2:] == ([2, 4] if passed else [2])
+    if not passed:
+        assert result.detail.startswith("k=2 trial 0: "), result.detail

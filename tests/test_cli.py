@@ -70,7 +70,7 @@ class TestRound:
             "  (-, 1, 3, 2)  0.317460317\n"
             "  (-, 3, 1, -)  0.031746032\n"
             "  (-, 3, 1, 2)  0.158730159\n"
-            "achieved marginals: (0.500000000, 0.250000000, 0.250000000, 0.000000000), max error 1.110e-16\n"
+            "achieved marginals: (0.500000000, 0.250000000, 0.250000000, 0.000000000), max error 0.000e+00\n"
             "invariants: all hold\n"
         )
 

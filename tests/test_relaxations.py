@@ -208,6 +208,37 @@ class TestTruncatedLp:
         assert result.solution.status is LpStatus.OPTIMAL
         assert enumerate_violated_cut(result.solution.values, inst) is None
 
+    @staticmethod
+    def rare_tail_instance(rng):
+        """n <= 8 resources and up to three types, each demanding a few units
+        or, with probability 1e-7 to 1e-5, the total capacity.  Each unit of
+        the tail's mass raises ``E[min(D, k)]`` only by that probability, so a
+        cut the LP wants is violated by about that much: a loose cut
+        tolerance leaves it violated."""
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        caps = tuple(int(c) for c in rng.integers(1, 3, size=n))
+        rewards = tuple(tuple(float(r) for r in row) for row in np.round(rng.uniform(0.5, 2.0, size=(n, m)), 3))
+        laws = []
+        for _ in range(m):
+            low, tail = int(rng.integers(0, 3)), float(np.round(10 ** rng.uniform(-7, -5), 12))
+            laws.append(dm.DemandDistribution.from_pmf({low: 1 - tail, sum(caps): tail}))
+        return dm.Instance(rewards=rewards, capacities=caps, demand=dm.IndepDemandModel(per_type=tuple(laws)))
+
+    def test_no_subset_cut_violated_beyond_ten_times_the_cut_tolerance(self):
+        # every subset of every type, against a bound summed from the law's
+        # atoms here: a check that never reads ``CUT_TOL``, whose tenfold,
+        # 1e-8, it holds the final point to
+        for trial in range(20):
+            inst = self.rare_tail_instance(trial_rng(8282, trial))
+            x = build_truncated_lp(inst).solution.values
+            for j, law in enumerate(inst.demand.per_type):
+                for mask in range(1, 1 << inst.n):
+                    subset = [i for i in range(inst.n) if mask >> i & 1]
+                    cap = sum(inst.capacities[i] for i in subset)
+                    bound = sum(float(p) * min(v, cap) for v, p in law.items)
+                    load = sum(x[i * inst.m + j] for i in subset)
+                    assert load - bound <= 1e-8, (trial, j, subset)
+
     def test_accepts_correlated_marginals(self):
         inst = random_correl_instance(np.random.default_rng(3))
         result = build_truncated_lp(inst)

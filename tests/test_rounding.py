@@ -1,6 +1,7 @@
 """The lossless rounding scheme: golden distributions, stage invariants,
 feasibility rejection, and sampling consistency."""
 
+import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from demandmatch.rounding import (
     typeround,
     verify_marginals,
 )
-from reference import round_in_order
+from reference import fraction_branches, round_in_order
 
 
 def perm(*one_based):
@@ -86,13 +87,62 @@ def demo5_stage_three():
     return state
 
 
+def nudge_first_branch(state, amount):
+    """Add the rational ``amount`` to the first tracked branch's probability:
+    every integer weight and the state denominator scale by its denominator,
+    then the first weight gains its numerator over the old denominator."""
+    before = Fraction(state.branches[0][1], state.branch_den)
+    state.branches = [(a, w * amount.denominator) for a, w in state.branches]
+    assignment, w = state.branches[0]
+    state.branches[0] = (assignment, w + amount.numerator * state.branch_den)
+    state.branch_den *= amount.denominator
+    assert Fraction(state.branches[0][1], state.branch_den) == before + amount
+
+
+@pytest.mark.parametrize("example", ["demo3", "demo5"])
+class TestVerifyMarginalsIsIndependent:
+    """``verify_marginals`` replays the coins over the law: it reads neither
+    the rank table nor the kept segment survivals, and a coin off by less
+    than any float can tell is caught."""
+
+    def test_garbage_rank_table_leaves_the_report(self, example):
+        ex = EXAMPLES[example]
+        rd = typeround(ex.column, ex.dist)
+        report = verify_marginals(rd, ex.column, ex.dist)
+        garbled = dataclasses.replace(rd, rank_probs=tuple((Fraction(7, 3),) * rd.length for _ in rd.rank_probs))
+        assert garbled.marginals() != report.achieved
+        assert verify_marginals(garbled, ex.column, ex.dist) == report
+        assert report.exact
+
+    def test_perturbed_segment_survivals_leave_the_report(self, example):
+        ex = EXAMPLES[example]
+        state = RoundingState(ex.dist, len(ex.column), track_branches=False)
+        for x in ex.column:
+            state.advance(x)
+        report = verify_marginals(state.distribution(), ex.column, ex.dist)
+        state.segment_survivals = [s + Fraction(1, 3) for s in state.segment_survivals]
+        assert verify_marginals(state.distribution(), ex.column, ex.dist) == report
+        assert report.exact
+
+    def test_coin_nudged_below_float_resolution_is_not_exact(self, example):
+        ex = EXAMPLES[example]
+        rd = typeround(ex.column, ex.dist)
+        assert rd.decisions
+        for k, dec in enumerate(rd.decisions):
+            decisions = rd.decisions[:k] + (dataclasses.replace(dec, lam=dec.lam + Fraction(1, 10**400)),)
+            nudged = dataclasses.replace(rd, decisions=decisions + rd.decisions[k + 1 :], _cache={})
+            report = verify_marginals(nudged, ex.column, ex.dist)
+            assert report.achieved[dec.resource] != ex.column[dec.resource]
+            assert not report.exact
+
+
 class TestStageState:
     def three_stage_state(self):
         return demo5_stage_three()
 
     def test_five_rank_stage_three_branches(self):
         state = self.three_stage_state()
-        got = {tuple(a): p for a, p in state.branches}
+        got = {tuple(a): Fraction(w, state.branch_den) for a, w in state.branches}
         assert got == {
             perm(3, 2, 0, 1, 0): Fraction(2, 5),
             perm(3, 0, 2, 1, 0): Fraction(2, 5),
@@ -107,10 +157,10 @@ class TestStageState:
     def test_five_rank_stage_three_marginal_of_third_resource(self):
         state = self.three_stage_state()
         achieved = Fraction(0)
-        for assignment, prob in state.branches:
+        for assignment, w in state.branches:
             for rank, res in enumerate(assignment, start=1):
                 if res == 2:
-                    achieved += prob * state.rank_survival[rank - 1]
+                    achieved += Fraction(w, state.branch_den) * state.rank_survival[rank - 1]
         assert achieved == Fraction(7, 8)
 
     def test_invariants_hold_at_stage_three(self):
@@ -140,7 +190,7 @@ class TestStageState:
         dist = dm.DemandDistribution.from_pmf({1: Fraction(1, 2), 2: Fraction(1, 2)})
         state = RoundingState(dist, 2, track_branches=True)
         state.advance(Fraction(1))  # equals Pr[D >= 1]: always take rank 1
-        assert [(tuple(a), p) for a, p in state.branches] == [
+        assert [(tuple(a), Fraction(w, state.branch_den)) for a, w in state.branches] == [
             (perm(1, 0), Fraction(1))
         ]
 
@@ -150,7 +200,7 @@ class TestStageState:
             state.advance(x)
         rd = typeround(DEMO3.column, DEMO3.dist)
         # the explicit state keeps appended never-arriving ranks; project
-        got = {tuple(a[: state.real_length]): p for a, p in state.branches}
+        got = {tuple(a[: state.real_length]): Fraction(w, state.branch_den) for a, w in state.branches}
         assert got == {r.assignment: p for r, p in rd.branches()}
 
 
@@ -165,8 +215,7 @@ class TestBrokenStates:
 
     def test_branch_weight_nudged(self):
         state = demo5_stage_three()
-        assignment, prob = state.branches[0]
-        state.branches[0] = (assignment, prob + Fraction(1, 1000))
+        nudge_first_branch(state, Fraction(1, 1000))
         problems = state.check_invariants()
         assert problems[0] == "branch probabilities sum to 1.001"
 
@@ -209,8 +258,7 @@ class TestBrokenStates:
 
     def test_branch_weight_nudged_below_float_resolution(self):
         state = demo5_stage_three()
-        assignment, prob = state.branches[0]
-        state.branches[0] = (assignment, prob + Fraction(1, 10**400))
+        nudge_first_branch(state, Fraction(1, 10**400))
         assert state.check_invariants() == [
             "branch probabilities sum to 1.0",
             "resource 0 achieves 0.125, wants 0.125",
@@ -305,13 +353,32 @@ class TestRankTable:
                     mass[res][rank - 1] += prob
         return mass
 
-    def test_rational_columns(self):
+    @staticmethod
+    def rational_columns():
+        """50 random rational columns, each rounded in a random order."""
         for trial in range(50):
             rng = trial_rng(6060, trial)
             n = int(rng.integers(1, 9))
             column, dist = random_feasible_column(rng, n)
-            rd = round_in_order(column, dist, tuple(int(i) for i in rng.permutation(n)))
+            yield round_in_order(column, dist, tuple(int(i) for i in rng.permutation(n)))
+
+    def test_rational_columns(self):
+        for rd in self.rational_columns():
             assert [list(row) for row in rd.rank_probs] == self.routed_mass(rd)
+
+    def test_branches_match_the_fraction_expansion(self):
+        # the integer replay builds one Fraction per merged routing; the
+        # expansion in Fraction weights gives the same pairs in the same order
+        worked = [typeround(ex.column, ex.dist) for ex in (DEMO3, DEMO5)]
+        for rd in [*self.rational_columns(), *worked]:
+            got = rd.branches()
+            assert got == fraction_branches(rd)
+            assert all(type(p) is Fraction for _, p in got)
+
+    def test_float_branches_match_the_float_expansion(self):
+        rd = typeround(TestFloatInvariants.FLOAT_COLUMN, TestFloatInvariants.FLOAT_DIST)
+        want = [(r, p.hex()) for r, p in fraction_branches(rd)]
+        assert [(r, p.hex()) for r, p in rd.branches()] == want
 
     def test_pinned_float_column(self):
         rd = typeround(TestFloatInvariants.FLOAT_COLUMN, TestFloatInvariants.FLOAT_DIST)

@@ -200,18 +200,20 @@ def check_rounding_properties(count: int = 10_000, seed: int = 2002) -> tuple[bo
 
 def _guarantee_sweep(
     trial: Callable[[np.random.Generator], tuple[float, float]], floor: float, count: int, seed: int
-) -> tuple[str, float]:
+) -> tuple[str, float, int]:
     """Run ``trial(rng) -> (policy value, LP value)`` on ``count`` seeded
     streams, stopping at the first value below ``floor * LP``.  Returns that
-    shortfall ("" if none) and the worst ratio over LP values above 1e-12."""
-    worst = float("inf")
+    shortfall ("" if none), the worst ratio over LP values above 1e-12, and
+    how many trials had such an LP value (the rest check nothing)."""
+    worst, checked = float("inf"), 0
     for t in range(count):
         value, lp_value = trial(trial_rng(seed, t))
         if value < floor * lp_value - TOL:
-            return f"trial {t}: value {value} < {floor} * {lp_value}", worst
+            return f"trial {t}: value {value} < {floor} * {lp_value}", worst, checked
         if lp_value > 1e-12:
             worst = min(worst, value / lp_value)
-    return "", worst
+            checked += 1
+    return "", worst, checked
 
 
 @_criterion(
@@ -228,8 +230,8 @@ def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> tuple[boo
         plan = plan_indep_adv_policy(inst)
         return exact_policy_value(plan).value, plan.lp_value
 
-    failure, worst = _guarantee_sweep(trial, 0.5, count, seed)
-    return not failure, failure or f"worst observed ratio {worst:.6f}"
+    failure, worst, checked = _guarantee_sweep(trial, 0.5, count, seed)
+    return not failure, failure or f"worst observed ratio {worst:.6f} over {checked} of {count} trials with LP > 1e-12"
 
 
 @_criterion("capacity-tightness", "prophet equals (2-eps)k1 while any online value stays at k1")
@@ -276,14 +278,14 @@ def _horizon_trial(rng: np.random.Generator, capacity: Optional[int] = None) -> 
 )
 def check_horizon_guarantee(count: int = 200, seed: int = 5005) -> tuple[bool, str]:
     """Horizon policy clears cond/2, and the capacity-k floor with k in {2,4}."""
-    failure, worst_half = _guarantee_sweep(_horizon_trial, 0.5, count, seed)
+    failure, worst_half, _ = _guarantee_sweep(_horizon_trial, 0.5, count, seed)
     floors = []
     for k in (2, 4):
         if failure:
             break
         floor = 1.0 - 1.0 / math.sqrt(k + 3)
         trial = functools.partial(_horizon_trial, capacity=k)
-        failure, worst = _guarantee_sweep(trial, floor, count // 2, seed + k)
+        failure, worst, _ = _guarantee_sweep(trial, floor, count // 2, seed + k)
         failure = failure and f"k={k} {failure}"
         floors.append(f"k={k}: worst ratio {worst:.6f} >= {floor:.6f}")
     return not failure, failure or f"worst half-ratio {worst_half:.6f}; " + "; ".join(floors)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -161,6 +162,17 @@ class DpResult:
     table: dict[tuple[int, tuple[int, ...]], tuple[Optional[int], ...]]
 
 
+def _capacity_lattice(capacities: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every remaining-capacity vector, in ``itertools.product`` order, and
+    each resource's mixed-radix stride: using a unit of resource ``i`` from
+    the state at index ``s`` leads to the state at ``s - stride[i]``.  The
+    full capacities are the last state."""
+    strides = [1] * len(capacities)
+    for i in range(len(capacities) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (capacities[i] + 1)
+    return list(itertools.product(*(range(k + 1) for k in capacities))), strides
+
+
 def optimal_online_dp(
     model: StochasticHorizonModel, inst: Instance, state_cap: int = STATE_CAP
 ) -> DpResult:
@@ -168,24 +180,20 @@ def optimal_online_dp(
 
     The decision-maker observes only the arrival count (not absolute time)
     and the fact that the horizon has survived; continuation is weighted by
-    the one-step survival odds Pr[D > t | D >= t].
+    the one-step survival odds Pr[D > t | D >= t].  Each step's values are a
+    list over the integer-indexed capacity lattice of `_capacity_lattice`.
     """
-    n = inst.n
     horizon = model.horizon
-    cap_space = 1
-    for k in inst.capacities:
-        cap_space *= k + 1
+    cap_space = math.prod(k + 1 for k in inst.capacities)
     if cap_space * max(horizon, 1) > state_cap:
         raise ValueError(
             f"state space {cap_space} x {horizon} exceeds the cap {state_cap}"
         )
-    states = list(itertools.product(*(range(k + 1) for k in inst.capacities)))
+    states, strides = _capacity_lattice(inst.capacities)
     rewards = [[float(r) for r in col] for col in zip(*inst.rewards)]  # [j][i]
-    moves = {
-        caps: [(i, caps[:i] + (caps[i] - 1,) + caps[i + 1 :]) for i in range(n) if caps[i] > 0]
-        for caps in states
-    }
-    value_next: dict[tuple[int, ...], float] = {caps: 0.0 for caps in states}
+    # per state: (resource, index of the state after using one of its units)
+    arcs = [[(i, s - stride) for i, stride in enumerate(strides) if caps[i] > 0] for s, caps in enumerate(states)]
+    value_next = [0.0] * len(states)
     table: dict[tuple[int, tuple[int, ...]], tuple[Optional[int], ...]] = {}
     for t in range(horizon, 0, -1):
         s_t = float(model.total.survival(t))
@@ -193,28 +201,25 @@ def optimal_online_dp(
         continue_odds = s_next / s_t if s_t > 0 else 0.0
         probs = [float(p) for p in model.probs[t - 1]]
         no_query = float(model.no_query_mass(t))
-        value_here: dict[tuple[int, ...], float] = {}
-        for caps in states:
-            cont = continue_odds * value_next[caps]
+        conts = [continue_odds * v for v in value_next]  # each state's value from the next step on
+        value_next = []
+        for caps, moves, cont in zip(states, arcs, conts):
             total = no_query * cont
-            ahead = [(i, continue_odds * value_next[reduced]) for i, reduced in moves[caps]]
             actions: list[Optional[int]] = []
             for pj, r in zip(probs, rewards):
                 best = cont
                 pick: Optional[int] = None
-                for i, later in ahead:
-                    gain = r[i] + later
+                for i, reduced in moves:
+                    gain = r[i] + conts[reduced]
                     if gain > best + 1e-12:
                         best = gain
                         pick = i
                 actions.append(pick)
                 total += pj * best
-            value_here[caps] = total
+            value_next.append(total)
             table[(t, caps)] = tuple(actions)
-        value_next = value_here
-    start = tuple(inst.capacities)
     opening = float(model.total.survival(1))
-    return DpResult(value=opening * value_next[start], table=table)
+    return DpResult(value=opening * value_next[-1], table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +376,15 @@ def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
     """Exact horizon-policy value by a forward pass over capacity states.
 
     Independent of the plan's own closed-form accounting: the joint law of
-    remaining capacities is pushed through every step, splitting on the
+    remaining capacities, keyed by the state's index on the integer lattice
+    of `_capacity_lattice`, is pushed through every step, splitting on the
     arriving type, the routing coin, and the acceptance coin.
     """
     inst = plan.instance
     model = plan.model
     n, m = inst.n, inst.m
-    states: dict[tuple[int, ...], float] = {tuple(inst.capacities): 1.0}
+    lattice, strides = _capacity_lattice(inst.capacities)
+    states: dict[int, float] = {len(lattice) - 1: 1.0}
     rewards = [[float(r) for r in row] for row in inst.rewards]
     value = 0.0
     for t in range(1, plan.horizon + 1):
@@ -385,23 +392,22 @@ def horizon_policy_value(plan: HorizonPlan) -> OracleValue:
         row = [float(p) for p in model.probs[t - 1]]
         route = plan.route[t - 1].tolist()  # [i][j]
         accepts = [p.accept_probs[t - 1] for p in plan.plans]
-        arcs = [  # (resource, chance it accepts, reward) for each arrival type in turn
-            (i, row[j] * route[i][j] * accepts[i], rewards[i][j])
+        arcs = [  # (resource, its stride, chance it accepts, reward) for each arrival type in turn
+            (i, strides[i], accept, rewards[i][j])
             for j in range(m) if row[j] > 0.0 for i in range(n) if route[i][j] > 0.0
+            if (accept := row[j] * route[i][j] * accepts[i]) > 0.0
         ]
-        nxt: dict[tuple[int, ...], float] = {}
-
-        def push(caps: tuple[int, ...], w: float) -> None:
-            if w > 0.0:
-                nxt[caps] = nxt.get(caps, 0.0) + w
-
-        for caps, w in states.items():
+        nxt: dict[int, float] = {}
+        for s, w in states.items():
+            caps = lattice[s]
             moved = 0.0  # probability mass that accepts (consumes capacity)
-            for i, accept, reward in arcs:
-                if caps[i] > 0 and accept > 0.0:
+            for i, stride, accept, reward in arcs:
+                if caps[i] > 0:
                     value += s_t * w * accept * reward
-                    push(caps[:i] + (caps[i] - 1,) + caps[i + 1 :], w * accept)
+                    if (wa := w * accept) > 0.0:
+                        nxt[s - stride] = nxt.get(s - stride, 0.0) + wa
                     moved += accept
-            push(caps, w * (1.0 - moved))
+            if (stay := w * (1.0 - moved)) > 0.0:
+                nxt[s] = nxt.get(s, 0.0) + stay
         states = nxt
     return OracleValue(value=value, mode="exact")

@@ -206,22 +206,22 @@ class OcrsPlan:
     availability: tuple[float, ...]  # Pr[capacity remains] before each step
 
 
-def _accept_step(counts: list[float], hazard: float) -> list[float]:
-    """Law of the accepted count after one step.
+def _accept_step(counts: list[float], hazard: float) -> None:
+    """Advance the law of the accepted count by one step, in place.
 
     ``counts[a]`` is Pr[a accepted so far], for ``a = 0..k``.  While capacity
-    remains (``a < k``) the step accepts with probability ``hazard``.
+    remains (``a < k``) the step accepts with probability ``hazard``.  The
+    counts are updated from the top down, so each reads the one below it
+    before that one moves.
     """
-    if hazard <= 0.0:
-        return counts
     k = len(counts) - 1
-    nxt = [0.0] * (k + 1)
-    for a in range(k + 1):
-        stay = counts[a] * (1.0 - hazard) if a < k else counts[a]
-        nxt[a] = stay
-        if a > 0:
-            nxt[a] += counts[a - 1] * hazard
-    return nxt
+    if hazard <= 0.0 or k == 0:
+        return
+    keep = 1.0 - hazard
+    counts[k] += counts[k - 1] * hazard  # a full resource stays full
+    for a in range(k - 1, 0, -1):
+        counts[a] = counts[a] * keep + counts[a - 1] * hazard
+    counts[0] *= keep
 
 
 def _ocrs_schedule(
@@ -241,14 +241,16 @@ def _ocrs_schedule(
         available = 1.0 - counts[k]
         avail.append(available)
         if y > 0.0:
-            margin = min(margin, available - gamma)
+            if available - gamma < margin:
+                margin = available - gamma
             c = gamma / available if available > 0.0 else (math.inf if gamma > 0.0 else 0.0)
-            feasible = feasible and c <= 1.0 + 1e-12
-            c = min(c, 1.0)
+            if c > 1.0:  # clamped; past the 1e-12 slack the schedule is infeasible
+                feasible = feasible and c <= 1.0 + 1e-12
+                c = 1.0
         else:
             c = min(1.0, gamma / available) if available > 0.0 else 0.0
         cs.append(c)
-        counts = _accept_step(counts, y * c)
+        _accept_step(counts, y * c)
     return feasible, margin, cs, avail
 
 
@@ -464,7 +466,7 @@ def static_threshold_value(
         )
         available = 1.0 - counts[k]
         value += s * available * gain
-        counts = _accept_step(counts, hazard)
+        _accept_step(counts, hazard)
     return value
 
 

@@ -2,6 +2,7 @@
 and the instance draws that only the tests use."""
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -15,11 +16,12 @@ from demandmatch.demand import (
     Instance,
     Prob,
     RealizedDemand,
+    StochasticHorizonModel,
 )
 from demandmatch.experiments import _rewards, _rounded_probs
 from demandmatch.linprog import LinearProgram
 from demandmatch.oracles import _advance, _step_table
-from demandmatch.policies import OCRS_TOL, IndepAdvPlan, OcrsPlan, _accept_step
+from demandmatch.policies import OCRS_TOL, HorizonPlan, IndepAdvPlan, OcrsPlan
 from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
 from demandmatch.rounding import RoundingState, Routing, RoutingDistribution, _apply_decision
 
@@ -210,7 +212,25 @@ def random_correl_instance(
     )
 
 
-def _schedule_or_none(rates, k, gamma):
+def accept_step(counts: list[float], hazard: float) -> list[float]:
+    """Law of the accepted count after one step, built out of place.
+
+    ``counts[a]`` is Pr[a accepted so far], for ``a = 0..k``.  While capacity
+    remains (``a < k``) the step accepts with probability ``hazard``.
+    """
+    if hazard <= 0.0:
+        return counts
+    k = len(counts) - 1
+    nxt = [0.0] * (k + 1)
+    for a in range(k + 1):
+        stay = counts[a] * (1.0 - hazard) if a < k else counts[a]
+        nxt[a] = stay
+        if a > 0:
+            nxt[a] += counts[a - 1] * hazard
+    return nxt
+
+
+def schedule_or_none(rates, k, gamma):
     """Accept probabilities and availabilities at rate ``gamma``, or None
     as soon as a step needs an accept probability above one."""
     counts = [1.0] + [0.0] * k
@@ -231,7 +251,7 @@ def _schedule_or_none(rates, k, gamma):
         else:
             c = min(1.0, gamma / available) if available > 0.0 else 0.0
         cs.append(c)
-        counts = _accept_step(counts, y * c)
+        counts = accept_step(counts, y * c)
     return cs, avail
 
 
@@ -240,16 +260,90 @@ def ocrs_bisection(rates, k) -> OcrsPlan:
     ``OCRS_TOL / 4`` wide (depth 32)."""
     clean = [max(0.0, float(y)) for y in rates]
     lo, hi = 0.0, 1.0
-    schedule = _schedule_or_none(clean, k, 1.0)
+    schedule = schedule_or_none(clean, k, 1.0)
     if schedule is not None:
         lo = 1.0
     else:
         while hi - lo > OCRS_TOL / 4.0:
             mid = (lo + hi) / 2.0
-            found = _schedule_or_none(clean, k, mid)
+            found = schedule_or_none(clean, k, mid)
             if found is not None:
                 lo, schedule = mid, found
             else:
                 hi = mid
-    cs, avail = schedule or _schedule_or_none(clean, k, 0.0)
+    cs, avail = schedule or schedule_or_none(clean, k, 0.0)
     return OcrsPlan(rates=tuple(clean), capacity=k, gamma=lo, accept_probs=tuple(cs), availability=tuple(avail))
+
+
+def tuple_online_dp(model: StochasticHorizonModel, inst: Instance) -> tuple[float, dict]:
+    """``optimal_online_dp``'s value and decision table by the same backward
+    induction over a dict keyed by capacity tuples, each move a tuple slice."""
+    n = inst.n
+    states = list(itertools.product(*(range(k + 1) for k in inst.capacities)))
+    rewards = [[float(r) for r in col] for col in zip(*inst.rewards)]  # [j][i]
+    moves = {
+        caps: [(i, caps[:i] + (caps[i] - 1,) + caps[i + 1 :]) for i in range(n) if caps[i] > 0]
+        for caps in states
+    }
+    value_next = {caps: 0.0 for caps in states}
+    table = {}
+    for t in range(model.horizon, 0, -1):
+        s_t = float(model.total.survival(t))
+        s_next = float(model.total.survival(t + 1))
+        continue_odds = s_next / s_t if s_t > 0 else 0.0
+        probs = [float(p) for p in model.probs[t - 1]]
+        no_query = float(model.no_query_mass(t))
+        value_here = {}
+        for caps in states:
+            cont = continue_odds * value_next[caps]
+            total = no_query * cont
+            ahead = [(i, continue_odds * value_next[reduced]) for i, reduced in moves[caps]]
+            actions = []
+            for pj, r in zip(probs, rewards):
+                best = cont
+                pick = None
+                for i, later in ahead:
+                    gain = r[i] + later
+                    if gain > best + 1e-12:
+                        best = gain
+                        pick = i
+                actions.append(pick)
+                total += pj * best
+            value_here[caps] = total
+            table[(t, caps)] = tuple(actions)
+        value_next = value_here
+    return float(model.total.survival(1)) * value_next[tuple(inst.capacities)], table
+
+
+def tuple_horizon_value(plan: HorizonPlan) -> float:
+    """``horizon_policy_value`` by the same forward pass over a dict keyed by
+    capacity tuples, each accepted unit a tuple slice."""
+    inst, model = plan.instance, plan.model
+    states = {tuple(inst.capacities): 1.0}
+    rewards = [[float(r) for r in row] for row in inst.rewards]
+    value = 0.0
+    for t in range(1, plan.horizon + 1):
+        s_t = float(model.total.survival(t))
+        row = [float(p) for p in model.probs[t - 1]]
+        route = plan.route[t - 1].tolist()  # [i][j]
+        accepts = [p.accept_probs[t - 1] for p in plan.plans]
+        arcs = [
+            (i, row[j] * route[i][j] * accepts[i], rewards[i][j])
+            for j in range(inst.m) if row[j] > 0.0 for i in range(inst.n) if route[i][j] > 0.0
+        ]
+        nxt = {}
+
+        def push(caps, w):
+            if w > 0.0:
+                nxt[caps] = nxt.get(caps, 0.0) + w
+
+        for caps, w in states.items():
+            moved = 0.0
+            for i, accept, reward in arcs:
+                if caps[i] > 0 and accept > 0.0:
+                    value += s_t * w * accept * reward
+                    push(caps[:i] + (caps[i] - 1,) + caps[i + 1 :], w * accept)
+                    moved += accept
+            push(caps, w * (1.0 - moved))
+        states = nxt
+    return value

@@ -6,6 +6,7 @@ seeds, and tolerances live in :mod:`demandmatch.acceptance` and are not
 calibrated here.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -40,6 +41,32 @@ def test_adversarial_guarantee_twin(shortfall, passed, monkeypatch):
     result = acceptance.check_adversarial_guarantee(count=1, seed=3004)
     assert result.passed is passed, result.detail
     assert len(lp_values) == 1 and lp_values[0] > 1.0
+
+
+def test_adversarial_guarantee_checks_192_of_200_trials():
+    """At seed 3003, 8 of the 200 trials have a truncated LP of 0, where any
+    nonnegative value clears half of it; the other 192 check the guarantee."""
+    result = acceptance.check_adversarial_guarantee()
+    assert result.detail.endswith(" over 192 of 200 trials with LP > 1e-12"), result.detail
+
+
+@pytest.mark.parametrize("shrink, passed", [(1e-8, False), (0.0, True)], ids=["below", "at"])
+def test_ocrs_schedule_twin(shrink, passed, monkeypatch):
+    """Known-bad twin: every plan's gamma shrunk by 1e-8 (ten times the gate's
+    TOL) while its schedule stays, so a step of rate y accepts ``1e-8 * y``
+    more than ``gamma * y``; the first trial has rates above 0.1, so a TOL of
+    1e-8 would let it through.  The real plans pass."""
+    plan_of = acceptance.ocrs_plan
+
+    def twin(rates, k):
+        plan = plan_of(rates, k)
+        return dataclasses.replace(plan, gamma=plan.gamma - shrink)
+
+    monkeypatch.setattr(acceptance, "ocrs_plan", twin)
+    result = acceptance.check_ocrs_schedule(count=20)
+    assert result.passed is passed, result.detail
+    if not passed:
+        assert result.detail.startswith("trial 0 step "), result.detail
 
 
 @pytest.mark.parametrize("shortfall, passed", [(1e-8, False), (0.0, True)], ids=["below", "at"])

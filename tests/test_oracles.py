@@ -1,6 +1,7 @@
 """Offline optima, exact expectations, the online DP, and order search."""
 
 import dataclasses
+import functools
 import inspect
 import itertools
 from fractions import Fraction
@@ -27,15 +28,23 @@ from demandmatch.oracles import (
     _search_orders,
     exact_policy_value,
     expected_offline,
+    horizon_policy_value,
     mc_policy_value,
     offline_optimum,
     optimal_online_dp,
     worst_case_order,
 )
 from demandmatch.linprog import solve_lp
-from demandmatch.policies import plan_indep_adv_policy
+from demandmatch.policies import plan_horizon_policy, plan_indep_adv_policy
 from demandmatch.relaxations import horizon_model_of, transportation_lp
-from reference import iter_orders, order_count, threshold_value_for_order, under_random_order
+from reference import (
+    iter_orders,
+    order_count,
+    threshold_value_for_order,
+    tuple_horizon_value,
+    tuple_online_dp,
+    under_random_order,
+)
 
 
 def brute_force_offline(inst, counts):
@@ -384,6 +393,59 @@ class TestOptimalOnlineDp:
         assert optimal_online_dp(model, inst).value == pytest.approx(brute, abs=1e-9)
 
 
+@functools.cache
+def lattice_cases() -> tuple[dm.Instance, ...]:
+    """300 random horizons of up to 6 steps, with 1-3 resources of mixed
+    capacity 1-2, 1-3 types and rows that may sum below one; then a horizon
+    whose probabilities are all `Fraction`s, and a capacity-8 horizon of 31
+    steps over 3 resources (729 states)."""
+    cases = [random_horizon_instance(trial_rng(2300, t), max_horizon=6) for t in range(300)]
+    model = dm.StochasticHorizonModel(
+        total=dm.DemandDistribution.from_pmf({1: Fraction(1, 6), 2: Fraction(1, 3), 3: Fraction(1, 2)}),
+        probs=((Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 5), Fraction(1, 5)), (Fraction(1, 7), Fraction(5, 7))),
+    )
+    cases.append(
+        dm.Instance(rewards=((3.0, 1.0), (2.0, 2.5)), capacities=(2, 1), demand=model, arrival=dm.Arrival.RANDOM_ORDER)
+    )
+    cases.append(random_horizon_instance(trial_rng(2323, 46), max_horizon=32, fixed_capacity=8))
+    return tuple(cases)
+
+
+class TestCapacityLattice:
+    """The oracles on the integer-indexed lattice against the tuple-keyed
+    recursions they replaced (`reference.tuple_online_dp` and
+    `reference.tuple_horizon_value`), bit for bit."""
+
+    def test_cases_cover_the_edges(self):
+        cases = lattice_cases()
+        assert any(inst.n == 1 for inst in cases)
+        assert any(sum(map(float, row)) < 1.0 for inst in cases for row in inst.demand.probs)
+        assert any(len(set(inst.capacities)) > 1 for inst in cases)
+        assert isinstance(cases[-2].demand.probs[0][0], Fraction)
+        big = cases[-1]
+        assert big.capacities == (8, 8, 8) and big.demand.horizon >= 24
+
+    def test_dp_value_and_table_match_the_tuple_recursion(self):
+        for idx, inst in enumerate(lattice_cases()):
+            result = optimal_online_dp(inst.demand, inst)
+            value, table = tuple_online_dp(inst.demand, inst)
+            assert result.value.hex() == value.hex(), idx
+            assert result.table == table, idx
+            assert list(result.table) == list(table), idx
+
+    def test_table_keys_are_every_step_and_state(self):
+        for idx, inst in enumerate(lattice_cases()):
+            lattice = list(itertools.product(*(range(k + 1) for k in inst.capacities)))
+            want = {(t, caps) for t in range(1, inst.demand.horizon + 1) for caps in lattice}
+            keys = optimal_online_dp(inst.demand, inst).table.keys()
+            assert keys == want and len(keys) == len(want), idx
+
+    def test_forward_pass_matches_the_tuple_recursion(self):
+        for idx, inst in enumerate(lattice_cases()):
+            plan = plan_horizon_policy(inst.demand, inst)
+            assert horizon_policy_value(plan).value.hex() == tuple_horizon_value(plan).hex(), idx
+
+
 def orders_one_by_one(plan, counts):
     """The least value over every order of ``iter_orders``, each valued from
     scratch, and the exact mean of those values."""
@@ -585,7 +647,7 @@ class TestExactPolicyValue:
             plan = plan_indep_adv_policy(inst)
             return exact_policy_value(plan).value, plan.lp_value
 
-        failure, _ = _guarantee_sweep(trial, 0.5, 60, 3017)
+        failure, _, _ = _guarantee_sweep(trial, 0.5, 60, 3017)
         assert not failure, failure
 
     def test_matches_monte_carlo_within_four_se(self):

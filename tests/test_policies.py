@@ -1,11 +1,14 @@
 """Threshold and horizon policies, contention resolution, static baselines."""
 
+import contextlib
 import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import demandmatch as dm
 from demandmatch import policies
@@ -33,7 +36,31 @@ from demandmatch.policies import (
     static_threshold_value,
 )
 from demandmatch.relaxations import horizon_model_of
-from reference import iter_orders, ocrs_bisection
+from reference import accept_step, iter_orders, ocrs_bisection, schedule_or_none
+
+
+@contextlib.contextmanager
+def out_of_place_step():
+    """Run the library's accepted-count callers on `reference.accept_step`."""
+
+    def step(counts, hazard):
+        counts[:] = accept_step(counts, hazard)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(policies, "_accept_step", step)
+        yield
+
+
+@st.composite
+def ocrs_schedules(draw):
+    """A capacity k in 1..8 and up to 3k + 2 rates, each exactly 0, exactly 1
+    or in between; rates are dropped from the end until they fit the budget."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+    rates = draw(st.lists(rate, max_size=3 * k + 2))
+    while sum(rates) > k:
+        rates.pop()
+    return rates, k
 
 
 def indep_instance(rewards, caps, dists, arrival=dm.Arrival.ADVERSARIAL):
@@ -261,6 +288,24 @@ class TestOcrs:
             plan = ocrs_plan(rates.tolist(), k)
             assert plan.gamma >= floor - 1e-9
 
+    @given(ocrs_schedules())
+    @settings(max_examples=200, deadline=None)
+    @example(([], 1))
+    @example(([], 8))
+    @example(([0.0] * 5, 3))
+    @example(([1.0] * 8, 8))
+    @example(([1.0, 0.0, 1.0, 0.0], 2))
+    def test_plan_matches_the_out_of_place_recursion(self, case):
+        """The in-place accepted-count law gives the reference's plan bit for
+        bit, and the reference's schedule at that plan's gamma."""
+        rates, k = case
+        plan = ocrs_plan(rates, k)
+        with out_of_place_step():
+            assert _hex(ocrs_plan(rates, k)) == _hex(plan)
+        cs, avail = schedule_or_none(list(plan.rates), k, plan.gamma)
+        assert [c.hex() for c in cs] == [c.hex() for c in plan.accept_probs]
+        assert [a.hex() for a in avail] == [a.hex() for a in plan.availability]
+
     @pytest.mark.parametrize("trial", range(30))
     def test_uniform_acceptance_promise(self, trial):
         """Each step's unconditional acceptance equals gamma times its rate."""
@@ -279,13 +324,7 @@ class TestOcrs:
             assert available == pytest.approx(plan.availability[t], abs=1e-12)
             accept = y * available * plan.accept_probs[t]
             assert accept == pytest.approx(plan.gamma * y, abs=1e-9)
-            hazard = y * plan.accept_probs[t]
-            nxt = [0.0] * (k + 1)
-            for a in range(k + 1):
-                nxt[a] = counts[a] * (1.0 - hazard) if a < k else counts[a]
-                if a > 0:
-                    nxt[a] += counts[a - 1] * hazard
-            counts = nxt
+            counts = accept_step(counts, y * plan.accept_probs[t])
 
 
 class TestHorizonPolicy:
@@ -533,6 +572,28 @@ class TestStaticThreshold:
         opt = dm.optimal_online_dp(model, inst).value
         assert opt >= 6 * 0.9**6 - 1e-9
         assert value < opt
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_the_out_of_place_recursion(self, k):
+        """Bit for bit the reference recursion's value at every distinct bar,
+        on ten random single-resource horizons of capacity k and on three
+        fixed ones: a step whose qualifying mass is exactly 1, steps with
+        none, and a horizon of zero steps."""
+        fixed = [
+            ({1: 0.5, 3: 0.5}, ((0.25, 0.75), (0.0, 0.0), (0.5, 0.0))),
+            ({2: 1.0}, ((0.0, 1.0), (1.0, 0.0))),
+            ({0: 1.0}, ((0.5, 0.5),)),
+        ]
+        cases = [random_horizon_instance(trial_rng(2400 + k, t), max_horizon=8, max_n=1, fixed_capacity=k) for t in range(10)]
+        for pmf, rows in fixed:
+            model = dm.StochasticHorizonModel(total=dm.DemandDistribution.from_pmf(pmf), probs=rows)
+            cases.append(dm.Instance(rewards=((1.0, 3.0),), capacities=(k,), demand=model, arrival=dm.Arrival.RANDOM_ORDER))
+        for inst in cases:
+            bars = sorted({float(r) for r in inst.rewards[0]})
+            for bar in [0.0, *bars, bars[-1] + 1.0]:
+                value = static_threshold_value(inst.demand, inst, bar)
+                with out_of_place_step():
+                    assert static_threshold_value(inst.demand, inst, bar).hex() == value.hex()
 
     def test_requires_single_resource(self):
         model = dm.StochasticHorizonModel(

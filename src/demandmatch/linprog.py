@@ -13,7 +13,9 @@ pivots suggests cycling, then Bland's rule, whose termination guarantee makes
 the solver total on degenerate inputs.  The problems are small, so no
 factorization machinery is attempted.  The tableau is one augmented array
 (reduced costs in row 0, basic values in column 0), so a pivot is one row
-division and one rank-1 update.
+division and one rank-1 update: of the whole array for a tableau of at most
+``_BLOCK_CELLS`` cells, and of each row with a nonzero entry in the entering
+column, in place, for a larger one.
 
 An optimal ``Tableau`` is reoptimized in place after ``add_row`` (a cutting
 plane) or ``set_rhs`` (a new demand realization): both leave its basis dual
@@ -40,8 +42,8 @@ DEGENERATE_TOL = 1e-12
 FEAS_TOL = 1e-12
 
 _MAX_PIVOTS = 200_000
-#: cells per block of the rank-1 update (128 KiB of floats); a smaller tableau
-#: is updated whole
+#: tableaux of at most this many cells (128 KiB of floats) are updated whole;
+#: a larger one row by row, skipping the rows the pivot leaves unchanged
 _BLOCK_CELLS = 16_384
 
 
@@ -96,12 +98,25 @@ class LinearProgram:
         return len(self.rows)
 
 
+@dataclass(slots=True)
+class LpStats:
+    """Pivot counts of one ``reoptimize`` call, kept by ``Tableau.run``."""
+
+    primal_pivots: int = 0
+    dual_pivots: int = 0
+    #: pivots that moved the objective by at most ``DEGENERATE_TOL``
+    degenerate_pivots: int = 0
+    #: runs of degenerate pivots long enough to switch to Bland's rule
+    bland_switches: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     status: LpStatus
     values: np.ndarray  # (n,) float
     objective_value: float
     basis: tuple[int, ...] = field(default=())
+    stats: LpStats = field(default_factory=LpStats)
 
     @property
     def is_optimal(self) -> bool:
@@ -113,8 +128,10 @@ class Tableau:
     ``cost`` and column 0 the basic values ``rhs``, around the constraint
     rows ``T`` over [vars | slacks], whose slack columns hold the basis
     inverse.  ``T``, ``rhs`` and ``cost`` are views, so a pivot is one row
-    division and one rank-1 update of the whole array.  The array is a view
-    into a buffer with spare rows, so ``add_row`` rarely copies.
+    division and one rank-1 update.  Above ``_BLOCK_CELLS`` cells that update
+    runs row by row, in place, over the rows whose entry in the entering
+    column is nonzero.  The array is a view into a buffer with spare rows, so
+    ``add_row`` rarely copies.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -132,7 +149,9 @@ class Tableau:
 
     def add_row(self, a: np.ndarray, b: float) -> None:
         """Append ``a.x <= b`` with its slack basic; an optimal basis stays dual feasible."""
-        b = _checked_rhs([b])[0]
+        a, b = np.asarray(a, dtype=float).reshape(-1), _checked_rhs([b])[0]
+        if a.size != self.objective.size:
+            raise ValueError(f"row has {a.size} coefficients, expected {self.objective.size}")
         r, cols = self.T.shape
         if r + 1 == self._buffer.shape[0]:
             # room for r + 1 more rows, each with its slack column
@@ -151,8 +170,10 @@ class Tableau:
 
     def set_rhs(self, b) -> None:
         """Replace ``b``: the basic values become B^-1 b."""
-        n, r = self.objective.size, len(self.basis)
-        self.rhs[:] = self.T[:, n : n + r] @ _checked_rhs(b)
+        n, r, b = self.objective.size, len(self.basis), _checked_rhs(b)
+        if b.size != r:
+            raise ValueError(f"rhs has {b.size} entries, expected {r}")
+        self.rhs[:] = self.T[:, n : n + r] @ b
 
     def _entering(self) -> int:
         rc = self.cost
@@ -161,10 +182,10 @@ class Tableau:
         col = int((rc < -RC_TOL).argmax() if self.bland else rc.argmin())
         return col if rc[col] < -RC_TOL else -1
 
-    def _leaving(self, col: int) -> int:
-        """Primal ratio test: among the rows within 1e-12 of the minimum
-        ratio, the one with the lowest basic index."""
-        column = self.T[:, col]
+    def _leaving(self, column: np.ndarray) -> int:
+        """Primal ratio test on the entering column's constraint rows: among
+        the rows within 1e-12 of the minimum ratio, the one with the lowest
+        basic index."""
         rows = np.nonzero(column > PIVOT_TOL)[0]
         if rows.size == 0:
             return -1
@@ -192,27 +213,28 @@ class Tableau:
         ratios = np.maximum(self.cost[cols], 0.0) / -a[cols]
         return int(cols[np.argmax(ratios <= ratios.min() + 1e-12)])
 
-    def _pivot(self, row: int, col: int) -> None:
+    def _pivot(self, row: int, col: int, factors: np.ndarray) -> None:
+        """Pivot on (row, col); ``factors`` is a copy of the entering column
+        of the augmented array taken before the pivot, and is overwritten."""
         A, r = self._aug, row + 1
         A[r] /= A[r, col + 1]
-        factors = A[:, col + 1].copy()
         factors[r] = 0.0
-        gain = factors[0] * A[r, 0]
+        prow = A[r]
+        gain = factors[0] * prow[0]
         if A.size <= _BLOCK_CELLS:
-            A -= np.outer(factors, A[r])
+            A -= np.outer(factors, prow)
         else:
-            # only rows with a nonzero factor change; update them in blocks
-            # small enough that each gathered copy stays in cache
-            nz = np.nonzero(factors)[0]
-            step = max(1, _BLOCK_CELLS // A.shape[1])
-            for start in range(0, nz.size, step):
-                rows = nz[start : start + step]
-                A[rows] -= np.outer(factors[rows], A[r])
+            # only rows with a nonzero factor change
+            scratch = np.empty_like(prow)
+            for k in np.nonzero(factors)[0]:
+                A[k] -= np.multiply(prow, factors[k], out=scratch)
         self.basis[row] = col
         if abs(gain) <= DEGENERATE_TOL:
             self.degenerate_run += 1
-            if self.degenerate_run >= self.bland_after:
+            self.stats.degenerate_pivots += 1
+            if self.degenerate_run >= self.bland_after and not self.bland:
                 self.bland = True
+                self.stats.bland_switches += 1
         else:
             self.degenerate_run = 0
             self.bland = False
@@ -221,9 +243,11 @@ class Tableau:
         """Dual pivots while a basic value is negative, then primal pivots to
         optimality; False when a column has no leaving row.  The LP is feasible
         (b >= 0), so a dual dead end or an exhausted budget raises RuntimeError.
+        The call's pivot counts are left in a new ``stats`` record.
         """
         self.degenerate_run = 0
         self.bland = False
+        stats = self.stats = LpStats()
         for _ in range(_MAX_PIVOTS):
             row = self._infeasible_row()
             if row == -1:
@@ -231,25 +255,29 @@ class Tableau:
             col = self._dual_entering(row)
             if col == -1:
                 raise RuntimeError(f"row {row} has basic value {self.rhs[row]!r} and no entering column")
-            self._pivot(row, col)
+            self._pivot(row, col, self._aug[:, col + 1].copy())
+            stats.dual_pivots += 1
         else:
             raise RuntimeError("dual simplex exceeded the pivot budget")
         for _ in range(_MAX_PIVOTS):
             col = self._entering()
             if col == -1:
                 return True
-            row = self._leaving(col)
+            # one contiguous read of the entering column, for both the ratio
+            # test and the update
+            column = self._aug[:, col + 1].copy()
+            row = self._leaving(column[1:])
             if row == -1:
                 return False
-            self._pivot(row, col)
+            self._pivot(row, col, column)
+            stats.primal_pivots += 1
         raise RuntimeError("simplex exceeded the pivot budget")
 
     def primal(self, num_cols: int) -> np.ndarray:
-        x = np.zeros(num_cols)
-        for r, b in enumerate(self.basis):
-            if b < num_cols:
-                x[b] = self.rhs[r]
-        return x
+        """The basic solution over all columns, cut to the first ``num_cols``."""
+        x = np.zeros(self.T.shape[1])
+        x.put(self.basis, self.rhs)
+        return x[:num_cols]
 
 
 def reoptimize(tab: Tableau) -> LpSolution:
@@ -257,13 +285,14 @@ def reoptimize(tab: Tableau) -> LpSolution:
     warm reoptimization after ``add_row``/``set_rhs``, a cold solve when fresh."""
     n = tab.objective.size
     if not tab.run():
-        return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf)
+        return LpSolution(LpStatus.UNBOUNDED, np.zeros(n), np.inf, stats=tab.stats)
     x = tab.primal(n)
     return LpSolution(
         status=LpStatus.OPTIMAL,
         values=x,
         objective_value=float(tab.objective @ x),
-        basis=tuple(int(bv) for bv in tab.basis),
+        basis=tuple(tab.basis),
+        stats=tab.stats,
     )
 
 

@@ -19,7 +19,7 @@ from demandmatch.demand import (
     StochasticHorizonModel,
 )
 from demandmatch.experiments import _rewards, _rounded_probs
-from demandmatch.linprog import LinearProgram
+from demandmatch.linprog import _BLOCK_CELLS, DEGENERATE_TOL, LinearProgram, Tableau
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, HorizonPlan, IndepAdvPlan, OcrsPlan
 from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
@@ -37,6 +37,36 @@ def is_feasible(lp: LinearProgram, values, tol: float = 1e-9) -> bool:
     """Whether a point satisfies ``x >= 0`` and ``rows @ x <= rhs`` up to ``tol``."""
     x = np.asarray(values, dtype=float)
     return bool(np.all(x >= -tol) and np.all(lp.rows @ x <= lp.rhs + tol))
+
+
+def blocked_pivot(tab: Tableau, row: int, col: int, factors: np.ndarray) -> None:
+    """``Tableau._pivot`` with the blocked update it replaced: the entering
+    column is read again after the row division (``factors`` is ignored), and
+    above ``_BLOCK_CELLS`` cells the changed rows are gathered in blocks,
+    updated through an outer-product temporary and scattered back."""
+    A, r = tab._aug, row + 1
+    A[r] /= A[r, col + 1]
+    factors = A[:, col + 1].copy()
+    factors[r] = 0.0
+    gain = factors[0] * A[r, 0]
+    if A.size <= _BLOCK_CELLS:
+        A -= np.outer(factors, A[r])
+    else:
+        nz = np.nonzero(factors)[0]
+        step = max(1, _BLOCK_CELLS // A.shape[1])
+        for start in range(0, nz.size, step):
+            rows = nz[start : start + step]
+            A[rows] -= np.outer(factors[rows], A[r])
+    tab.basis[row] = col
+    if abs(gain) <= DEGENERATE_TOL:
+        tab.degenerate_run += 1
+        tab.stats.degenerate_pivots += 1
+        if tab.degenerate_run >= tab.bland_after and not tab.bland:
+            tab.bland = True
+            tab.stats.bland_switches += 1
+    else:
+        tab.degenerate_run = 0
+        tab.bland = False
 
 
 def knapsack_cuts(x, inst: Instance, tol: float = CUT_TOL) -> list[Cut]:

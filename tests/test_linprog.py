@@ -1,6 +1,8 @@
-"""One-phase simplex: statuses, golden values, the vertex-enumeration
-cross-check for random programs, and warm reoptimization after a new row or
-a new right-hand side against cold solves and HiGHS."""
+"""One-phase simplex: statuses, golden values and pivot counts, the
+vertex-enumeration cross-check for random programs, warm reoptimization
+after a new row or a new right-hand side against cold solves and HiGHS, and
+the row-by-row update of large tableaux against the blocked update it
+replaced."""
 
 import itertools
 
@@ -8,11 +10,19 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
 
-from demandmatch import linprog
-from demandmatch.demand import Instance, IndepDemandModel, DemandDistribution, trial_rng
-from demandmatch.experiments import random_horizon_instance, random_indep_instance
+from demandmatch import linprog, relaxations
+from demandmatch.demand import (
+    Arrival,
+    DemandDistribution,
+    IndepDemandModel,
+    Instance,
+    StochasticHorizonModel,
+    trial_rng,
+)
+from demandmatch.experiments import _rewards, _rounded_probs, random_horizon_instance, random_indep_instance
 from demandmatch.linprog import (
     LinearProgram,
+    LpStats,
     LpStatus,
     Tableau,
     format_tableau,
@@ -27,7 +37,18 @@ from demandmatch.relaxations import (
     horizon_model_of,
     transportation_lp,
 )
-from reference import is_feasible
+from reference import blocked_pivot, is_feasible
+
+#: Beale's example, on which Dantzig's rule cycles without an anti-cycling rule
+BEALE = LinearProgram(
+    objective=(0.75, -150.0, 0.02, -6.0),
+    rows=(
+        (0.25, -60.0, -0.04, 9.0),
+        (0.5, -90.0, -0.02, 3.0),
+        (0.0, 0.0, 1.0, 0.0),
+    ),
+    rhs=(0.0, 0.0, 1.0),
+)
 
 
 def enumerate_optimum(lp: LinearProgram) -> float:
@@ -112,16 +133,7 @@ class TestAgainstEnumeration:
 
     def test_degenerate_program_terminates(self):
         # classic cycling-prone data; Bland fallback must finish
-        lp = LinearProgram(
-            objective=(0.75, -150.0, 0.02, -6.0),
-            rows=(
-                (0.25, -60.0, -0.04, 9.0),
-                (0.5, -90.0, -0.02, 3.0),
-                (0.0, 0.0, 1.0, 0.0),
-            ),
-            rhs=(0.0, 0.0, 1.0),
-        )
-        sol = solve_lp(lp)
+        sol = solve_lp(BEALE)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(0.05, abs=1e-8)
 
@@ -166,8 +178,54 @@ def highs_value(lp: LinearProgram) -> float:
     return -float(res.fun)
 
 
+def ladder_horizon_lp(rng: np.random.Generator, horizon: int, n: int, m: int) -> LinearProgram:
+    """The conditional LP of an instance shaped like a cond-plan ladder rung:
+    ``n`` resources of capacity 2, ``m`` types, and a horizon of at most
+    ``horizon`` steps with four support points, the last one ``horizon``;
+    each step's arrival probabilities sum to between 1/2 and 1."""
+    rewards = _rewards(rng, n, m)
+    ends = sorted(set(rng.choice(np.arange(1, horizon), size=3, replace=False).tolist()) | {horizon})
+    total = DemandDistribution.from_pmf(dict(zip(ends, _rounded_probs(rng, len(ends)))))
+    rows = []
+    for _ in range(horizon):
+        weights = rng.uniform(0.0, 1.0, size=m)
+        row = weights / weights.sum() * rng.uniform(0.5, 1.0)
+        rows.append(tuple(float(np.round(p, 6)) for p in row))
+    inst = Instance(
+        rewards=rewards,
+        capacities=(2,) * n,
+        demand=StochasticHorizonModel(total=total, probs=tuple(rows)),
+        arrival=Arrival.RANDOM_ORDER,
+    )
+    return conditional_lp(horizon_model_of(inst), inst)
+
+
+def ladder_truncated_instance(rng: np.random.Generator, n: int, m: int = 10) -> Instance:
+    """Shaped like a trunc-plan ladder rung: ``n`` unit resources and ``m``
+    types, each with three support points in ``[0, max(3, n // 5)]``."""
+    top = max(3, n // 5)
+    dists = []
+    for _ in range(m):
+        values = sorted(rng.choice(top + 1, size=3, replace=False).tolist())
+        dists.append(DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, 3)))))
+    return Instance(rewards=_rewards(rng, n, m), capacities=(1,) * n, demand=IndepDemandModel(tuple(dists)))
+
+
+#: (T, n, m) of the cond-plan ladder's two largest dense rungs
+LADDER_SHAPES = {"T25": (25, 8, 8), "T50": (50, 10, 10)}
+
+
 class TestAgainstHighs:
     """The simplex and HiGHS agree on the relaxations of random instances."""
+
+    @pytest.mark.parametrize("shape", LADDER_SHAPES.values(), ids=LADDER_SHAPES.keys())
+    def test_conditional_lp_at_ladder_sizes(self, shape):
+        lp = ladder_horizon_lp(np.random.default_rng((5223, *shape)), *shape)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert is_feasible(lp, sol.values)
+        expected = highs_value(lp)
+        assert abs(sol.objective_value - expected) <= 1e-9 * abs(expected)
 
     @pytest.mark.parametrize("trial", range(40))
     def test_relaxation_values(self, trial):
@@ -256,6 +314,82 @@ class TestReoptimize:
         assert any(bland_dual_pivots)
 
 
+class TestStats:
+    """Each ``reoptimize`` call reports its own pivot counts."""
+
+    def test_golden_counts(self):
+        # Dantzig's rule cycles on Beale's example, so after bland_after = 35
+        # degenerate pivots the run switches to Bland's rule, which takes one
+        # more degenerate pivot and one that improves
+        tab = Tableau(BEALE)
+        assert tab.bland_after == 35
+        first = reoptimize(tab)
+        assert first.stats == LpStats(primal_pivots=37, dual_pivots=0, degenerate_pivots=36, bland_switches=1)
+        # x1 <= 0 cuts the optimum off; one dual pivot restores it
+        tab.add_row(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        second = reoptimize(tab)
+        assert second.stats == LpStats(primal_pivots=0, dual_pivots=1, degenerate_pivots=0, bland_switches=0)
+        assert reoptimize(tab).stats == LpStats()
+        assert first.stats == LpStats(primal_pivots=37, dual_pivots=0, degenerate_pivots=36, bland_switches=1)
+
+    def test_unbounded_counts(self):
+        sol = solve_lp(LinearProgram(objective=(1.0, 1.0), rows=((1.0, -1.0),), rhs=(1.0,)))
+        assert sol.status is LpStatus.UNBOUNDED
+        assert sol.stats == LpStats(primal_pivots=1)
+
+
+class TestRowwiseUpdate:
+    """Above ``_BLOCK_CELLS`` cells a pivot updates each changed row in place;
+    every answer is bit for bit that of the blocked update it replaced."""
+
+    @staticmethod
+    def answers(monkeypatch, pivot, solve) -> tuple[list, list[int]]:
+        """Every ``reoptimize`` answer of ``solve()`` with ``pivot`` as the
+        pivot routine, and the size of the tableau at each pivot."""
+        answers, sizes = [], []
+
+        def recorded(tab):
+            answers.append(reoptimize(tab))
+            return answers[-1]
+
+        def spy(tab, row, col, factors):
+            sizes.append(tab._aug.size)
+            pivot(tab, row, col, factors)
+
+        monkeypatch.setattr(Tableau, "_pivot", spy)
+        monkeypatch.setattr(linprog, "reoptimize", recorded)
+        monkeypatch.setattr(relaxations, "reoptimize", recorded)
+        solve()
+        return answers, sizes
+
+    def assert_same_as_blocked(self, monkeypatch, solve) -> list:
+        (old, old_sizes), (new, new_sizes) = (
+            self.answers(monkeypatch, pivot, solve) for pivot in (blocked_pivot, Tableau._pivot)
+        )
+        assert new_sizes == old_sizes
+        assert min(new_sizes) > linprog._BLOCK_CELLS
+        assert len(new) == len(old)
+        for a, b in zip(old, new):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.basis == b.basis
+            assert a.objective_value.hex() == b.objective_value.hex()
+            assert a.stats == b.stats
+        return new
+
+    @pytest.mark.parametrize("shape", LADDER_SHAPES.values(), ids=LADDER_SHAPES.keys())
+    def test_conditional_lp(self, monkeypatch, shape):
+        lp = ladder_horizon_lp(np.random.default_rng((5224, *shape)), *shape)
+        (sol,) = self.assert_same_as_blocked(monkeypatch, lambda: solve_lp(lp))
+        assert sol.stats.primal_pivots > 100
+
+    def test_truncated_lp_with_cuts(self, monkeypatch):
+        inst = ladder_truncated_instance(np.random.default_rng((5225, 50)), n=50)
+        sols = self.assert_same_as_blocked(monkeypatch, lambda: build_truncated_lp(inst))
+        # the cuts after the first solve bring dual pivots
+        assert len(sols) > 2
+        assert sum(s.stats.dual_pivots for s in sols[1:]) > 0
+
+
 class TestReoptimizeFailures:
     """Breakdowns raise instead of returning a point."""
 
@@ -280,6 +414,19 @@ class TestReoptimizeFailures:
         monkeypatch.setattr(linprog, "_MAX_PIVOTS", 0)
         with pytest.raises(RuntimeError, match="dual simplex exceeded the pivot budget"):
             reoptimize(tab)
+
+    def test_wrong_length_row_rejected(self):
+        # a one-entry row must not broadcast to x1 + x2 + x3 <= 1
+        tab = Tableau(LinearProgram(objective=(1.0, 1.0, 1.0), rows=np.eye(3), rhs=(1.0, 1.0, 1.0)))
+        assert reoptimize(tab).objective_value == 3.0
+        with pytest.raises(ValueError, match="^row has 1 coefficients, expected 3$"):
+            tab.add_row(np.array([1.0]), 1.0)
+        assert reoptimize(tab).objective_value == 3.0
+
+    def test_wrong_length_rhs_rejected(self):
+        tab = Tableau(LinearProgram(objective=(1.0, 1.0, 1.0), rows=np.eye(3), rhs=(1.0, 1.0, 1.0)))
+        with pytest.raises(ValueError, match="^rhs has 2 entries, expected 3$"):
+            tab.set_rhs([1.0, 2.0])
 
     def test_negative_new_bound_rejected(self):
         tab = Tableau(LinearProgram(objective=(1.0,), rows=((1.0,),), rhs=(1.0,)))
@@ -331,7 +478,7 @@ class TestPivotRules:
             )
             rng.shuffle(tab.basis)  # the tie-break reads the basic indices' order
             for col in range(n + r):
-                assert tab._leaving(col) == leaving_by_loop(tab, col)
+                assert tab._leaving(tab.T[:, col]) == leaving_by_loop(tab, col)
             for cost in (tab.cost.copy(), rng.integers(-3, 4, n + r)):
                 tab.cost[:] = cost  # the slack columns' costs too
                 tab.bland = False

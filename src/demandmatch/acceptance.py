@@ -224,11 +224,13 @@ def check_adversarial_guarantee(count: int = 200, seed: int = 3003) -> tuple[boo
     """Exact worst-order policy value clears half the tightened LP."""
 
     def trial(rng: np.random.Generator) -> tuple[float, float]:
-        inst = random_indep_instance(
-            rng, max_n=3, max_m=3, max_support=3, max_value=2, max_total_capacity=3
-        )
-        plan = plan_indep_adv_policy(inst)
-        return exact_policy_value(plan).value, plan.lp_value
+        while True:  # a truncated LP of 0 checks nothing: draw again from the trial's stream
+            inst = random_indep_instance(
+                rng, max_n=3, max_m=3, max_support=3, max_value=2, max_total_capacity=3
+            )
+            plan = plan_indep_adv_policy(inst)
+            if plan.lp_value > 1e-12:
+                return exact_policy_value(plan).value, plan.lp_value
 
     failure, worst, checked = _guarantee_sweep(trial, 0.5, count, seed)
     return not failure, failure or f"worst observed ratio {worst:.6f} over {checked} of {count} trials with LP > 1e-12"

@@ -40,11 +40,11 @@ replays each coin as decided, so each coin yields one child.
 
 Arithmetic is exact when the law and the column are rational: the rounded
 distribution is in `fractions.Fraction`, so the worked examples reproduce
-exactly.  The replays weigh branches in integers, a coin ``a / b`` splitting a
-weight ``w`` into ``w * a`` and ``w * (b - a)`` over a denominator times ``b``,
-and the invariant checks and segment sums compare and sum integers over common
-denominators; no slack is forgiven.  A float column rounds over the law's
-float copy and may overshoot the residual demand by ``COLUMN_SLACK``.
+exactly.  Inside, the compact state and the replays are integer numerators
+over common denominators, a coin ``a / b`` scaling a branch weight or an idle
+probability by ``a`` or ``b - a`` and every other idle probability by ``b``, so
+no gcd is taken per stage and no slack is forgiven.  A float column rounds over
+the law's float copy, every denominator 1, and may overshoot by ``COLUMN_SLACK``.
 """
 
 from __future__ import annotations
@@ -120,11 +120,13 @@ class MarginalReport:
 class RoundingState:
     """Mutable stage-by-stage state of the rounding scheme.
 
-    Branch tracking is optional: the compact state (idle probabilities per
-    rank, the segment partition and each segment's survival) is enough to
-    run all stages, while the explicit weighted branch set is what the
-    invariant checks inspect.  The arithmetic is exact exactly when the law
-    ``dist`` is, and then forgives no slack; over a float law, ``COLUMN_SLACK``.
+    Branch tracking is optional: the compact state is enough to run all stages,
+    while the explicit weighted branch set is what the invariant checks inspect.
+    The compact state is the segments and integer numerators over common
+    denominators: rank survivals over ``surv_den``, idle probabilities over
+    ``idle_den`` (the product of the coin denominators), segment survivals over both.
+    The arithmetic is exact exactly when the law ``dist`` is, and then forgives
+    no slack; over a float law, ``COLUMN_SLACK``, with floats over denominators 1.
     """
 
     def __init__(
@@ -143,11 +145,12 @@ class RoundingState:
         self.num = Fraction if self.exact else float
         self.slack = 0 if self.exact else COLUMN_SLACK
         self.real_length = max(num_resources, dist.max_support)
-        self.rank_survival: list[Prob] = [self.num(dist.survival(k)) for k in range(1, self.real_length + 1)]
-        self.idle_prob: list[Prob] = [self.num(1)] * self.real_length
+        self.survivals = [self.num(dist.survival(k)) for k in range(1, self.real_length + 1)]
+        self.surv_num, self.surv_den = _common_denominator(self.survivals, self.exact)
+        self.idle_num, self.idle_den = _common_denominator([self.num(1)] * self.real_length, self.exact)
         # segment_survival of each segment, kept across stages: a singleton
         # of idle probability one sums to its rank's survival exactly
-        self.segment_survivals: list[Prob] = list(self.rank_survival)
+        self.segment_survivals: list[Prob] = list(self.surv_num)
         self.segments: list[tuple[int, int]] = [(k, k) for k in range(1, self.real_length + 1)]
         self.stage = 0
         self.decisions: list[StageDecision] = []
@@ -165,18 +168,16 @@ class RoundingState:
     @property
     def universe(self) -> int:
         """Current rank count, including appended zero-probability ranks."""
-        return len(self.rank_survival)
+        return len(self.surv_num)
 
     def segment_survival(self, seg_index: int) -> Prob:
         """Idle-weighted survival mass of one segment, the probability that its
-        combined arrival occurs: in exact mode an integer dot product."""
+        combined arrival occurs, as a numerator over ``idle_den * surv_den``."""
         lo, hi = self.segments[seg_index]
-        idle, iden = _common_denominator(self.idle_prob[lo - 1 : hi], self.exact)
-        surv, sden = _common_denominator(self.rank_survival[lo - 1 : hi], self.exact)
         total = 0
-        for a, b in zip(idle, surv):
+        for a, b in zip(self.idle_num[lo - 1 : hi], self.surv_num[lo - 1 : hi]):
             total = total + a * b
-        return Fraction(total, iden * sden) if self.exact else total
+        return total
 
     # -- the stage step --------------------------------------------------
 
@@ -203,50 +204,56 @@ class RoundingState:
 
     def _route(self, resource: int, x: Prob) -> None:
         """Route ``resource`` into the latest segment whose combined arrival
-        covers ``x`` or into the next one, and merge the two.  The walk stops at
-        ``s_next < x <= s_here + slack``: with no slack the coin lies in ``(0, 1]``."""
-        zero = self.num(0)
+        covers ``x = p / q`` or into the next one, and merge the two.  The walk
+        cross-multiplies and stops at ``g / den < x <= h / den + slack``, over the
+        survivals' ``den``: with no slack the coin ``(p·den − g·q) / (q·(h − g))`` is in ``(0, 1]``."""
+        exact = self.exact
+        p, q = _over(x, exact)
+        den = self.idle_den * self.surv_den
         # walk back from the last segment to the first that covers x
         chosen = len(self.segments) - 1
-        s_here, s_next = self.segment_survivals[chosen], zero
-        while s_here < x - self.slack:
+        h, g = self.segment_survivals[chosen], 0
+        while h * q < p * den - self.slack:
             if chosen == 0:
                 raise InfeasibleColumnError(
                     f"resource {resource} needs marginal {x} but the residual demand "
-                    f"arrives with probability only {s_here}"
+                    f"arrives with probability only {_ratio(h, den, exact)}"
                 )
             chosen -= 1
-            s_here, s_next = self.segment_survivals[chosen], s_here
+            h, g = self.segment_survivals[chosen], h
 
         if chosen == len(self.segments) - 1:  # _apply_decision spawns the next segment
-            self.rank_survival.append(zero)
-            self.idle_prob.append(self.num(1))
-            self.segment_survivals.append(zero)
-        lam = (x - s_next) / (s_here - s_next)
-        if not self.exact:
+            self.surv_num.append(0 if exact else 0.0)
+            self.idle_num.append(self.idle_den)
+            self.segment_survivals.append(0)
+        lam = _ratio(p * den - g * q, q * (h - g), exact)
+        if not exact:
             lam = min(1.0, max(0.0, lam))
 
         decision = StageDecision(resource=resource, segment=chosen, lam=lam)
         hi_a = self.segments[chosen][1]
-        coin, den = _split(lam, self.exact)
+        coin, b = _split(lam, exact)
         branches = _apply_decision(decision, self.segments, self.branches or [], coin)
         if self.branches is not None:
             self.branches = branches
-            self.branch_den *= den
+            self.branch_den *= b
         lo_a, hi_b = self.segments[chosen]
 
-        # the chosen segment's idle rank takes the resource with probability
-        # lam, the next segment's with 1 - lam
-        rest = 1 - lam
-        row = self.rank_probs[resource]
-        for rank in range(lo_a, hi_b + 1):
-            routed, kept = (lam, rest) if rank <= hi_a else (rest, lam)
-            if rank <= self.real_length:
-                row[rank - 1] = routed * self.idle_prob[rank - 1]
-            self.idle_prob[rank - 1] = kept * self.idle_prob[rank - 1]
-        # only the merged segment's idle probabilities moved
-        self.segment_survivals[chosen] = self.segment_survival(chosen)
-        del self.segment_survivals[chosen + 1]
+        # over idle_den * b, the chosen segment's idle rank takes the resource with
+        # weight coin[0] and the next's with coin[1]; all else scales by b
+        idle, survivals = self.idle_num, self.segment_survivals
+        if b != 1:
+            idle[: lo_a - 1] = [v * b for v in idle[: lo_a - 1]]
+            idle[hi_b:] = [v * b for v in idle[hi_b:]]
+            survivals[:] = [s * b for s in survivals]
+        self.idle_den *= b
+        row, into_chosen, into_next = self.rank_probs[resource], *coin
+        for k in range(lo_a - 1, hi_b):
+            routed, kept = (into_chosen, into_next) if k < hi_a else (into_next, into_chosen)
+            if k < self.real_length:
+                row[k] = _ratio(routed * idle[k], self.idle_den, exact)
+            idle[k] = kept * idle[k]
+        survivals[chosen : chosen + 2] = [self.segment_survival(chosen)]
         self.decisions.append(decision)
 
     def distribution(self) -> "RoutingDistribution":
@@ -255,7 +262,7 @@ class RoundingState:
         return RoutingDistribution(
             num_resources=len(self.order),
             length=self.real_length,
-            survivals=tuple(self.rank_survival[: self.real_length]),
+            survivals=tuple(self.survivals),
             decisions=tuple(self.decisions),
             rank_probs=tuple(tuple(row) for row in self.rank_probs),
             exact=self.exact,
@@ -282,9 +289,9 @@ class RoundingState:
           every branch.
 
         One pass visits each rank of each branch once.  In exact mode the branch
-        weights are integers over ``branch_den``, and survivals, idle
-        probabilities and targets over common denominators, so every sum runs
-        in integers and every comparison is an integer cross-multiplication:
+        weights, survivals and idle probabilities are integer numerators over the
+        state's denominators and each target is compared over its own, so every
+        sum runs in integers and every comparison is a cross-multiplication:
         an error below the smallest float is still reported, and a `Fraction`
         is built only to format a problem.  Float mode runs the same sums,
         branch by branch, in floats and compares within its slack.
@@ -298,16 +305,12 @@ class RoundingState:
             return [f"segments {self.segments} do not tile ranks 1..{self.universe}"]
         exact = self.exact
         problems: list[str] = []
-        ratio = Fraction if exact else (lambda num, den: num / den)
 
         def differ(a, aden: int, b, bden: int, tol: float = self.slack) -> bool:
             """``a / aden != b / bden``; in float mode (denominators 1) beyond ``tol``."""
             return a * bden != b * aden if exact else abs(a / aden - b / bden) > tol
 
-        wden = self.branch_den
-        surv, sden = _common_denominator(self.rank_survival, exact)
-        idle, iden = _common_denominator(self.idle_prob, exact)
-        wants, tden = _common_denominator([self.targets.get(r, 0) for r in range(len(self.order))], exact)
+        wden, surv, sden, idle, iden = self.branch_den, self.surv_num, self.surv_den, self.idle_num, self.idle_den
         mden = wden * sden
         nseg = len(self.segments)
         every_segment = list(range(nseg))
@@ -346,13 +349,13 @@ class RoundingState:
 
         total = sum(w for _, w in self.branches)
         if differ(total, wden, 1, 1, FLOAT_TOL):
-            problems.append(f"branch probabilities sum to {float(ratio(total, wden))!r}")
+            problems.append(f"branch probabilities sum to {float(_ratio(total, wden, exact))!r}")
 
         for res in range(len(self.order)):
             if res not in processed and mass[res] != 0:
-                problems.append(f"unprocessed resource {res} already has mass {ratio(mass[res], mden)}")
-            elif differ(mass[res], mden, wants[res], tden):
-                achieved, want = float(ratio(mass[res], mden)), float(self.targets.get(res, 0))
+                problems.append(f"unprocessed resource {res} already has mass {_ratio(mass[res], mden, exact)}")
+            elif differ(mass[res], mden, *_over(self.targets.get(res, 0), exact)):
+                achieved, want = float(_ratio(mass[res], mden, exact)), float(self.targets.get(res, 0))
                 problems.append(f"resource {res} achieves {achieved!r}, wants {want!r}")
 
         arrival = []  # per segment: its idle-weighted survival, over iden * sden
@@ -366,14 +369,14 @@ class RoundingState:
                 union, arrival_num = union + idle[k], arrival_num + idle[k] * surv[k]
             arrival.append(arrival_num)
             if differ(union, iden, 1, 1):
-                problems.append(f"segment {seg_idx} idle mass sums to {float(ratio(union, iden))!r}")
+                problems.append(f"segment {seg_idx} idle mass sums to {float(_ratio(union, iden, exact))!r}")
 
         # residual survival: ℓ-th idle arrival across branches (both over sden)
         for seg_idx in range(checked):
             if differ(direct[seg_idx], wden, arrival[seg_idx], iden):
                 problems.append(
-                    f"segment {seg_idx} survival {float(ratio(arrival[seg_idx], iden * sden))!r} "
-                    f"!= branch-side value {float(ratio(direct[seg_idx], mden))!r}"
+                    f"segment {seg_idx} survival {float(_ratio(arrival[seg_idx], iden * sden, exact))!r} "
+                    f"!= branch-side value {float(_ratio(direct[seg_idx], mden, exact))!r}"
                 )
 
         for res in processed:
@@ -430,7 +433,7 @@ class RoutingDistribution:
             key = tuple(assignment[: self.length])
             merged[key] = merged.get(key, 0) + weight
         order = sorted(merged, key=lambda key: tuple(-1 if r is None else r for r in key))
-        result = tuple((Routing(k), Fraction(merged[k], den) if self.exact else merged[k] / den) for k in order)
+        result = tuple((Routing(k), _ratio(merged[k], den, self.exact)) for k in order)
         self._cache["branches"] = result
         return result
 
@@ -461,11 +464,20 @@ class RoutingDistribution:
         return work
 
 
+def _over(x: Prob, exact: bool) -> tuple[Prob, int]:
+    """``x`` as a numerator over a denominator: ``(a, b)`` for an exact ``x = a / b``, ``(x, 1)`` for a float."""
+    return (x.numerator, x.denominator) if exact else (x, 1)
+
+
+def _ratio(num: Prob, den: int, exact: bool) -> Prob:
+    """``num / den`` as a `Fraction` in exact mode, as a float otherwise."""
+    return Fraction(num, den) if exact else num / den
+
+
 def _split(lam: Prob, exact: bool) -> tuple[tuple[Prob, Prob], int]:
     """A coin's child weights over their denominator: ``(a, b - a)`` over ``b`` for ``lam = a / b``."""
-    if not exact:
-        return (lam, 1 - lam), 1
-    return (lam.numerator, lam.denominator - lam.numerator), lam.denominator
+    a, b = _over(lam, exact)
+    return (a, b - a), b
 
 
 def _apply_decision(
@@ -552,7 +564,7 @@ def verify_marginals(
         for res, s in zip(assignment, surv):  # spawned ranks never arrive
             if res is not None:
                 mass[res] = mass[res] + w * s
-    achieved = tuple(Fraction(m, wden * sden) if exact else m / (wden * sden) for m in mass)
+    achieved = tuple(_ratio(m, wden * sden, exact) for m in mass)
     worst = max((abs(float(a - x)) for a, x in zip(achieved, x_col)), default=0.0)
     return MarginalReport(achieved=achieved, target=tuple(x_col), max_abs_error=worst)
 

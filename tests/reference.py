@@ -13,6 +13,7 @@ from demandmatch.demand import (
     Arrival,
     CorrelDemandModel,
     DemandDistribution,
+    IndepDemandModel,
     Instance,
     Prob,
     RealizedDemand,
@@ -23,7 +24,7 @@ from demandmatch.linprog import _BLOCK_CELLS, DEGENERATE_TOL, LinearProgram, Tab
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, HorizonPlan, IndepAdvPlan, OcrsPlan
 from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
-from demandmatch.rounding import RoundingState, Routing, RoutingDistribution, _apply_decision
+from demandmatch.rounding import COLUMN_SLACK, RoundingState, Routing, RoutingDistribution, _apply_decision
 
 
 def under_random_order(plan: IndepAdvPlan) -> IndepAdvPlan:
@@ -217,6 +218,79 @@ def fraction_branches(rd: RoutingDistribution) -> tuple[tuple[Routing, Prob], ..
         merged[key] = merged.get(key, Fraction(0) if rd.exact else 0.0) + prob
     ordered = sorted(merged.items(), key=lambda kv: tuple(-1 if r is None else r for r in kv[0]))
     return tuple((Routing(key), prob) for key, prob in ordered)
+
+
+class FractionRounding:
+    """The compact rounding state kept in `Fraction` values over an exact law
+    (floats over a float law), as ``RoundingState`` kept it before it moved to
+    integer numerators: idle probabilities, rank survivals, each segment's
+    survival and the rank table are values, every coin is
+    ``(x - s_next) / (s_here - s_next)`` and every update one multiplication,
+    reduced by its gcd.  No branches are tracked and no decision is replayed,
+    so it is independent of the library's bookkeeping."""
+
+    def __init__(self, dist: DemandDistribution, num_resources: int):
+        self.exact = dist.is_exact
+        self.num = Fraction if self.exact else float
+        self.slack = 0 if self.exact else COLUMN_SLACK
+        self.real_length = max(num_resources, dist.max_support)
+        self.rank_survival = [self.num(dist.survival(k)) for k in range(1, self.real_length + 1)]
+        self.idle_prob = [self.num(1)] * self.real_length
+        self.segment_survivals = list(self.rank_survival)
+        self.segments = [(k, k) for k in range(1, self.real_length + 1)]
+        self.rank_probs = [[self.num(0)] * self.real_length for _ in range(num_resources)]
+        self.coins: list[tuple[int, int, Prob]] = []  # (resource, chosen segment, lam) per routed stage
+
+    def segment_survival(self, seg_index: int) -> Prob:
+        lo, hi = self.segments[seg_index]
+        total = 0
+        for k in range(lo - 1, hi):
+            total = total + self.idle_prob[k] * self.rank_survival[k]
+        return total
+
+    def advance(self, resource: int, x: Prob) -> None:
+        x = self.num(x)
+        if x > self.slack:
+            self._route(resource, x)
+
+    def _route(self, resource: int, x: Prob) -> None:
+        zero = self.num(0)
+        chosen = len(self.segments) - 1
+        s_here, s_next = self.segment_survivals[chosen], zero
+        while s_here < x - self.slack:
+            chosen -= 1
+            s_here, s_next = self.segment_survivals[chosen], s_here
+        if chosen == len(self.segments) - 1:  # spawn a zero-probability rank as the next segment
+            rank = self.segments[-1][1] + 1
+            self.segments.append((rank, rank))
+            self.rank_survival.append(zero)
+            self.idle_prob.append(self.num(1))
+            self.segment_survivals.append(zero)
+        lam = (x - s_next) / (s_here - s_next)
+        if not self.exact:
+            lam = min(1.0, max(0.0, lam))
+        (lo_a, hi_a), (_, hi_b) = self.segments[chosen], self.segments[chosen + 1]
+        self.segments[chosen : chosen + 2] = [(lo_a, hi_b)]
+        rest = 1 - lam
+        row = self.rank_probs[resource]
+        for rank in range(lo_a, hi_b + 1):
+            routed, kept = (lam, rest) if rank <= hi_a else (rest, lam)
+            if rank <= self.real_length:
+                row[rank - 1] = routed * self.idle_prob[rank - 1]
+            self.idle_prob[rank - 1] = kept * self.idle_prob[rank - 1]
+        self.segment_survivals[chosen : chosen + 2] = [self.segment_survival(chosen)]
+        self.coins.append((resource, chosen, lam))
+
+
+def ladder_truncated_instance(rng: np.random.Generator, n: int, m: int = 10) -> Instance:
+    """Shaped like a trunc-plan ladder rung: ``n`` unit resources and ``m``
+    types, each with three support points in ``[0, max(3, n // 5)]``."""
+    top = max(3, n // 5)
+    dists = []
+    for _ in range(m):
+        values = sorted(rng.choice(top + 1, size=3, replace=False).tolist())
+        dists.append(DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, 3)))))
+    return Instance(rewards=_rewards(rng, n, m), capacities=(1,) * n, demand=IndepDemandModel(tuple(dists)))
 
 
 def random_correl_instance(

@@ -43,11 +43,38 @@ def test_adversarial_guarantee_twin(shortfall, passed, monkeypatch):
     assert len(lp_values) == 1 and lp_values[0] > 1.0
 
 
-def test_adversarial_guarantee_checks_192_of_200_trials():
-    """At seed 3003, 8 of the 200 trials have a truncated LP of 0, where any
-    nonnegative value clears half of it; the other 192 check the guarantee."""
+def test_adversarial_guarantee_checks_200_of_200_trials():
+    """A trial whose truncated LP is 0, where any nonnegative value clears half
+    of it, draws again from its own stream; at seed 3003 that redraws 8 of the
+    200 trials, so all 200 check the guarantee."""
     result = acceptance.check_adversarial_guarantee()
-    assert result.detail.endswith(" over 192 of 200 trials with LP > 1e-12"), result.detail
+    assert result.detail.endswith(" over 200 of 200 trials with LP > 1e-12"), result.detail
+
+
+@pytest.mark.parametrize("excess, passed", [(1e-8, False), (0.0, True)], ids=["above", "at"])
+def test_lp_ordering_twin(excess, passed, monkeypatch):
+    """Known-bad twin of ``lp-ordering``: the first trial's offline value is
+    1e-8 (ten times the gate's TOL of 1e-9) above its truncated LP, which
+    fails the criterion; an offline value exactly at the LP passes.  The gate
+    compares ``off > trunc + TOL``, so a TOL loosened tenfold to 1e-8 would
+    forgive an excess of 1e-8 and let the bad twin through."""
+    offline = acceptance.expected_offline
+    calls = []
+
+    def twin(inst):
+        calls.append(inst)
+        if len(calls) > 1:
+            return offline(inst)
+        trunc = acceptance.build_truncated_lp(inst).solution.objective_value
+        assert trunc > 0.1
+        return OracleValue(value=trunc + excess, mode="exact")
+
+    monkeypatch.setattr(acceptance, "expected_offline", twin)
+    result = acceptance.check_lp_ordering(count=3)
+    assert result.passed is passed, result.detail
+    assert len(calls) == (1 if not passed else 3)
+    if not passed:
+        assert result.detail.startswith("trial 0: "), result.detail
 
 
 @pytest.mark.parametrize("shrink, passed", [(1e-8, False), (0.0, True)], ids=["below", "at"])

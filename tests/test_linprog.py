@@ -37,7 +37,7 @@ from demandmatch.relaxations import (
     horizon_model_of,
     transportation_lp,
 )
-from reference import blocked_pivot, is_feasible
+from reference import blocked_pivot, is_feasible, ladder_truncated_instance
 
 #: Beale's example, on which Dantzig's rule cycles without an anti-cycling rule
 BEALE = LinearProgram(
@@ -198,17 +198,6 @@ def ladder_horizon_lp(rng: np.random.Generator, horizon: int, n: int, m: int) ->
         arrival=Arrival.RANDOM_ORDER,
     )
     return conditional_lp(horizon_model_of(inst), inst)
-
-
-def ladder_truncated_instance(rng: np.random.Generator, n: int, m: int = 10) -> Instance:
-    """Shaped like a trunc-plan ladder rung: ``n`` unit resources and ``m``
-    types, each with three support points in ``[0, max(3, n // 5)]``."""
-    top = max(3, n // 5)
-    dists = []
-    for _ in range(m):
-        values = sorted(rng.choice(top + 1, size=3, replace=False).tolist())
-        dists.append(DemandDistribution.from_pmf(dict(zip(values, _rounded_probs(rng, 3)))))
-    return Instance(rewards=_rewards(rng, n, m), capacities=(1,) * n, demand=IndepDemandModel(tuple(dists)))
 
 
 #: (T, n, m) of the cond-plan ladder's two largest dense rungs

@@ -3,6 +3,7 @@ feasibility rejection, and sampling consistency."""
 
 import dataclasses
 import inspect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from demandmatch.rounding import (
     typeround,
     verify_marginals,
 )
-from reference import fraction_branches, round_in_order
+from demandmatch.policies import plan_indep_adv_policy
+from reference import FractionRounding, fraction_branches, ladder_truncated_instance, round_in_order
 
 
 def perm(*one_based):
@@ -87,16 +89,41 @@ def demo5_stage_three():
     return state
 
 
+def nudge(numerators, den, index, amount):
+    """Add ``amount`` to entry ``index`` of the ``numerators`` over ``den`` and
+    return the new denominator: every numerator and the denominator scale by
+    the amount's denominator (1 for a float), then the entry gains the
+    amount's numerator times the old denominator."""
+    exact = not isinstance(amount, float)
+    num, scale = (amount.numerator, amount.denominator) if exact else (amount, 1)
+    before = Fraction(numerators[index], den) if exact else None
+    numerators[:] = [v * scale for v in numerators]
+    numerators[index] += num * den
+    assert not exact or Fraction(numerators[index], den * scale) == before + amount
+    return den * scale
+
+
 def nudge_first_branch(state, amount):
-    """Add the rational ``amount`` to the first tracked branch's probability:
-    every integer weight and the state denominator scale by its denominator,
-    then the first weight gains its numerator over the old denominator."""
-    before = Fraction(state.branches[0][1], state.branch_den)
-    state.branches = [(a, w * amount.denominator) for a, w in state.branches]
-    assignment, w = state.branches[0]
-    state.branches[0] = (assignment, w + amount.numerator * state.branch_den)
-    state.branch_den *= amount.denominator
-    assert Fraction(state.branches[0][1], state.branch_den) == before + amount
+    """Add the rational ``amount`` to the first tracked branch's probability."""
+    weights = [w for _, w in state.branches]
+    state.branch_den = nudge(weights, state.branch_den, 0, amount)
+    state.branches = [(a, w) for (a, _), w in zip(state.branches, weights)]
+
+
+def nudge_idle_prob(state, index, amount):
+    """Add ``amount`` to the idle probability of rank ``index + 1``; the kept
+    segment survivals, over ``idle_den`` too, scale with it and keep their values."""
+    den = state.idle_den
+    state.idle_den = nudge(state.idle_num, den, index, amount)
+    state.segment_survivals = [s * (state.idle_den // den) for s in state.segment_survivals]
+
+
+def nudge_rank_survival(state, index, amount):
+    """Add ``amount`` to the survival of rank ``index + 1``; the kept segment
+    survivals, over ``surv_den`` too, scale with it and keep their values."""
+    den = state.surv_den
+    state.surv_den = nudge(state.surv_num, den, index, amount)
+    state.segment_survivals = [s * (state.surv_den // den) for s in state.segment_survivals]
 
 
 @pytest.mark.parametrize("example", ["demo3", "demo5"])
@@ -160,7 +187,7 @@ class TestStageState:
         for assignment, w in state.branches:
             for rank, res in enumerate(assignment, start=1):
                 if res == 2:
-                    achieved += Fraction(w, state.branch_den) * state.rank_survival[rank - 1]
+                    achieved += Fraction(w, state.branch_den) * Fraction(state.surv_num[rank - 1], state.surv_den)
         assert achieved == Fraction(7, 8)
 
     def test_invariants_hold_at_stage_three(self):
@@ -240,7 +267,7 @@ class TestBrokenStates:
 
     def test_idle_prob_perturbed(self):
         state = demo5_stage_three()
-        state.idle_prob[0] += Fraction(1, 7)
+        nudge_idle_prob(state, 0, Fraction(1, 7))
         assert state.check_invariants() == [
             "segment 0 idle mass sums to 1.1428571428571428",
             "segment 0 survival 0.6428571428571429 != branch-side value 0.5",
@@ -250,7 +277,7 @@ class TestBrokenStates:
         # both sides of the residual-survival check read the halved value;
         # the marginals of the resources routed to rank 2 fall short
         state = demo5_stage_three()
-        state.rank_survival[1] /= 2
+        nudge_rank_survival(state, 1, -Fraction(state.surv_num[1], 2 * state.surv_den))
         assert state.check_invariants() == [
             "resource 1 achieves 0.25, wants 0.375",
             "resource 2 achieves 0.85, wants 0.875",
@@ -270,7 +297,7 @@ class TestBrokenStates:
 
     def test_idle_prob_nudged_below_float_resolution(self):
         state = demo5_stage_three()
-        state.idle_prob[0] += Fraction(1, 10**400)
+        nudge_idle_prob(state, 0, Fraction(1, 10**400))
         assert state.check_invariants() == [
             "segment 0 idle mass sums to 1.0",
             "segment 0 survival 0.5 != branch-side value 0.5",
@@ -280,7 +307,7 @@ class TestBrokenStates:
         # rank 2 holds resource 1 or 2 on every branch; as with the halved
         # survival, both sides of the residual-survival check read the nudge
         state = demo5_stage_three()
-        state.rank_survival[1] += Fraction(1, 10**400)
+        nudge_rank_survival(state, 1, Fraction(1, 10**400))
         assert state.check_invariants() == [
             "resource 1 achieves 0.375, wants 0.375",
             "resource 2 achieves 0.875, wants 0.875",
@@ -329,14 +356,87 @@ class TestFloatInvariants:
 
     def test_perturbed_idle_prob_is_flagged(self):
         state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
-        state.idle_prob[0] += 1e-6
+        nudge_idle_prob(state, 0, 1e-6)
         problems = state.check_invariants()
         assert problems and problems[0].startswith("segment 0 idle mass sums to 1.000001")
 
     def test_perturbation_within_tolerance_passes(self):
         state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
-        state.idle_prob[0] += 1e-12
+        nudge_idle_prob(state, 0, 1e-12)
         assert state.check_invariants() == []
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+class TestAgainstFractionBookkeeping:
+    """The integer numerators of ``RoundingState`` against the values that
+    ``reference.FractionRounding`` keeps, after every stage: equal as
+    `Fraction`s over an exact law, bit for bit over a float law."""
+
+    @staticmethod
+    def stages(column, dist, order):
+        state = RoundingState(dist, len(column), order=order, track_branches=False)
+        ref = FractionRounding(dist, len(column))
+        for i in order:
+            state.advance(column[i])
+            ref.advance(i, column[i])
+            yield state, ref
+
+    @staticmethod
+    def exact_columns():
+        """demo3, demo5 and 200 random rational columns, each in a random order."""
+        yield DEMO3.column, DEMO3.dist, (0, 1, 2)
+        yield DEMO5.column, DEMO5.dist, tuple(range(5))
+        for trial in range(200):
+            rng = trial_rng(2525, trial)
+            n = int(rng.integers(1, 9))
+            column, dist = random_feasible_column(rng, n)
+            yield column, dist, tuple(int(i) for i in rng.permutation(n))
+
+    @staticmethod
+    def float_columns():
+        """The pinned float column, and every type's column of the truncated
+        LP at the trunc-plan ladder's n = 10, 15 and 20, over the float law."""
+        yield TestFloatInvariants.FLOAT_COLUMN, TestFloatInvariants.FLOAT_DIST
+        for n in (10, 15, 20):
+            inst = ladder_truncated_instance(np.random.default_rng((2526, n)), n)
+            plan = plan_indep_adv_policy(inst)
+            for j, dist in enumerate(inst.demand.per_type):
+                yield [plan.x[i][j] for i in range(n)], dist.to_float()
+
+    def test_exact_state_equals_the_fraction_values(self):
+        # the idle denominator is the product of the coins' denominators, never
+        # reduced; on these columns it stays within 64 bits
+        widest = 0
+        for column, dist, order in self.exact_columns():
+            for state, ref in self.stages(column, dist, order):
+                den = state.idle_den * state.surv_den
+                assert [Fraction(v, state.idle_den) for v in state.idle_num] == ref.idle_prob
+                assert [Fraction(s, state.surv_den) for s in state.surv_num] == ref.rank_survival
+                assert [Fraction(s, den) for s in state.segment_survivals] == ref.segment_survivals
+                assert state.rank_probs == ref.rank_probs
+                assert all(type(q) is Fraction for row in state.rank_probs for q in row)
+                assert [(d.resource, d.segment, d.lam) for d in state.decisions] == ref.coins
+                assert state.segments == ref.segments
+                assert state.idle_den == math.prod(d.lam.denominator for d in state.decisions)
+                widest = max(widest, state.idle_den.bit_length())
+        assert 32 < widest <= 64
+
+    def test_float_state_is_bit_for_bit_the_float_values(self):
+        stages = 0
+        for column, dist in self.float_columns():
+            for state, ref in self.stages(column, dist, range(len(column))):
+                assert state.idle_den == state.surv_den == 1
+                assert hexes(state.idle_num) == hexes(ref.idle_prob)
+                assert hexes(state.surv_num) == hexes(ref.rank_survival)
+                assert hexes(state.segment_survivals) == hexes(ref.segment_survivals)
+                assert [hexes(row) for row in state.rank_probs] == [hexes(row) for row in ref.rank_probs]
+                coins = [(r, seg, lam.hex()) for r, seg, lam in ref.coins]
+                assert [(d.resource, d.segment, d.lam.hex()) for d in state.decisions] == coins
+                stages += len(ref.coins) > 0
+        assert stages > 100
 
 
 class TestRankTable:
@@ -510,7 +610,7 @@ class TestRandomColumns:
 
     @pytest.mark.parametrize("trial", range(50))
     def test_kept_segment_survivals_match_a_fraction_sum(self, trial):
-        # the integer dot product over common denominators equals the plain
+        # the integer numerators over the common denominators equal the plain
         # Fraction sum of idle probability times survival over each span
         rng = trial_rng(5050, trial)
         n = int(rng.integers(1, 9))
@@ -518,11 +618,12 @@ class TestRandomColumns:
         state = RoundingState(dist, n, track_branches=False)
         for x in column:
             state.advance(x)
-            idle, surv = state.idle_prob, state.rank_survival
+            idle = [Fraction(v, state.idle_den) for v in state.idle_num]
+            surv = [Fraction(s, state.surv_den) for s in state.surv_num]
             fresh = [
                 sum((idle[k] * surv[k] for k in range(lo - 1, hi)), Fraction(0)) for lo, hi in state.segments
             ]
-            assert state.segment_survivals == fresh
+            assert [Fraction(s, state.idle_den * state.surv_den) for s in state.segment_survivals] == fresh
 
     def test_compact_marginals_match_branch_summation(self):
         for trial in range(50):

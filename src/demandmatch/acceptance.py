@@ -30,7 +30,6 @@ from .experiments import (
     random_horizon_instance,
     random_indep_instance,
 )
-from .linprog import solve_lp
 from .oracles import (
     exact_policy_value,
     expected_offline,
@@ -43,14 +42,7 @@ from .policies import (
     plan_horizon_policy_for,
     plan_indep_adv_policy,
 )
-from .relaxations import (
-    build_fluid_lp,
-    build_truncated_lp,
-    conditional_lp,
-    enumerate_violated_cut,
-    horizon_model_of,
-    separation_oracle,
-)
+from .relaxations import enumerate_violated_cut, horizon_model_of, separation_oracle, solve_relaxation
 from .rounding import RoundingState, typeround, verify_marginals
 
 TOL = 1e-9
@@ -100,7 +92,7 @@ def check_fluid_gap() -> tuple[bool, str]:
     ok = True
     for eps in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)):
         inst = gen_counterexample("fluid_gap_single", {"eps": eps})
-        fluid = solve_lp(build_fluid_lp(inst)).objective_value
+        fluid = solve_relaxation("fluid", inst)[1].objective_value
         off = expected_offline(inst).value
         ratio = off / fluid
         ok = ok and abs(ratio - float(eps)) <= TOL
@@ -115,8 +107,8 @@ def check_fluid_gap_capped() -> tuple[bool, str]:
     ok = True
     for n in (5, 10):
         inst = gen_counterexample("fluid_gap_capped", {"n": n})
-        fluid = solve_lp(build_fluid_lp(inst)).objective_value
-        trunc = build_truncated_lp(inst).solution.objective_value
+        fluid = solve_relaxation("fluid", inst)[1].objective_value
+        trunc = solve_relaxation("trunc", inst)[1].objective_value
         off = expected_offline(inst).value
         ok = ok and abs(off / fluid - 1.0 / n) <= TOL
         ok = ok and abs(off / trunc - 1.0) <= TOL
@@ -131,8 +123,8 @@ def check_lp_ordering(count: int = 500, seed: int = 1001) -> tuple[bool, str]:
     for trial in range(count):
         inst = random_indep_instance(trial_rng(seed, trial), max_n=4, max_m=4, max_support=4)
         off = expected_offline(inst).value
-        trunc = build_truncated_lp(inst).solution.objective_value
-        fluid = solve_lp(build_fluid_lp(inst)).objective_value
+        trunc = solve_relaxation("trunc", inst)[1].objective_value
+        fluid = solve_relaxation("fluid", inst)[1].objective_value
         worst = max(worst, off - trunc, trunc - fluid)
         if off > trunc + TOL or trunc > fluid + TOL:
             return False, f"trial {trial}: violation {worst:.3e}"
@@ -259,9 +251,8 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, 
     worst = 0.0
     for trial in range(count):
         inst = random_horizon_instance(trial_rng(seed, trial), max_horizon=4, max_n=3, max_m=3)
-        model = horizon_model_of(inst)
-        opt = optimal_online_dp(model, inst).value
-        lp = solve_lp(conditional_lp(model, inst)).objective_value
+        opt = optimal_online_dp(horizon_model_of(inst), inst).value
+        lp = solve_relaxation("cond", inst)[1].objective_value
         worst = max(worst, opt - lp)
         if opt > lp + TOL:
             return False, f"trial {trial}: violation {worst:.3e}"
@@ -325,9 +316,8 @@ def check_conditional_tightness() -> tuple[bool, str]:
     ratios = []
     for big in (5, 10, 20):
         inst = gen_counterexample("rare_long_horizon", {"N": big})
-        model = horizon_model_of(inst)
-        lp = solve_lp(conditional_lp(model, inst)).objective_value
-        opt = optimal_online_dp(model, inst).value
+        lp = solve_relaxation("cond", inst)[1].objective_value
+        opt = optimal_online_dp(horizon_model_of(inst), inst).value
         ratios.append(opt / lp)
         ok = ok and lp >= 2 - 1.0 / big**3 - TOL
         ok = ok and 1.0 - TOL <= opt <= 1.0 + 3.0 / big + TOL

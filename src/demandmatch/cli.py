@@ -36,15 +36,9 @@ from .experiments import (
     run_experiment,
 )
 from .io import InstanceFormatError, load_instance
-from .linprog import format_tableau, solution_to_csv, solve_lp
+from .linprog import format_tableau, solution_to_csv
 from .policies import _solve_threshold_lp
-from .relaxations import (
-    UnsupportedDemandModel,
-    build_fluid_lp,
-    build_truncated_lp,
-    conditional_lp,
-    horizon_model_of,
-)
+from .relaxations import RELAXATIONS, UnsupportedDemandModel, solve_relaxation
 from .rounding import RoundingState, verify_marginals
 
 USAGE_ERROR = 2
@@ -88,16 +82,7 @@ def _load_target(args: argparse.Namespace) -> Instance:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_target(args)
-    if args.lp == "fluid":
-        lp = build_fluid_lp(inst)
-        solution = solve_lp(lp)
-    elif args.lp == "trunc":
-        result = build_truncated_lp(inst)
-        lp, solution = result.lp, result.solution
-    else:
-        model = horizon_model_of(inst)
-        lp = conditional_lp(model, inst)
-        solution = solve_lp(lp)
+    lp, solution = solve_relaxation(args.lp, inst)
     n, m = inst.n, inst.m
     if args.lp == "cond":
         steps = range(1, lp.num_vars // (n * m) + 1)
@@ -221,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="build and solve one relaxation")
     add_sources(p_solve)
-    p_solve.add_argument("--lp", choices=("fluid", "trunc", "cond"), default="trunc")
+    p_solve.add_argument("--lp", choices=RELAXATIONS, default="trunc")
     p_solve.add_argument("--dump-lp", action="store_true", help="print the constraint rows too")
     p_solve.add_argument("--output", help="write to a file instead of stdout")
     p_solve.set_defaults(func=_cmd_solve)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +48,7 @@ from .oracles import (
     optimal_online_dp,
 )
 from .policies import plan_horizon_policy_for, plan_indep_adv_policy, run_horizon_trial
-from .relaxations import build_fluid_lp, build_truncated_lp, conditional_lp, horizon_model_of
-from .linprog import solve_lp
+from .relaxations import RELAXATIONS, horizon_model_of, solve_relaxation
 
 GENERATORS = (
     "fluid_gap_single",
@@ -58,9 +57,6 @@ GENERATORS = (
     "escalating_rewards",
     "rare_long_horizon",
 )
-
-POLICIES = ("threshold", "horizon", "offline", "opt")
-BENCHMARKS = ("fluid", "trunc", "cond", "off", "opt")
 
 
 def gen_counterexample(name: str, params: Mapping[str, Prob]) -> Instance:
@@ -240,9 +236,11 @@ def random_horizon_instance(
     )
 
 
-def random_feasible_column(
-    rng: np.random.Generator, n: int, denominator: int = 48
-) -> tuple[tuple[Fraction, ...], DemandDistribution]:
+#: every entry of a random feasible column is a multiple of one over this
+COLUMN_DENOMINATOR = 48
+
+
+def random_feasible_column(rng: np.random.Generator, n: int) -> tuple[tuple[Fraction, ...], DemandDistribution]:
     """Random rational demand law plus a column feasible for its prefix bounds.
 
     Feasibility for unit capacities says: after sorting the column in
@@ -264,7 +262,7 @@ def random_feasible_column(
         if ceiling <= 0:
             sorted_col.append(Fraction(0))
             continue
-        pick = Fraction(int(rng.integers(0, int(ceiling * denominator) + 1)), denominator)
+        pick = Fraction(int(rng.integers(0, int(ceiling * COLUMN_DENOMINATOR) + 1)), COLUMN_DENOMINATOR)
         pick = min(pick, ceiling)
         sorted_col.append(pick)
         used += pick
@@ -296,38 +294,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}; pick one of {POLICIES}")
+            raise ValueError(f"unknown policy {self.policy!r}; pick one of {tuple(POLICIES)}")
         if self.benchmark not in BENCHMARKS:
             raise ValueError(
-                f"unknown benchmark {self.benchmark!r}; pick one of {BENCHMARKS}"
+                f"unknown benchmark {self.benchmark!r}; pick one of {tuple(BENCHMARKS)}"
             )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-    @classmethod
-    def from_generator(
-        cls,
-        name: str,
-        params: Mapping[str, Prob],
-        policy: str,
-        benchmark: str,
-        trials: int = 1,
-        seed: int = 0,
-        exact: bool = True,
-    ) -> "ExperimentConfig":
-        inst = gen_counterexample(name, params)
-        tag = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-        return cls(
-            instance_id=f"{name}({tag})",
-            policy=policy,
-            benchmark=benchmark,
-            instance=inst,
-            generator=name,
-            params=dict(params),
-            trials=trials,
-            seed=seed,
-            exact=exact,
-        )
 
 
 @dataclass(frozen=True)
@@ -348,48 +321,48 @@ class RatioEstimate:
     mode: str
 
 
-def _numerator(cfg: ExperimentConfig) -> OracleValue:
-    inst = cfg.instance
-    if cfg.policy == "offline":
-        return expected_offline(inst)
-    if cfg.policy == "opt":
-        result = optimal_online_dp(horizon_model_of(inst), inst)
-        return OracleValue(value=result.value, mode="exact")
-    if cfg.policy == "threshold":
-        plan = plan_indep_adv_policy(inst)
-        if cfg.exact:
-            return exact_policy_value(plan)
-        return mc_policy_value(plan, trials=cfg.trials, seed=cfg.seed)
-    if cfg.policy == "horizon":
-        plan = plan_horizon_policy_for(inst)
-        if cfg.exact:
-            return horizon_policy_value(plan)
-        return OracleValue.monte_carlo(
-            lambda rng: run_horizon_trial(plan, rng), cfg.trials, cfg.seed
-        )
-    raise AssertionError(cfg.policy)
+def _threshold(cfg: ExperimentConfig) -> OracleValue:
+    value = exact_policy_value if cfg.exact else mc_policy_value
+    return value(plan_indep_adv_policy(cfg.instance), trials=cfg.trials, seed=cfg.seed)
 
 
-def _denominator(cfg: ExperimentConfig) -> float:
-    inst = cfg.instance
-    if cfg.benchmark == "fluid":
-        return solve_lp(build_fluid_lp(inst)).objective_value
-    if cfg.benchmark == "trunc":
-        return build_truncated_lp(inst).solution.objective_value
-    if cfg.benchmark == "cond":
-        model = horizon_model_of(inst)
-        return solve_lp(conditional_lp(model, inst)).objective_value
-    if cfg.benchmark == "off":
-        return expected_offline(inst).value
-    if cfg.benchmark == "opt":
-        return optimal_online_dp(horizon_model_of(inst), inst).value
-    raise AssertionError(cfg.benchmark)
+def _horizon(cfg: ExperimentConfig) -> OracleValue:
+    plan = plan_horizon_policy_for(cfg.instance)
+    if cfg.exact:
+        return horizon_policy_value(plan)
+    return OracleValue.monte_carlo(lambda rng: run_horizon_trial(plan, rng), cfg.trials, cfg.seed)
+
+
+def _offline(cfg: ExperimentConfig) -> OracleValue:
+    return expected_offline(cfg.instance, trials=cfg.trials, seed=cfg.seed)
+
+
+def _optimum(cfg: ExperimentConfig) -> float:
+    return optimal_online_dp(horizon_model_of(cfg.instance), cfg.instance).value
+
+
+#: each policy or oracle by name, to its value: the ratio's numerator
+POLICIES: dict[str, Callable[[ExperimentConfig], OracleValue]] = {
+    "threshold": _threshold,
+    "horizon": _horizon,
+    "offline": _offline,
+    "opt": lambda cfg: OracleValue(value=_optimum(cfg), mode="exact"),
+}
+#: each relaxation or oracle by name, to its value: the ratio's denominator
+BENCHMARKS: dict[str, Callable[[ExperimentConfig], float]] = {
+    **{
+        name: lambda cfg, name=name: solve_relaxation(name, cfg.instance)[1].objective_value
+        for name in RELAXATIONS
+    },
+    "off": lambda cfg: _offline(cfg).value,
+    "opt": _optimum,
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RatioEstimate:
     """Compute the configured ratio; deterministic given the seed."""
-    numerator = _numerator(cfg)
-    denominator = _denominator(cfg)
+    numerator = POLICIES[cfg.policy](cfg)
+    denominator = BENCHMARKS[cfg.benchmark](cfg)
     ratio = numerator.value / denominator if denominator != 0 else float("nan")
     params = ",".join(f"{k}={v}" for k, v in sorted(cfg.params.items()))
     return RatioEstimate(

@@ -37,7 +37,8 @@ from .linprog import FEAS_TOL, LpStatus, Tableau, reoptimize
 from .policies import HorizonPlan, IndepAdvPlan, run_threshold_trial
 from .relaxations import transportation_lp
 
-#: exact-expectation guardrails (keep the acceptance suite interactive)
+#: exact-expectation guardrails (keep the acceptance suite interactive), read at
+#: call time: a larger demand support is sampled, a larger online DP refused
 SUPPORT_CAP = 10**6
 STATE_CAP = 10**7
 
@@ -67,15 +68,14 @@ class OracleValue:
 def _over_demand(
     model: DemandModel,
     values_of: Callable[[list[tuple[int, ...]]], Sequence[float]],
-    support_cap: int,
     trials: int,
     seed: int,
 ) -> OracleValue:
     """E[value] over the demand law, where ``values_of`` values a list of
-    realized counts at once: exact by enumerating a support that fits the
-    cap, a seeded Monte-Carlo estimate beyond it, with every trial's counts
-    drawn from its ``trial_rng`` stream before any is valued."""
-    if demand_support_size(model) <= support_cap:
+    realized counts at once: exact by enumerating a support that fits
+    ``SUPPORT_CAP``, a seeded Monte-Carlo estimate beyond it, with every
+    trial's counts drawn from its ``trial_rng`` stream before any is valued."""
+    if demand_support_size(model) <= SUPPORT_CAP:
         support = [(c, p) for c, prob in iter_demand_support(model) if (p := float(prob)) > 0.0]
         total = 0.0
         for (_, p), value in zip(support, values_of([c for c, _ in support])):
@@ -129,12 +129,7 @@ def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> 
     return _offline_values(inst, [counts])[0]
 
 
-def expected_offline(
-    inst: Instance,
-    support_cap: int = SUPPORT_CAP,
-    trials: int = 10**5,
-    seed: int = 0,
-) -> OracleValue:
+def expected_offline(inst: Instance, trials: int = 10**5, seed: int = 0) -> OracleValue:
     """E[offline optimum] over the demand law.
 
     Exact by support enumeration while the joint support fits under the cap;
@@ -142,7 +137,7 @@ def expected_offline(
     optimal basis prices every realization it is optimal for, and only the
     first of the rest is reoptimized (the draws are all made first).
     """
-    return _over_demand(inst.demand, lambda batch: _offline_values(inst, batch), support_cap, trials, seed)
+    return _over_demand(inst.demand, lambda batch: _offline_values(inst, batch), trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +168,7 @@ def _capacity_lattice(capacities: Sequence[int]) -> tuple[list[tuple[int, ...]],
     return list(itertools.product(*(range(k + 1) for k in capacities))), strides
 
 
-def optimal_online_dp(
-    model: StochasticHorizonModel, inst: Instance, state_cap: int = STATE_CAP
-) -> DpResult:
+def optimal_online_dp(model: StochasticHorizonModel, inst: Instance) -> DpResult:
     """Backward induction over remaining capacities and the current step.
 
     The decision-maker observes only the arrival count (not absolute time)
@@ -185,10 +178,8 @@ def optimal_online_dp(
     """
     horizon = model.horizon
     cap_space = math.prod(k + 1 for k in inst.capacities)
-    if cap_space * max(horizon, 1) > state_cap:
-        raise ValueError(
-            f"state space {cap_space} x {horizon} exceeds the cap {state_cap}"
-        )
+    if cap_space * max(horizon, 1) > STATE_CAP:
+        raise ValueError(f"state space {cap_space} x {horizon} exceeds the cap {STATE_CAP}")
     states, strides = _capacity_lattice(inst.capacities)
     rewards = [[float(r) for r in col] for col in zip(*inst.rewards)]  # [j][i]
     # per state: (resource, index of the state after using one of its units)
@@ -322,12 +313,7 @@ def worst_case_order(plan: IndepAdvPlan, d: RealizedDemand) -> tuple[ArrivalSequ
     return ArrivalSequence(types=order), value
 
 
-def exact_policy_value(
-    plan: IndepAdvPlan,
-    support_cap: int = SUPPORT_CAP,
-    trials: int = 10**5,
-    seed: int = 0,
-) -> OracleValue:
+def exact_policy_value(plan: IndepAdvPlan, trials: int = 10**5, seed: int = 0) -> OracleValue:
     """Expected threshold-policy value over the policy's own randomness.
 
     Each realization's orders are minimized, or averaged if the plan's
@@ -342,7 +328,7 @@ def exact_policy_value(
     def value_for(counts: tuple[int, ...]) -> float:
         return _search_orders(plan, counts, worst)[1]
 
-    return _over_demand(plan.instance.demand, lambda batch: [*map(value_for, batch)], support_cap, trials, seed)
+    return _over_demand(plan.instance.demand, lambda batch: [*map(value_for, batch)], trials, seed)
 
 
 def mc_policy_value(plan: IndepAdvPlan, trials: int, seed: int = 0) -> OracleValue:

@@ -27,12 +27,14 @@ from .demand import (
     Instance,
     StochasticHorizonModel,
 )
-from .linprog import LinearProgram, LpSolution, Tableau, reoptimize
+from .linprog import LinearProgram, LpSolution, Tableau, reoptimize, solve_lp
 
 #: a subset-demand cut is violated when exceeded by more than this
 CUT_TOL = 1e-9
 #: safety cap on cutting-plane rounds
 MAX_CUT_ROUNDS = 10_000
+#: the relaxations by name: expected demands, subset-tightened, conditional
+RELAXATIONS = ("fluid", "trunc", "cond")
 
 
 class UnsupportedDemandModel(TypeError):
@@ -255,3 +257,15 @@ def horizon_model_of(inst: Instance) -> StochasticHorizonModel:
     raise UnsupportedDemandModel(
         "independent demand has no canonical horizon view"
     )
+
+
+def solve_relaxation(name: str, inst: Instance) -> tuple[LinearProgram, LpSolution]:
+    """The LP of the relaxation ``name`` (one of `RELAXATIONS`) for ``inst``
+    and its solution; for ``trunc`` the final LP, every cut included."""
+    if name == "trunc":
+        result = build_truncated_lp(inst)
+        return result.lp, result.solution
+    if name not in RELAXATIONS:
+        raise ValueError(f"unknown relaxation {name!r}; pick one of {RELAXATIONS}")
+    lp = build_fluid_lp(inst) if name == "fluid" else conditional_lp(horizon_model_of(inst), inst)
+    return lp, solve_lp(lp)

@@ -197,7 +197,7 @@ class RoundingState:
         x = self._coerce(x_next)
         if x < -self.slack:
             raise InfeasibleColumnError(f"negative marginal {x} for resource {resource}")
-        if x > self.slack:
+        if x > 0:
             self._route(resource, x)
         self.targets[resource] = x
         self.stage += 1
@@ -206,27 +206,29 @@ class RoundingState:
         """Route ``resource`` into the latest segment whose combined arrival
         covers ``x = p / q`` or into the next one, and merge the two.  The walk
         cross-multiplies and stops at ``g / den < x <= h / den + slack``, over the
-        survivals' ``den``: with no slack the coin ``(p·den − g·q) / (q·(h − g))`` is in ``(0, 1]``."""
+        survivals' ``den``: with no slack the coin ``(p·den − g·q) / (q·(h − g))``
+        is in ``(0, 1]``.  It passes every segment of survival 0 but segment 0,
+        where a float ``x`` within the slack stops at ``h = g = 0`` with the coin 1."""
         exact = self.exact
         p, q = _over(x, exact)
         den = self.idle_den * self.surv_den
         # walk back from the last segment to the first that covers x
         chosen = len(self.segments) - 1
         h, g = self.segment_survivals[chosen], 0
-        while h * q < p * den - self.slack:
-            if chosen == 0:
-                raise InfeasibleColumnError(
-                    f"resource {resource} needs marginal {x} but the residual demand "
-                    f"arrives with probability only {_ratio(h, den, exact)}"
-                )
+        while chosen > 0 and (h == 0 or h * q < p * den - self.slack):
             chosen -= 1
             h, g = self.segment_survivals[chosen], h
+        if h * q < p * den - self.slack:
+            raise InfeasibleColumnError(
+                f"resource {resource} needs marginal {x} but the residual demand "
+                f"arrives with probability only {_ratio(h, den, exact)}"
+            )
 
         if chosen == len(self.segments) - 1:  # _apply_decision spawns the next segment
             self.surv_num.append(0 if exact else 0.0)
             self.idle_num.append(self.idle_den)
             self.segment_survivals.append(0)
-        lam = _ratio(p * den - g * q, q * (h - g), exact)
+        lam = _ratio(p * den - g * q, q * (h - g), exact) if h != g else self.num(1)
         if not exact:
             lam = min(1.0, max(0.0, lam))
 

@@ -19,7 +19,7 @@ from demandmatch.demand import (
     RealizedDemand,
     StochasticHorizonModel,
 )
-from demandmatch.experiments import _rewards, _rounded_probs
+from demandmatch.experiments import ExperimentConfig, _rewards, _rounded_probs, gen_counterexample
 from demandmatch.linprog import _BLOCK_CELLS, DEGENERATE_TOL, LinearProgram, Tableau
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, HorizonPlan, IndepAdvPlan, OcrsPlan
@@ -32,6 +32,30 @@ def under_random_order(plan: IndepAdvPlan) -> IndepAdvPlan:
     random order, which the policy oracles then average over."""
     instance = dataclasses.replace(plan.instance, arrival=Arrival.RANDOM_ORDER)
     return dataclasses.replace(plan, instance=instance)
+
+
+def config_from_generator(
+    name: str,
+    params,
+    policy: str,
+    benchmark: str,
+    trials: int = 1,
+    seed: int = 0,
+    exact: bool = True,
+) -> ExperimentConfig:
+    """A ratio experiment on the instance family ``name`` at ``params``."""
+    tag = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return ExperimentConfig(
+        instance_id=f"{name}({tag})",
+        policy=policy,
+        benchmark=benchmark,
+        instance=gen_counterexample(name, params),
+        generator=name,
+        params=dict(params),
+        trials=trials,
+        seed=seed,
+        exact=exact,
+    )
 
 
 def is_feasible(lp: LinearProgram, values, tol: float = 1e-9) -> bool:

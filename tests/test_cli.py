@@ -6,6 +6,8 @@ import pytest
 
 from demandmatch import acceptance, policies, rounding
 from demandmatch.cli import SWEEPS, build_parser, main
+from demandmatch.experiments import gen_counterexample
+from demandmatch.relaxations import RELAXATIONS, solve_relaxation
 
 
 class TestRound:
@@ -96,6 +98,17 @@ class TestSolve:
             ["solve", "--generator", "rare_long_horizon", "--param", "N=5", "--lp", "cond"]
         ) == 0
         assert "cond LP value: 1.992000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", RELAXATIONS)
+    def test_every_relaxation(self, name, capsys):
+        """Each relaxation solves on a correlated instance, which all of them
+        accept, and prints the value and point of ``solve_relaxation``."""
+        assert main(["solve", "--generator", "rare_long_horizon", "--param", "N=3", "--lp", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        lp, solution = solve_relaxation(name, gen_counterexample("rare_long_horizon", {"N": 3}))
+        assert lines[:3] == [f"{name} LP value: {solution.objective_value:.6f}", "status: optimal", "variable,value"]
+        assert [float(line.rsplit(",", 1)[1]) for line in lines[3:]] == list(solution.values)
+        assert len(solution.values) == lp.num_vars
 
 
 #: ``solve --dump-lp`` output: value, status, tableau with variable names, CSV

@@ -1,5 +1,6 @@
 """Instance families, ratio experiments, and report rendering."""
 
+import contextlib
 import math
 import re
 from fractions import Fraction
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from demandmatch.experiments import (
+    BENCHMARKS,
+    POLICIES,
     ExperimentConfig,
     gen_counterexample,
     random_feasible_column,
@@ -16,7 +19,8 @@ from demandmatch.experiments import (
 )
 from demandmatch.oracles import horizon_policy_value, optimal_online_dp
 from demandmatch.policies import plan_horizon_policy_for
-from demandmatch.relaxations import horizon_model_of
+from demandmatch.relaxations import UnsupportedDemandModel, horizon_model_of
+from reference import config_from_generator
 
 
 class TestGenerators:
@@ -91,7 +95,7 @@ class TestGenerators:
 
 class TestRunExperiment:
     def test_offline_vs_fluid_ratio(self):
-        cfg = ExperimentConfig.from_generator(
+        cfg = config_from_generator(
             "fluid_gap_single", {"eps": Fraction(1, 4)}, policy="offline", benchmark="fluid"
         )
         estimate = run_experiment(cfg)
@@ -100,7 +104,7 @@ class TestRunExperiment:
         assert estimate.stderr == 0.0
 
     def test_threshold_policy_vs_offline_bound(self):
-        cfg = ExperimentConfig.from_generator(
+        cfg = config_from_generator(
             "two_stage_reward", {"eps": 0.1, "k1": 2}, policy="threshold", benchmark="off"
         )
         estimate = run_experiment(cfg)
@@ -108,7 +112,7 @@ class TestRunExperiment:
         assert estimate.ratio <= 1 / (2 - 0.1) + 1e-9
 
     def test_opt_vs_cond_on_rare_long_horizon(self):
-        cfg = ExperimentConfig.from_generator(
+        cfg = config_from_generator(
             "rare_long_horizon", {"N": 5}, policy="opt", benchmark="cond"
         )
         estimate = run_experiment(cfg)
@@ -117,7 +121,7 @@ class TestRunExperiment:
     def test_exact_horizon_policy_vs_online_optimum(self):
         """The exact horizon numerator and the ``opt`` denominator are the
         oracles' own values, bit for bit."""
-        cfg = ExperimentConfig.from_generator(
+        cfg = config_from_generator(
             "rare_long_horizon", {"N": 5}, policy="horizon", benchmark="opt", exact=True
         )
         estimate = run_experiment(cfg)
@@ -128,7 +132,7 @@ class TestRunExperiment:
         assert 0.5 <= estimate.ratio <= 1.0
 
     def test_deterministic_given_seed(self):
-        cfg = ExperimentConfig.from_generator(
+        cfg = config_from_generator(
             "fluid_gap_single",
             {"eps": 0.25},
             policy="threshold",
@@ -140,10 +144,10 @@ class TestRunExperiment:
         assert run_experiment(cfg) == run_experiment(cfg)
 
     def test_monte_carlo_matches_exact_within_four_se(self):
-        exact_cfg = ExperimentConfig.from_generator(
+        exact_cfg = config_from_generator(
             "two_stage_reward", {"eps": 0.2, "k1": 1}, policy="threshold", benchmark="trunc"
         )
-        mc_cfg = ExperimentConfig.from_generator(
+        mc_cfg = config_from_generator(
             "two_stage_reward",
             {"eps": 0.2, "k1": 1},
             policy="threshold",
@@ -155,6 +159,40 @@ class TestRunExperiment:
         exact = run_experiment(exact_cfg)
         mc = run_experiment(mc_cfg)
         assert abs(mc.numerator - exact.numerator) <= 4 * mc.stderr
+
+    def test_monte_carlo_fallback_honours_trials_and_seed(self):
+        """An oracle past its support cap samples the configured trials from
+        the configured seed."""
+        estimates = [
+            run_experiment(
+                config_from_generator(
+                    "escalating_rewards", {"T": 14, "eps": 0.5}, policy="offline",
+                    benchmark="cond", trials=50, seed=seed,
+                )
+            )
+            for seed in (3, 4)
+        ]
+        assert [(e.mode, e.trials) for e in estimates] == [("monte-carlo", 50)] * 2
+        assert estimates[0].numerator != estimates[1].numerator
+
+    @pytest.mark.parametrize("against", BENCHMARKS)  # not "benchmark": pytest-benchmark's fixture
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_policy_against_every_benchmark(self, policy, against):
+        """Each pair of table entries runs exactly on the small instances of
+        the demand kinds that both accept (independent and correlated) and
+        raises the CLI's usage error on the rest; only a threshold policy,
+        which needs independent demand, against a benchmark that needs a
+        horizon, runs on neither."""
+        estimates = []
+        for name, params in (("two_stage_reward", {"eps": 0.5, "k1": 1}), ("rare_long_horizon", {"N": 3})):
+            cfg = config_from_generator(name, params, policy=policy, benchmark=against, trials=7)
+            with contextlib.suppress(UnsupportedDemandModel):
+                estimates.append(run_experiment(cfg))
+        assert bool(estimates) != (policy == "threshold" and against in ("cond", "opt"))
+        for e in estimates:
+            assert (e.mode, e.trials, e.stderr) == ("exact", 7, 0.0)
+            assert 0 < e.numerator and 0 < e.denominator
+            assert e.ratio == e.numerator / e.denominator
 
     def test_validation(self):
         inst = gen_counterexample("fluid_gap_single", {"eps": 0.5})
@@ -178,7 +216,7 @@ class TestReport:
         assert len(md_text.splitlines()) == 2
 
     def test_exact_row_has_zero_stderr(self):
-        cfg = ExperimentConfig.from_generator(
+        cfg = config_from_generator(
             "fluid_gap_single", {"eps": 0.5}, policy="offline", benchmark="fluid"
         )
         csv_text, _ = report([run_experiment(cfg)])
@@ -190,7 +228,7 @@ class TestReport:
         def render():
             rows = []
             for eps in (0.5, 0.25):
-                cfg = ExperimentConfig.from_generator(
+                cfg = config_from_generator(
                     "fluid_gap_single",
                     {"eps": eps},
                     policy="threshold",

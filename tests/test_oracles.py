@@ -208,7 +208,8 @@ class TestPricingByBasis:
         inst = random_indep_instance(trial_rng(2302, trial))
         trials, seed = 300, 40 + trial
         calls = count_reoptimizes(monkeypatch)
-        result = expected_offline(inst, support_cap=1, trials=trials, seed=seed)
+        monkeypatch.setattr(oracles, "SUPPORT_CAP", 1)
+        result = expected_offline(inst, trials=trials, seed=seed)
         draws = [dm.sample_demand(inst.demand, trial_rng(seed, t)).counts for t in range(trials)]
         cold = np.array(cold_offline_values(inst, draws))
         assert result.mode == "monte-carlo"
@@ -253,17 +254,18 @@ class TestExpectedOffline:
             offline_optimum(inst, (2, 1)), abs=1e-12
         )
 
-    def test_monte_carlo_fallback_reports_mode(self):
+    def test_monte_carlo_fallback_reports_mode(self, monkeypatch):
         dist = dm.DemandDistribution.from_pmf({0: 0.5, 1: 0.5})
         inst = dm.Instance(
             rewards=((1.0, 2.0),),
             capacities=(1,),
             demand=dm.IndepDemandModel((dist, dist)),
         )
-        result = expected_offline(inst, support_cap=1, trials=4000, seed=9)
+        exact = expected_offline(inst).value
+        monkeypatch.setattr(oracles, "SUPPORT_CAP", 1)
+        result = expected_offline(inst, trials=4000, seed=9)
         assert result.mode == "monte-carlo"
         assert result.stderr > 0
-        exact = expected_offline(inst).value
         assert abs(result.value - exact) <= 4 * result.stderr
 
 
@@ -302,11 +304,12 @@ def test_random_order_instance_gets_the_random_order_mean():
     "estimate",
     [
         lambda plan, trials: mc_policy_value(plan, trials=trials),
-        lambda plan, trials: expected_offline(plan.instance, support_cap=1, trials=trials),
+        lambda plan, trials: expected_offline(plan.instance, trials=trials),
     ],
     ids=["policy", "offline"],
 )
-def test_monte_carlo_needs_a_trial(estimate, trials):
+def test_monte_carlo_needs_a_trial(estimate, trials, monkeypatch):
+    monkeypatch.setattr(oracles, "SUPPORT_CAP", 1)
     with pytest.raises(ValueError, match="at least one trial"):
         estimate(_small_plan(), trials)
 
@@ -348,7 +351,7 @@ class TestOptimalOnlineDp:
             dm.StochasticHorizonModel(total=padded_total, probs=model.probs), inst
         ).value == pytest.approx(base, abs=1e-12)
 
-    def test_rejects_oversized_state_space(self):
+    def test_rejects_oversized_state_space(self, monkeypatch):
         model = dm.StochasticHorizonModel(
             total=dm.DemandDistribution.point_mass(2), probs=((1.0,), (1.0,))
         )
@@ -358,8 +361,9 @@ class TestOptimalOnlineDp:
             demand=model,
             arrival=dm.Arrival.RANDOM_ORDER,
         )
+        monkeypatch.setattr(oracles, "STATE_CAP", 10**4)
         with pytest.raises(ValueError, match="state space"):
-            optimal_online_dp(model, inst, state_cap=10**4)
+            optimal_online_dp(model, inst)
 
     def test_matches_full_tree_enumeration(self):
         """Backward induction against exhaustive forward search."""
@@ -664,13 +668,14 @@ class TestExactPolicyValue:
         mc = mc_policy_value(plan, trials=100_000, seed=4)
         assert abs(mc.value - exact.value) <= 4 * mc.stderr
 
-    def test_monte_carlo_fallback_reports_mode(self):
+    def test_monte_carlo_fallback_reports_mode(self, monkeypatch):
         inst = random_indep_instance(
             np.random.default_rng(6), max_n=2, max_m=2, max_support=3, max_value=2,
             max_total_capacity=2,
         )
         plan = plan_indep_adv_policy(inst)
-        result = exact_policy_value(plan, support_cap=1, trials=2000, seed=1)
-        assert result.mode == "monte-carlo"
         exact = exact_policy_value(plan).value
+        monkeypatch.setattr(oracles, "SUPPORT_CAP", 1)
+        result = exact_policy_value(plan, trials=2000, seed=1)
+        assert result.mode == "monte-carlo"
         assert abs(result.value - exact) <= max(4 * result.stderr, 1e-9)

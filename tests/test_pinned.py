@@ -19,15 +19,16 @@ import demandmatch as dm
 from demandmatch.builtin import EXAMPLES
 from demandmatch.demand import Arrival, DemandDistribution
 from demandmatch.experiments import (
-    ExperimentConfig,
     gen_counterexample,
     random_indep_instance,
     run_experiment,
 )
+from demandmatch import oracles
 from demandmatch.oracles import exact_policy_value, expected_offline, mc_policy_value
 from demandmatch.policies import ocrs_plan, plan_indep_adv_policy, static_threshold_value
 from demandmatch.relaxations import horizon_model_of
 from demandmatch.rounding import typeround
+from reference import config_from_generator
 
 #: float column whose rounding spawns zero-probability ranks twice
 FLOAT_COLUMN = (0.55, 0.1, 0.3, 0.2, 0.05)
@@ -190,7 +191,7 @@ def _small_threshold_plan(arrival=Arrival.ADVERSARIAL):
 
 
 def _horizon_numerator():
-    cfg = ExperimentConfig.from_generator(
+    cfg = config_from_generator(
         "rare_long_horizon", {"N": 3}, policy="horizon", benchmark="cond",
         trials=3000, seed=7, exact=False,
     )
@@ -198,16 +199,15 @@ def _horizon_numerator():
     return estimate.numerator, estimate.stderr, estimate.trials
 
 
-#: (value, stderr, trials) of each seeded Monte-Carlo estimate
+#: (value, stderr, trials) of each seeded Monte-Carlo estimate, with every
+#: demand support above ``oracles.SUPPORT_CAP``
 MONTE_CARLO = {
     "expected_offline": (
-        lambda: expected_offline(_two_type_offline(), support_cap=1, trials=4000, seed=9),
+        lambda: expected_offline(_two_type_offline(), trials=4000, seed=9),
         ("0x1.4083126e978d5p+0", "0x1.a9e0df761c891p-7", 4000),
     ),
     "exact_policy_value": (
-        lambda: exact_policy_value(
-            _small_threshold_plan(), support_cap=1, trials=2000, seed=1
-        ),
+        lambda: exact_policy_value(_small_threshold_plan(), trials=2000, seed=1),
         ("0x1.c8fa5e675774ep+2", "0x1.7b472d928eadbp-6", 2000),
     ),
     "mc_policy_value-worst": (
@@ -222,7 +222,8 @@ MONTE_CARLO = {
 
 
 @pytest.mark.parametrize("name", sorted(MONTE_CARLO))
-def test_monte_carlo_values(name):
+def test_monte_carlo_values(name, monkeypatch):
+    monkeypatch.setattr(oracles, "SUPPORT_CAP", 1)
     compute, expected = MONTE_CARLO[name]
     result = compute()
     assert result.mode == "monte-carlo"

@@ -23,7 +23,8 @@ from demandmatch.experiments import (
     random_horizon_instance,
     random_indep_instance,
 )
-from demandmatch.oracles import horizon_policy_value
+from demandmatch.acceptance import TOL
+from demandmatch.oracles import exact_policy_value, horizon_policy_value
 from demandmatch.policies import (
     HorizonPolicyState,
     ThresholdPolicyState,
@@ -108,6 +109,22 @@ class TestThresholdPlan:
         inst = gen_counterexample("rare_long_horizon", {"N": 3})
         with pytest.raises(TypeError):
             plan_indep_adv_policy(inst)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("p", [5e-10, 9.76e-10])
+    @pytest.mark.parametrize(
+        "rewards, caps", [(((1.0,),), (1,)), (((41.0,), (16.0,)), (1, 2))], ids=["one", "two"]
+    )
+    def test_half_guarantee_at_marginals_below_the_float_slack(self, rewards, caps, p, scale):
+        """An LP marginal in ``(0, COLUMN_SLACK]`` is still routed, so the
+        guarantee holds however large the rewards that it carries."""
+        dist = dm.DemandDistribution.from_pmf({0: 1 - p, 1: p})
+        scaled = tuple(tuple(r * scale for r in row) for row in rewards)
+        plan = plan_indep_adv_policy(indep_instance(scaled, caps, [dist]))
+        value = exact_policy_value(plan).value
+        assert 0.0 < max(map(max, plan.x)) <= 1e-9
+        assert value >= plan.lp_value / 2 - TOL
+        assert value >= plan.lp_value / 2 * (1 - 1e-6)
 
 
 class TestThresholdStep:

@@ -354,6 +354,23 @@ class TestFloatInvariants:
         assert state.universe == state.real_length + 2
         assert stages == [[]] * len(self.FLOAT_COLUMN)
 
+    @pytest.mark.parametrize(
+        "column, pmf",
+        [
+            ((5e-10,), {0: 1 - 5e-10, 1: 5e-10}),
+            ((1e-16,), {0: 1.0}),  # one segment, of survival 0: the coin at h = g
+            ((0.5, 1e-10), {0: 0.5, 1: 0.5}),  # the walk passes a spawned last segment of survival 0
+        ],
+        ids=["below-slack", "point-mass-0", "after-spawn"],
+    )
+    def test_every_positive_marginal_is_routed(self, column, pmf):
+        dist = dm.DemandDistribution.from_pmf(pmf)
+        state, stages = self.float_state(column, dist)
+        assert stages == [[]] * len(column)
+        assert [d.resource for d in state.decisions] == list(range(len(column)))
+        assert all(0.0 <= d.lam <= 1.0 for d in state.decisions)
+        assert verify_marginals(state.distribution(), column, dist).max_abs_error <= COLUMN_SLACK
+
     def test_perturbed_idle_prob_is_flagged(self):
         state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
         nudge_idle_prob(state, 0, 1e-6)

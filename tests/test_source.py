@@ -55,11 +55,23 @@ def _is_criterion(node: ast.AST) -> bool:
     )
 
 
+def _public_defs(tree: ast.Module):
+    """``(qualified name, node)`` of each public top-level function or class
+    and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
+                    yield f"{node.name}.{method.name}", method
+
+
 def test_no_public_name_serves_only_the_tests():
     """Every public top-level function or class of the package is exported
     from ``__init__``, registered as an acceptance criterion, or used by the
-    package's own code (its module included) or by the benchmark; code that
-    only the tests use lives in ``tests/``."""
+    package's own code (its module included) or by the benchmark, and so is
+    every public method of a public class; code that only the tests use
+    lives in ``tests/``."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     init = PACKAGE / "__init__.py"
     exported = {alias.name for node in trees.pop(init).body if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -67,12 +79,9 @@ def test_no_public_name_serves_only_the_tests():
     for path in BENCH.glob("*.py"):
         used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
     unused = [
-        f"{path.name}:{node.name}"
+        f"{path.name}:{name}"
         for path, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in exported | used
-        and not _is_criterion(node)
+        for name, node in _public_defs(tree)
+        if node.name not in used and name not in exported and not _is_criterion(node)
     ]
     assert not unused, f"public names no package or benchmark code uses: {unused}"

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .oracles import (
 from .policies import (
     best_static_threshold,
     ocrs_plan,
-    plan_horizon_policy_for,
+    plan_horizon_policy,
     plan_indep_adv_policy,
 )
 from .relaxations import enumerate_violated_cut, horizon_model_of, separation_oracle, solve_relaxation
@@ -261,7 +261,7 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, 
 
 def _horizon_trial(rng: np.random.Generator, capacity: Optional[int] = None) -> tuple[float, float]:
     inst = random_horizon_instance(rng, max_horizon=4, max_n=3, max_m=3, fixed_capacity=capacity)
-    plan = plan_horizon_policy_for(inst)
+    plan = plan_horizon_policy(horizon_model_of(inst), inst)
     return horizon_policy_value(plan).value, plan.lp_value
 
 
@@ -373,18 +373,9 @@ def check_ocrs_schedule(count: int = 1000, seed: int = 7007) -> tuple[bool, str]
     return True, f"worst deviation {worst:.3e}, least margin over the floor {margin:.4f}"
 
 
-def run_acceptance(
-    names: Optional[Sequence[str]] = None, echo: Optional[Callable[[str], None]] = None
-) -> list[CriterionResult]:
-    """Run the selected (default: all) checks, echoing one line per result."""
-    selected = list(CRITERIA) if not names else list(names)
-    results = []
-    for name in selected:
+def run_acceptance(names: Optional[Sequence[str]] = None) -> Iterator[CriterionResult]:
+    """Run the selected (default: all) checks, yielding each result as it finishes."""
+    for name in names or CRITERIA:
         if name not in CRITERIA:
             raise KeyError(f"unknown check {name!r}; known: {', '.join(CRITERIA)}")
-        result = CRITERIA[name]()
-        results.append(result)
-        if echo is not None:
-            mark = "PASS" if result.passed else "FAIL"
-            echo(f"[{mark}] {result.key} ({result.seconds:.1f}s) {result.detail}")
-    return results
+        yield CRITERIA[name]()

@@ -29,8 +29,6 @@ from .demand import (
 
 @dataclass(frozen=True)
 class BuiltinExample:
-    key: str
-    description: str
     dist: DemandDistribution
     column: tuple[Prob, ...]
 
@@ -51,20 +49,14 @@ _DEMO3_DIST = DemandDistribution.from_pmf(
 
 EXAMPLES: dict[str, BuiltinExample] = {
     "demo3": BuiltinExample(
-        key="demo3",
-        description="three unit resources, demand in {1,2,3}, column (3/4, 2/3, 1/3)",
         dist=_DEMO3_DIST,
         column=(Fraction(3, 4), Fraction(2, 3), Fraction(1, 3)),
     ),
     "demo3-tight": BuiltinExample(
-        key="demo3-tight",
-        description="same demand with every prefix bound tight: column (1, 1/2, 1/4)",
         dist=_DEMO3_DIST,
         column=(Fraction(1), Fraction(1, 2), Fraction(1, 4)),
     ),
     "demo5": BuiltinExample(
-        key="demo5",
-        description="five ranks, geometric survival 1/2^(l-1), column (1/8, 3/8, 7/8, 1/4, 0)",
         dist=DemandDistribution.from_pmf(
             {
                 1: Fraction(1, 2),

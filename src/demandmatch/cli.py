@@ -110,7 +110,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
         column = example.column if not args.float else tuple(float(x) for x in example.column)
     elif args.instance:
         inst = load_instance(args.instance)
-        unit, _, _, x = _solve_threshold_lp(inst)
+        unit, _, x = _solve_threshold_lp(inst)
         j = args.type
         if not 0 <= j < unit.m:
             raise ValueError(f"--type {j} out of range for {unit.m} types")
@@ -164,8 +164,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = None if args.check == ["all"] else args.check
-    results = acceptance.run_acceptance(names, echo=print)
-    return 0 if all(r.passed for r in results) else CHECK_FAILED
+    passed = True
+    for result in acceptance.run_acceptance(names):
+        print(f"[{'PASS' if result.passed else 'FAIL'}] {result.key} ({result.seconds:.1f}s) {result.detail}")
+        passed = passed and result.passed
+    return 0 if passed else CHECK_FAILED
 
 
 #: the randomized criteria ``verify-invariants`` runs: (key, count, seed

@@ -136,10 +136,6 @@ class DemandDistribution:
     def point_mass(cls, value: int) -> "DemandDistribution":
         return cls.from_pmf({value: 1})
 
-    @property
-    def pmf(self) -> dict[int, Prob]:
-        return dict(self.items)
-
     @functools.cached_property
     def is_exact(self) -> bool:
         return all(is_exact_number(p) for _, p in self.items)
@@ -357,9 +353,10 @@ class Instance:
         for i, k in enumerate(self.capacities):
             if not isinstance(k, int) or isinstance(k, bool) or k < 1:
                 raise ValueError(f"capacities[{i}] = {k!r}; capacities are positive integers")
-        model_m = _model_type_count(self.demand)
-        if model_m != m:
-            raise ValueError(f"demand model has {model_m} types, rewards have {m}")
+        if not isinstance(self.demand, (IndepDemandModel, CorrelDemandModel, StochasticHorizonModel)):
+            raise TypeError(f"not a demand model: {self.demand!r}")
+        if self.demand.m != m:
+            raise ValueError(f"demand model has {self.demand.m} types, rewards have {m}")
 
     @property
     def n(self) -> int:
@@ -372,12 +369,6 @@ class Instance:
     @property
     def total_capacity(self) -> int:
         return sum(self.capacities)
-
-
-def _model_type_count(model: DemandModel) -> int:
-    if isinstance(model, (IndepDemandModel, CorrelDemandModel, StochasticHorizonModel)):
-        return model.m
-    raise TypeError(f"not a demand model: {model!r}")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .oracles import (
     mc_policy_value,
     optimal_online_dp,
 )
-from .policies import plan_horizon_policy_for, plan_indep_adv_policy, run_horizon_trial
+from .policies import plan_horizon_policy, plan_indep_adv_policy, run_horizon_trial
 from .relaxations import RELAXATIONS, horizon_model_of, solve_relaxation
 
 GENERATORS = (
@@ -327,7 +327,7 @@ def _threshold(cfg: ExperimentConfig) -> OracleValue:
 
 
 def _horizon(cfg: ExperimentConfig) -> OracleValue:
-    plan = plan_horizon_policy_for(cfg.instance)
+    plan = plan_horizon_policy(horizon_model_of(cfg.instance), cfg.instance)
     if cfg.exact:
         return horizon_policy_value(plan)
     return OracleValue.monte_carlo(lambda rng: run_horizon_trial(plan, rng), cfg.trials, cfg.seed)
@@ -375,13 +375,15 @@ def run_experiment(cfg: ExperimentConfig) -> RatioEstimate:
         denominator=denominator,
         ratio=ratio,
         stderr=numerator.stderr,
-        trials=numerator.trials if numerator.mode == "monte-carlo" else cfg.trials,
+        trials=numerator.trials,
         seed=cfg.seed,
         mode=numerator.mode,
     )
 
 
 _COLUMNS = tuple(f.name for f in fields(RatioEstimate))
+#: the format spec of each float column; every other column prints as ``str``
+_FORMATS = {"numerator": ".9g", "denominator": ".9g", "ratio": ".6f", "stderr": ".9g"}
 
 
 def report(results: Sequence[RatioEstimate]) -> tuple[str, str]:
@@ -392,20 +394,7 @@ def report(results: Sequence[RatioEstimate]) -> tuple[str, str]:
         "|" + "---|" * len(_COLUMNS),
     ]
     for r in results:
-        cells = [
-            r.instance_id,
-            r.generator,
-            r.params,
-            r.policy,
-            r.benchmark,
-            f"{r.numerator:.9g}",
-            f"{r.denominator:.9g}",
-            f"{r.ratio:.6f}",
-            f"{r.stderr:.9g}",
-            str(r.trials),
-            str(r.seed),
-            r.mode,
-        ]
+        cells = [format(getattr(r, name), _FORMATS.get(name, "")) for name in _COLUMNS]
         csv_lines.append(",".join(cell.replace(",", ";") for cell in cells))
         md_lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(csv_lines) + "\n", "\n".join(md_lines) + "\n"

@@ -42,7 +42,6 @@ from .relaxations import (
     UnsupportedDemandModel,
     build_truncated_lp,
     conditional_lp,
-    horizon_model_of,
 )
 from .rounding import Routing, RoutingDistribution, typeround
 
@@ -72,7 +71,6 @@ class IndepAdvPlan:
     """
 
     instance: Instance  # unit-capacity expansion
-    parent: tuple[int, ...]
     x: tuple[tuple[float, ...], ...]
     lp_value: float
     routings: tuple[RoutingDistribution, ...]  # indexed by type
@@ -93,14 +91,14 @@ class IndepAdvPlan:
 
 def _solve_threshold_lp(
     inst: Instance,
-) -> tuple[Instance, tuple[int, ...], float, tuple[tuple[float, ...], ...]]:
-    """The LP half of the threshold plan: the unit-capacity expansion, its
-    copy -> parent map, and the tightened LP's value and clamped ``x[i][j]``."""
+) -> tuple[Instance, float, tuple[tuple[float, ...], ...]]:
+    """The LP half of the threshold plan: the unit-capacity expansion and
+    the tightened LP's value and clamped ``x[i][j]``."""
     if not isinstance(inst.demand, IndepDemandModel):
         raise UnsupportedDemandModel(
             "the threshold policy is defined for independent per-type demand"
         )
-    unit, parent = expand_unit_capacity(inst)
+    unit, _ = expand_unit_capacity(inst)
     result = build_truncated_lp(unit)
     if result.solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"tightened LP did not solve: {result.solution.status}")
@@ -108,12 +106,12 @@ def _solve_threshold_lp(
         tuple(max(0.0, float(result.solution.values[i * unit.m + j])) for j in range(unit.m))
         for i in range(unit.n)
     )
-    return unit, parent, result.solution.objective_value, x
+    return unit, result.solution.objective_value, x
 
 
 def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
     """Deterministic part of the policy: expand, solve, round, set thresholds."""
-    unit, parent, lp_value, x = _solve_threshold_lp(inst)
+    unit, lp_value, x = _solve_threshold_lp(inst)
     n, m = unit.n, unit.m
     routings = tuple(
         typeround([x[i][j] for i in range(n)], inst.demand.per_type[j]) for j in range(m)
@@ -123,7 +121,6 @@ def plan_indep_adv_policy(inst: Instance) -> IndepAdvPlan:
     )
     return IndepAdvPlan(
         instance=unit,
-        parent=parent,
         x=x,
         lp_value=lp_value,
         routings=routings,
@@ -417,11 +414,6 @@ class HorizonPolicyState:
         self.remaining[routed] -= 1
         self.collected += float(self.plan.instance.rewards[routed][j])
         return routed
-
-
-def plan_horizon_policy_for(inst: Instance) -> HorizonPlan:
-    """Horizon policy for a native-horizon or correlated-demand instance."""
-    return plan_horizon_policy(horizon_model_of(inst), inst)
 
 
 def run_horizon_trial(

@@ -222,6 +222,20 @@ class TestSimulate:
         fields = dict(zip(header.split(","), row.split(",")))
         assert (fields["mode"], fields["numerator"]) == ("exact", "10")
 
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            (["--param", "N=5", "--policy", "opt", "--benchmark", "cond"], "0"),
+            (["--param", "N=3", "--policy", "horizon", "--benchmark", "opt", "--mc", "--trials", "300",
+              "--seed", "5"], "300"),
+        ],
+        ids=["exact", "monte-carlo"],
+    )
+    def test_row_reports_the_trials_it_ran(self, argv, trials, capsys):
+        assert main(["simulate", "--generator", "rare_long_horizon", *argv]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["trials"] == trials
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "row.csv"
         assert main(
@@ -321,6 +335,27 @@ class TestUsageErrors:
             ["solve", "--generator", "escalating_rewards", "--param", "T=3",
              "--param", "eps=0.1", "--lp", "fluid"]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--generator", "fluid_gap_single", "--param", "k=abc"],
+             "cannot parse parameter value 'abc'"),
+            (["round", "--instance", "{instance}", "--type", "9"], "--type 9 out of range for 1 types"),
+            (["round"], "pick one of --example or --instance"),
+            (["solve", "--generator", "escalating_rewards", "--param", "T=3", "--param", "eps=0.1",
+              "--lp", "trunc"],
+             "stochastic-horizon demand has no per-type marginal here; use the conditional LP"),
+        ],
+        ids=["param-value", "round-type", "round-source", "trunc-on-horizon"],
+    )
+    def test_rejected_input_is_named(self, argv, message, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"rewards": [[1.0]], "capacities": [1], "demand": {"kind": "indep", "distributions": [{"1": 1}]}}
+        ))
+        assert main([arg.format(instance=path) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSeedEnvironment:

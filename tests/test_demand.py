@@ -202,7 +202,7 @@ class TestModels:
             type_probs=(Fraction(1, 2), Fraction(1, 2)),
         )
         marginal = model.marginal(0)
-        assert marginal.pmf == {
+        assert dict(marginal.items) == {
             0: Fraction(1, 4),
             1: Fraction(1, 2),
             2: Fraction(1, 4),
@@ -278,6 +278,50 @@ class TestInstance:
                 capacities=(0,),
                 demand=dm.IndepDemandModel((THREE_POINT,)),
             )
+
+
+ONE_TYPE = dm.IndepDemandModel(per_type=(THREE_POINT,))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: dm.DemandDistribution(()), ValueError, "demand distribution needs at least one support point"),
+        (lambda: dm.DemandDistribution(((1, 0.5), (0, 0.5))), ValueError, "support values must be sorted and distinct"),
+        (lambda: THREE_POINT.truncated_expectation(-1), ValueError, "cap must be nonnegative, got -1"),
+        (
+            lambda: dm.CorrelDemandModel(total=THREE_POINT, type_probs=(Fraction(3, 2), Fraction(-1, 2))),
+            ValueError,
+            "type_probs[1] = -1/2 is negative",
+        ),
+        (
+            lambda: dm.StochasticHorizonModel(total=dm.DemandDistribution.point_mass(2), probs=((0.5, 0.5), (1.0,))),
+            ValueError,
+            "probs row 2 has inconsistent width",
+        ),
+        (
+            lambda: dm.Instance(rewards=(), capacities=(), demand=ONE_TYPE),
+            ValueError,
+            "instance needs at least one resource and one type",
+        ),
+        (
+            lambda: dm.Instance(rewards=((1.0,), (1.0, 2.0)), capacities=(1, 1), demand=ONE_TYPE),
+            ValueError,
+            "rewards row 1 has length 2, expected 1",
+        ),
+        (
+            lambda: dm.Instance(rewards=((1.0,),), capacities=(1,), demand=THREE_POINT),
+            TypeError,
+            f"not a demand model: {THREE_POINT!r}",
+        ),
+    ],
+    ids=["empty-support", "unsorted-support", "negative-cap", "negative-type-prob", "ragged-horizon",
+         "no-rewards", "ragged-rewards", "not-a-model"],
+)
+def test_constructor_rejects_bad_input(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestExpandUnitCapacity:

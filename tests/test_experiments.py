@@ -17,9 +17,10 @@ from demandmatch.experiments import (
     report,
     run_experiment,
 )
+from demandmatch.linprog import LinearProgram
 from demandmatch.oracles import horizon_policy_value, optimal_online_dp
-from demandmatch.policies import plan_horizon_policy_for
-from demandmatch.relaxations import UnsupportedDemandModel, horizon_model_of
+from demandmatch.policies import ocrs_plan, plan_horizon_policy
+from demandmatch.relaxations import RELAXATIONS, UnsupportedDemandModel, horizon_model_of, solve_relaxation
 from reference import config_from_generator
 
 
@@ -27,7 +28,7 @@ class TestGenerators:
     def test_fluid_gap_single_shape(self):
         inst = gen_counterexample("fluid_gap_single", {"eps": Fraction(1, 4)})
         dist = inst.demand.per_type[0]
-        assert dist.pmf == {0: Fraction(3, 4), 4: Fraction(1, 4)}
+        assert dict(dist.items) == {0: Fraction(3, 4), 4: Fraction(1, 4)}
         assert inst.n == inst.m == 1
         assert inst.capacities == (1,)
 
@@ -36,14 +37,14 @@ class TestGenerators:
         assert inst.n == 5
         assert inst.rewards[0] == (1.0,)
         assert all(row == (0.0,) for row in inst.rewards[1:])
-        assert inst.demand.per_type[0].pmf == {0: Fraction(4, 5), 5: Fraction(1, 5)}
+        assert dict(inst.demand.per_type[0].items) == {0: Fraction(4, 5), 5: Fraction(1, 5)}
 
     def test_two_stage_reward_shape(self):
         inst = gen_counterexample("two_stage_reward", {"eps": 0.1, "k1": 3})
         assert inst.capacities == (3,)
         assert inst.rewards[0][1] == pytest.approx(10.0)
         cheap, dear = inst.demand.per_type
-        assert cheap.pmf == {3: 1}
+        assert dict(cheap.items) == {3: 1}
         assert dear.probability(3) == pytest.approx(0.1)
 
     def test_escalating_rewards_shape(self):
@@ -60,7 +61,7 @@ class TestGenerators:
         inst = gen_counterexample("rare_long_horizon", {"N": 10})
         model = inst.demand
         assert model.type_probs == (1 - Fraction(1, 1000), Fraction(1, 1000))
-        assert model.total.pmf == {1: Fraction(9, 10), 101: Fraction(1, 10)}
+        assert dict(model.total.items) == {1: Fraction(9, 10), 101: Fraction(1, 10)}
         assert inst.rewards[0] == (1.0, 100.0)
 
     def test_unknown_family_rejected(self):
@@ -87,10 +88,24 @@ class TestGenerators:
                     gen_counterexample(name, {**params, key: bad})
             assert gen_counterexample(name, {**params, key: 5.0}) == gen_counterexample(name, {**params, key: 5})
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("two_stage_reward", {"eps": 1.5, "k1": 2}, "eps must lie in (0,1), got 1.5"),
+            ("two_stage_reward", {"eps": 0.1, "k1": 0}, "k1 must be positive, got 0"),
+            ("escalating_rewards", {"T": 0, "eps": 0.1}, "T must be positive, got 0"),
+            ("escalating_rewards", {"T": 3, "eps": 1.0}, "eps must lie in (0,1), got 1.0"),
+        ],
+    )
+    def test_out_of_range_params_rejected(self, name, params, message):
+        with pytest.raises(ValueError) as exc:
+            gen_counterexample(name, params)
+        assert str(exc.value) == message
+
     def test_single_step_escalating_family_degenerates(self):
         inst = gen_counterexample("escalating_rewards", {"T": 1, "eps": 0.3})
         assert inst.demand.horizon == 1
-        assert inst.demand.total.pmf == {1: 1.0}
+        assert dict(inst.demand.total.items) == {1: 1.0}
 
 
 class TestRunExperiment:
@@ -126,7 +141,7 @@ class TestRunExperiment:
         )
         estimate = run_experiment(cfg)
         inst = cfg.instance
-        assert estimate.numerator == horizon_policy_value(plan_horizon_policy_for(inst)).value
+        assert estimate.numerator == horizon_policy_value(plan_horizon_policy(horizon_model_of(inst), inst)).value
         assert estimate.denominator == optimal_online_dp(horizon_model_of(inst), inst).value
         assert estimate.mode == "exact"
         assert 0.5 <= estimate.ratio <= 1.0
@@ -190,7 +205,7 @@ class TestRunExperiment:
                 estimates.append(run_experiment(cfg))
         assert bool(estimates) != (policy == "threshold" and against in ("cond", "opt"))
         for e in estimates:
-            assert (e.mode, e.trials, e.stderr) == ("exact", 7, 0.0)
+            assert (e.mode, e.trials, e.stderr) == ("exact", 0, 0.0)
             assert 0 < e.numerator and 0 < e.denominator
             assert e.ratio == e.numerator / e.denominator
 
@@ -258,3 +273,22 @@ class TestRandomColumnGenerator:
                 used += x
                 assert used <= dist.truncated_expectation(pos)
                 assert 0 <= x <= 1
+
+
+TWO_STAGE = gen_counterexample("two_stage_reward", {"eps": 0.5, "k1": 1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExperimentConfig("x", "offline", "fluid", TWO_STAGE, trials=0), "trials must be at least 1"),
+        (lambda: solve_relaxation("nope", TWO_STAGE), f"unknown relaxation 'nope'; pick one of {RELAXATIONS}"),
+        (lambda: ocrs_plan([0.5], 0), "capacity must be positive, got 0"),
+        (lambda: LinearProgram(objective=(1.0,), rows=((1.0,), (1.0,)), rhs=(1.0,)), "2 rows but 1 rhs entries"),
+    ],
+    ids=["experiment-trials", "relaxation-name", "ocrs-capacity", "lp-rhs-length"],
+)
+def test_entry_point_rejects_bad_input(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

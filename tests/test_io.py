@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import demandmatch as dm
-from demandmatch.io import InstanceFormatError, loads_instance
+from demandmatch.io import InstanceFormatError, loads_instance, parse_instance
 
 
 INDEP_DOC = """
@@ -21,13 +21,58 @@ INDEP_DOC = """
 """
 
 
+def _doc(demand=None, **fields):
+    """A valid one-resource, one-type document with ``demand`` and any
+    top-level ``fields`` replaced."""
+    doc = {"rewards": [[1.0]], "capacities": [1], "demand": _indep({"1": 1})}
+    if demand is not None:
+        doc["demand"] = demand
+    return {**doc, **fields}
+
+
+def _indep(pmf):
+    return {"kind": "indep", "distributions": [pmf]}
+
+
+def _correl(type_probs):
+    return {"kind": "correl", "total": {"1": 1}, "type_probs": type_probs}
+
+
+def _horizon(probs):
+    return {"kind": "horizon", "total": {"1": 1}, "probs": probs}
+
+
+PMF = "$.demand.distributions[0]"
+#: (document, JSON path, start of the message) for each way a document is rejected
+MALFORMED = [
+    (_doc(_indep({"1": True})), f"{PMF}.1", "expected a probability, got True"),
+    (_doc(_indep({"1": "abc"})), f"{PMF}.1", "cannot parse probability 'abc': "),
+    (_doc(_indep({"1": "1/0"})), f"{PMF}.1", "cannot parse probability '1/0': "),
+    (_doc(_indep({"1": None})), f"{PMF}.1", "expected a probability, got NoneType"),
+    (_doc(_indep({})), PMF, "expected a nonempty {value: probability} object"),
+    (_doc(_indep([1])), PMF, "expected a nonempty {value: probability} object"),
+    (_doc(_indep({"x": 1})), PMF, "support value 'x' is not an integer"),
+    (_doc(_indep({"-1": 1})), PMF, "support value -1 is negative"),
+    ([], "$", "top level must be an object"),
+    (_doc(rewards=[]), "$.rewards", "expected a nonempty list of rows"),
+    (_doc(rewards=[[]]), "$.rewards[0]", "expected a nonempty list"),
+    (_doc(capacities={}), "$.capacities", "expected a list"),
+    (_doc([]), "$.demand", "expected an object"),
+    (_doc({"kind": "indep", "distributions": []}), "$.demand.distributions", "expected a nonempty list of pmfs"),
+    (_doc(_correl([])), "$.demand.type_probs", "expected a nonempty list"),
+    (_doc(_correl([0.5, 0.4])), "$.demand.type_probs", "type_probs sums to 0.9, expected 1"),
+    (_doc(_horizon([])), "$.demand.probs", "expected a nonempty list of rows"),
+    (_doc(_horizon([[]])), "$.demand.probs[0]", "expected a nonempty list"),
+]
+
+
 class TestParsing:
     def test_indep_round_trip(self):
         inst = loads_instance(INDEP_DOC)
         assert inst.n == 2 and inst.m == 2
         assert inst.capacities == (1, 2)
         assert inst.arrival is dm.Arrival.ADVERSARIAL
-        assert inst.demand.per_type[0].pmf == {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        assert dict(inst.demand.per_type[0].items) == {0: Fraction(1, 2), 2: Fraction(1, 2)}
 
     def test_string_probabilities_parse_exactly(self):
         inst = loads_instance(
@@ -164,6 +209,13 @@ class TestErrors:
     def test_missing_field(self):
         with pytest.raises(InstanceFormatError, match="capacities"):
             loads_instance('{"rewards": [[1.0]], "demand": {}}')
+
+    @pytest.mark.parametrize("doc, path, message", MALFORMED)
+    def test_every_rejection_names_its_path(self, doc, path, message):
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(doc)
+        assert exc.value.path == path
+        assert str(exc.value).startswith(f"{path}: {message}")
 
 
 class TestFileLoading:

@@ -343,7 +343,7 @@ class TestOptimalOnlineDp:
         model = horizon_model_of(inst)
         base = optimal_online_dp(model, inst).value
         padded_total = dm.DemandDistribution.from_pmf(
-            {**model.total.pmf, model.horizon + 2: 0.0}
+            {**dict(model.total.items), model.horizon + 2: 0.0}
         )
         # appending a zero-probability step must not change the optimum
         assert padded_total.max_support == model.horizon

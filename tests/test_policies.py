@@ -31,7 +31,6 @@ from demandmatch.policies import (
     best_static_threshold,
     ocrs_plan,
     plan_horizon_policy,
-    plan_horizon_policy_for,
     plan_indep_adv_policy,
     run_horizon_trial,
     static_threshold_value,
@@ -103,7 +102,7 @@ class TestThresholdPlan:
         inst = indep_instance(((1.0,),), (2,), [dist])
         plan = plan_indep_adv_policy(inst)
         assert plan.n == 2
-        assert plan.parent == (0, 0)
+        assert plan.instance.rewards == ((1.0,), (1.0,))
 
     def test_rejects_correlated_demand(self):
         inst = gen_counterexample("rare_long_horizon", {"N": 3})
@@ -359,7 +358,7 @@ class TestHorizonPolicy:
 
     def test_routing_ratios_are_probabilities(self):
         inst = gen_counterexample("rare_long_horizon", {"N": 3})
-        plan = plan_horizon_policy_for(inst)
+        plan = plan_horizon_policy(horizon_model_of(inst), inst)
         for t in range(1, plan.horizon + 1):
             for j in range(plan.instance.m):
                 total = sum(plan.route[t - 1, i, j] for i in range(plan.instance.n))
@@ -378,7 +377,7 @@ class TestHorizonPolicy:
     @pytest.mark.parametrize("trial", range(25))
     def test_dp_value_matches_gamma_weighted_objective(self, trial):
         inst = random_horizon_instance(trial_rng(1500, trial), max_horizon=4)
-        plan = plan_horizon_policy_for(inst)
+        plan = plan_horizon_policy(horizon_model_of(inst), inst)
         assert horizon_policy_value(plan).value == pytest.approx(
             plan.expected_value(), abs=1e-9
         )
@@ -387,7 +386,7 @@ class TestHorizonPolicy:
         """Cross-check against exhaustive branching over every arrival,
         routing coin, and acceptance coin."""
         inst = random_horizon_instance(np.random.default_rng(77), max_horizon=3, max_n=2, max_m=2)
-        plan = plan_horizon_policy_for(inst)
+        plan = plan_horizon_policy(horizon_model_of(inst), inst)
         model = plan.model
 
         def walk(t, caps, weight):
@@ -428,7 +427,7 @@ class TestHorizonPolicy:
         """Unconditional acceptance at (resource, step) meets the survival-
         discounted floor within Monte-Carlo noise."""
         inst = random_horizon_instance(np.random.default_rng(123), max_horizon=3, max_n=2, max_m=2)
-        plan = plan_horizon_policy_for(inst)
+        plan = plan_horizon_policy(horizon_model_of(inst), inst)
         trials = 100_000
         hits = np.zeros((plan.instance.n, plan.horizon))
         for trial in range(trials):
@@ -529,7 +528,7 @@ class TestTraces:
         """The resources that ``step`` returns are the per-arrival record: their
         rewards add up to what the trial collects, draw for draw."""
         inst = random_horizon_instance(np.random.default_rng(2), max_horizon=3)
-        plan = plan_horizon_policy_for(inst)
+        plan = plan_horizon_policy(horizon_model_of(inst), inst)
         for seed in range(20):
             rng = np.random.default_rng(seed)
             state = HorizonPolicyState(plan=plan)

@@ -563,6 +563,46 @@ class TestFeasibilityRejection:
         assert "tol" not in inspect.signature(RoundingState).parameters
 
 
+def _advance_past_the_last():
+    state = RoundingState(DEMO3.dist, 1)
+    state.advance(Fraction(1, 2))
+    state.advance(0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RoundingState(DEMO3.dist, 0), ValueError, "need at least one resource"),
+        (
+            lambda: RoundingState(DEMO3.dist, 2, order=(0, 0)),
+            ValueError,
+            "order (0, 0) is not a permutation of the resources",
+        ),
+        (_advance_past_the_last, ValueError, "all resources already processed"),
+        (
+            lambda: RoundingState(DEMO3.dist, 1).advance(0.5),
+            TypeError,
+            "exact-mode rounding got a float marginal 0.5; pass Fractions or round over dist.to_float()",
+        ),
+        (
+            lambda: RoundingState(DEMO3.dist, 1, track_branches=False).check_invariants(),
+            ValueError,
+            "invariant checking needs track_branches=True",
+        ),
+        (
+            lambda: typeround([Fraction(1, 3)] * 30, dm.DemandDistribution.from_pmf({0: Fraction(1, 2), 30: Fraction(1, 2)})).branches(),
+            ValueError,
+            "support may reach 1048576 routings, above MAX_SUPPORT = 65536",
+        ),
+    ],
+    ids=["no-resources", "not-a-permutation", "past-the-last", "float-in-exact", "untracked", "above-max-support"],
+)
+def test_rounding_state_guards(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestRandomColumns:
     @pytest.mark.parametrize("trial", range(300))
     def test_invariants_every_stage_and_exact_marginals(self, trial):

@@ -35,17 +35,17 @@ def test_no_warnings_or_logging(path):
     assert not found, f"{path.name} imports {found}"
 
 
-def _used_names(tree: ast.AST) -> set[str]:
-    """Every name a module reads, attribute it reads or name it imports."""
-    used = set()
+def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Every name a module reads or imports, and every attribute it reads."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            used.add(node.name)
-    return used
+            names.add(node.name)
+    return names, attributes
 
 
 def _is_criterion(node: ast.AST) -> bool:
@@ -71,17 +71,25 @@ def test_no_public_name_serves_only_the_tests():
     from ``__init__``, registered as an acceptance criterion, or used by the
     package's own code (its module included) or by the benchmark, and so is
     every public method of a public class; code that only the tests use
-    lives in ``tests/``."""
+    lives in ``tests/``.  A method or property counts as used only where
+    it is read as an attribute, so that a local variable of the same name
+    does not hide it.  Dataclass fields are not checked: their names
+    collide with other classes' attributes."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     init = PACKAGE / "__init__.py"
     exported = {alias.name for node in trees.pop(init).body if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set().union(*map(_used_names, trees.values()))
-    for path in BENCH.glob("*.py"):
-        used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    bench = [ast.parse(path.read_text(), filename=str(path)) for path in BENCH.glob("*.py")]
+    names, attributes = set(), set()
+    for tree in [*trees.values(), *bench]:
+        tree_names, tree_attributes = _reads(tree)
+        names |= tree_names
+        attributes |= tree_attributes
     unused = [
         f"{path.name}:{name}"
         for path, tree in trees.items()
         for name, node in _public_defs(tree)
-        if node.name not in used and name not in exported and not _is_criterion(node)
+        if node.name not in (attributes if "." in name else names | attributes)
+        and name not in exported
+        and not _is_criterion(node)
     ]
     assert not unused, f"public names no package or benchmark code uses: {unused}"

@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`demandmatch.demand` -- demand models, instances, sampling.  Survival
-  and truncated expectations are methods of ``DemandDistribution``.
+  and truncated expectations are methods of ``DemandDistribution``; each
+  demand model answers ``marginal(j)`` and ``to_horizon()`` for its own kind.
 * :mod:`demandmatch.linprog` -- dense one-phase simplex in one normal form
   (``b >= 0``); every LP is numpy arrays ``(c, A, b)`` from builder to solver.
 * :mod:`demandmatch.relaxations` -- fluid, subset-tightened, and conditional

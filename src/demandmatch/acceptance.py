@@ -42,7 +42,7 @@ from .policies import (
     plan_horizon_policy,
     plan_indep_adv_policy,
 )
-from .relaxations import enumerate_violated_cut, horizon_model_of, separation_oracle, solve_relaxation
+from .relaxations import enumerate_violated_cut, separation_oracle, solve_relaxation
 from .rounding import RoundingState, typeround, verify_marginals
 
 TOL = 1e-9
@@ -251,7 +251,7 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, 
     worst = 0.0
     for trial in range(count):
         inst = random_horizon_instance(trial_rng(seed, trial), max_horizon=4, max_n=3, max_m=3)
-        opt = optimal_online_dp(horizon_model_of(inst), inst).value
+        opt = optimal_online_dp(inst.demand.to_horizon(), inst).value
         lp = solve_relaxation("cond", inst)[1].objective_value
         worst = max(worst, opt - lp)
         if opt > lp + TOL:
@@ -261,7 +261,7 @@ def check_online_lp_ordering(count: int = 500, seed: int = 4004) -> tuple[bool, 
 
 def _horizon_trial(rng: np.random.Generator, capacity: Optional[int] = None) -> tuple[float, float]:
     inst = random_horizon_instance(rng, max_horizon=4, max_n=3, max_m=3, fixed_capacity=capacity)
-    plan = plan_horizon_policy(horizon_model_of(inst), inst)
+    plan = plan_horizon_policy(inst.demand.to_horizon(), inst)
     return horizon_policy_value(plan).value, plan.lp_value
 
 
@@ -293,7 +293,7 @@ def check_static_threshold_gap() -> tuple[bool, str]:
     ratios = []
     for horizon in (4, 6, 8):
         inst = gen_counterexample("escalating_rewards", {"T": horizon, "eps": eps})
-        model = horizon_model_of(inst)
+        model = inst.demand.to_horizon()
         _, static_value = best_static_threshold(model, inst)
         opt = optimal_online_dp(model, inst).value
         ratios.append(static_value / opt)
@@ -317,7 +317,7 @@ def check_conditional_tightness() -> tuple[bool, str]:
     for big in (5, 10, 20):
         inst = gen_counterexample("rare_long_horizon", {"N": big})
         lp = solve_relaxation("cond", inst)[1].objective_value
-        opt = optimal_online_dp(horizon_model_of(inst), inst).value
+        opt = optimal_online_dp(inst.demand.to_horizon(), inst).value
         ratios.append(opt / lp)
         ok = ok and lp >= 2 - 1.0 / big**3 - TOL
         ok = ok and 1.0 - TOL <= opt <= 1.0 + 3.0 / big + TOL

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import acceptance
 from .builtin import EXAMPLES, get_example
-from .demand import Instance
+from .demand import Instance, UnsupportedDemandModel
 from .experiments import (
     BENCHMARKS,
     GENERATORS,
@@ -38,7 +38,7 @@ from .experiments import (
 from .io import InstanceFormatError, load_instance
 from .linprog import format_tableau, solution_to_csv
 from .policies import _solve_threshold_lp
-from .relaxations import RELAXATIONS, UnsupportedDemandModel, solve_relaxation
+from .relaxations import RELAXATIONS, solve_relaxation
 from .rounding import RoundingState, verify_marginals
 
 USAGE_ERROR = 2
@@ -115,7 +115,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
         if not 0 <= j < unit.m:
             raise ValueError(f"--type {j} out of range for {unit.m} types")
         column = tuple(x[i][j] for i in range(unit.n))
-        dist = inst.demand.per_type[j].to_float()  # type: ignore[union-attr]
+        dist = inst.demand.marginal(j).to_float()
     else:
         raise ValueError("pick one of --example or --instance")
     order = None

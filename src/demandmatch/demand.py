@@ -53,13 +53,6 @@ def as_count(value: Prob, what: str) -> int:
     return int(value)
 
 
-def as_generator(seed: Union[int, Sequence[int], np.random.Generator]) -> np.random.Generator:
-    """Accept either a seed (int or sequence of ints) or a ready Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent substream for one trial, derived by counter.
 
@@ -67,6 +60,10 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     cannot depend on execution order or parallel scheduling.
     """
     return np.random.default_rng((seed, trial))
+
+
+class UnsupportedDemandModel(TypeError):
+    """Raised when a demand model is asked for a view its kind does not have."""
 
 
 class Arrival(enum.Enum):
@@ -232,6 +229,9 @@ class IndepDemandModel:
     def marginal(self, j: int) -> DemandDistribution:
         return self.per_type[j]
 
+    def to_horizon(self) -> "StochasticHorizonModel":
+        raise UnsupportedDemandModel("independent demand has no canonical horizon view")
+
 
 @dataclass(frozen=True)
 class CorrelDemandModel:
@@ -300,6 +300,8 @@ class StochasticHorizonModel:
                 f"{self.total.max_support}"
             )
         width = len(self.probs[0])
+        if not width:
+            raise ValueError("need at least one type")
         for t, row in enumerate(self.probs, start=1):
             if len(row) != width:
                 raise ValueError(f"probs row {t} has inconsistent width")
@@ -312,6 +314,14 @@ class StochasticHorizonModel:
     @property
     def m(self) -> int:
         return len(self.probs[0])
+
+    def marginal(self, j: int) -> DemandDistribution:
+        raise UnsupportedDemandModel(
+            "stochastic-horizon demand has no per-type marginal here; use the conditional LP"
+        )
+
+    def to_horizon(self) -> "StochasticHorizonModel":
+        return self
 
     def no_query_mass(self, t: int) -> Prob:
         row = self.probs[t - 1]
@@ -390,37 +400,32 @@ class ArrivalSequence:
     types: tuple[int, ...]
 
 
-def expand_unit_capacity(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
+def expand_unit_capacity(inst: Instance) -> Instance:
     """Split every resource into unit-capacity copies.
 
-    Returns the expanded instance together with a copy -> parent index map.
     Copies inherit the parent's reward row, so every LP value and oracle
     value is unchanged; an already unit-capacity instance round-trips to an
-    identical one (with the identity map).
+    identical one.
     """
     rewards: list[tuple[float, ...]] = []
-    parent: list[int] = []
     for i, k in enumerate(inst.capacities):
         for _ in range(k):
             rewards.append(inst.rewards[i])
-            parent.append(i)
-    expanded = Instance(
+    return Instance(
         rewards=tuple(rewards),
         capacities=tuple(1 for _ in rewards),
         demand=inst.demand,
         arrival=inst.arrival,
     )
-    return expanded, tuple(parent)
 
 
-def sample_demand(model: DemandModel, rng_seed: Union[int, np.random.Generator]) -> RealizedDemand:
+def sample_demand(model: DemandModel, rng: np.random.Generator) -> RealizedDemand:
     """Draw one demand vector.
 
     Independent model: one draw per type.  Correlated model: draw the total,
     then that many categorical type draws.  Horizon model: draw the total and
     walk the steps; a step whose row sums below one may produce no query.
     """
-    rng = as_generator(rng_seed)
     if isinstance(model, IndepDemandModel):
         return RealizedDemand(tuple(dist.sample(rng) for dist in model.per_type))
     if isinstance(model, CorrelDemandModel):
@@ -437,23 +442,21 @@ def sample_demand(model: DemandModel, rng_seed: Union[int, np.random.Generator])
 
 
 def sample_horizon_path(
-    model: StochasticHorizonModel, rng_seed: Union[int, np.random.Generator]
+    model: StochasticHorizonModel, rng: np.random.Generator
 ) -> tuple[Optional[int], ...]:
     """Step-by-step realization of a horizon model.
 
     Entry ``t-1`` is the type arriving at step ``t``, or ``None`` when the
     row's residual "no query" mass fires.  The tuple has length ``D``.
     """
-    rng = as_generator(rng_seed)
     total = model.total.sample(rng)
     return tuple(draw_index(model.probs[t], rng) for t in range(total))
 
 
 def sample_random_order(
-    d: RealizedDemand, rng_seed: Union[int, np.random.Generator]
+    d: RealizedDemand, rng: np.random.Generator
 ) -> ArrivalSequence:
     """Uniform draw over all interleavings of the realized counts."""
-    rng = as_generator(rng_seed)
     pool = [j for j, c in enumerate(d.counts) for _ in range(c)]
     rng.shuffle(pool)
     return ArrivalSequence(tuple(int(j) for j in pool))

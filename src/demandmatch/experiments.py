@@ -48,7 +48,7 @@ from .oracles import (
     optimal_online_dp,
 )
 from .policies import plan_horizon_policy, plan_indep_adv_policy, run_horizon_trial
-from .relaxations import RELAXATIONS, horizon_model_of, solve_relaxation
+from .relaxations import RELAXATIONS, solve_relaxation
 
 GENERATORS = (
     "fluid_gap_single",
@@ -327,7 +327,7 @@ def _threshold(cfg: ExperimentConfig) -> OracleValue:
 
 
 def _horizon(cfg: ExperimentConfig) -> OracleValue:
-    plan = plan_horizon_policy(horizon_model_of(cfg.instance), cfg.instance)
+    plan = plan_horizon_policy(cfg.instance.demand.to_horizon(), cfg.instance)
     if cfg.exact:
         return horizon_policy_value(plan)
     return OracleValue.monte_carlo(lambda rng: run_horizon_trial(plan, rng), cfg.trials, cfg.seed)
@@ -338,7 +338,7 @@ def _offline(cfg: ExperimentConfig) -> OracleValue:
 
 
 def _optimum(cfg: ExperimentConfig) -> float:
-    return optimal_online_dp(horizon_model_of(cfg.instance), cfg.instance).value
+    return optimal_online_dp(cfg.instance.demand.to_horizon(), cfg.instance).value
 
 
 #: each policy or oracle by name, to its value: the ratio's numerator

@@ -70,6 +70,8 @@ def _parse_pmf(raw: Any, path: str) -> DemandDistribution:
             raise InstanceFormatError(path, f"support value {key!r} is not an integer") from None
         if v < 0:
             raise InstanceFormatError(path, f"support value {v} is negative")
+        if v in pmf:
+            raise InstanceFormatError(path, f"support value {key!r} repeats the value {v}")
         pmf[v] = _parse_prob(value, f"{path}.{key}")
     try:
         return DemandDistribution.from_pmf(pmf)
@@ -180,10 +182,17 @@ def load_instance(source: Union[str, Path]) -> Instance:
     return loads_instance(Path(source).read_text())
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise InstanceFormatError("$", f"the object with keys {sorted(obj)} repeats one of them")
+    return obj
+
+
 def loads_instance(text: str) -> Instance:
     """Load an instance from a JSON string."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"line {exc.lineno}, column {exc.colno}", exc.msg

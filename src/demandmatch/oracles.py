@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,17 +116,16 @@ def _offline_values(inst: Instance, realizations: Sequence[Sequence[int]]) -> li
     return values
 
 
-def offline_optimum(inst: Instance, d: Union[RealizedDemand, Sequence[int]]) -> float:
+def offline_optimum(inst: Instance, d: RealizedDemand) -> float:
     """Max-weight offline matching for one demand realization.
 
     Solved as the transportation LP (capacity rows and realized-count rows)
     on a fresh tableau of ``inst``; its constraint matrix is totally
     unimodular, so the LP value is attained by an integral matching.
     """
-    counts = d.counts if isinstance(d, RealizedDemand) else tuple(d)
-    if len(counts) != inst.m:
-        raise ValueError(f"the realization has {len(counts)} types but the instance has {inst.m}")
-    return _offline_values(inst, [counts])[0]
+    if len(d.counts) != inst.m:
+        raise ValueError(f"the realization has {len(d.counts)} types but the instance has {inst.m}")
+    return _offline_values(inst, [d.counts])[0]
 
 
 def expected_offline(inst: Instance, trials: int = 10**5, seed: int = 0) -> OracleValue:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,14 +32,13 @@ from .demand import (
     IndepDemandModel,
     Instance,
     StochasticHorizonModel,
-    as_generator,
+    UnsupportedDemandModel,
     draw_index,
     expand_unit_capacity,
     sample_horizon_path,
 )
 from .linprog import LpStatus, solve_lp
 from .relaxations import (
-    UnsupportedDemandModel,
     build_truncated_lp,
     conditional_lp,
 )
@@ -98,7 +97,7 @@ def _solve_threshold_lp(
         raise UnsupportedDemandModel(
             "the threshold policy is defined for independent per-type demand"
         )
-    unit, _ = expand_unit_capacity(inst)
+    unit = expand_unit_capacity(inst)
     result = build_truncated_lp(unit)
     if result.solution.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"tightened LP did not solve: {result.solution.status}")
@@ -167,10 +166,9 @@ class ThresholdPolicyState:
 def run_threshold_trial(
     plan: IndepAdvPlan,
     order: Sequence[int],
-    rng_seed: Union[int, np.random.Generator],
+    rng: np.random.Generator,
 ) -> float:
     """Simulate one sample path of the threshold policy along ``order``."""
-    rng = as_generator(rng_seed)
     state = ThresholdPolicyState(plan=plan, pis=tuple(rd.sample(rng) for rd in plan.routings))
     for j in order:
         state.step(j)
@@ -390,7 +388,7 @@ class HorizonPolicyState:
         self.collected = 0.0
 
     def step(
-        self, t: int, j: Optional[int], rng_seed: Union[int, np.random.Generator]
+        self, t: int, j: Optional[int], rng: np.random.Generator
     ) -> Optional[int]:
         """Handle step ``t``: route the arrival (if any), then ask the
         resource's acceptance schedule.  Returns the resource that accepts
@@ -405,7 +403,6 @@ class HorizonPolicyState:
             raise ValueError(f"type {j} is outside 0..{model.m - 1}")
         if float(model.probs[t - 1][j]) <= 0.0:
             raise ValueError(f"type {j} cannot arrive at step {t}")
-        rng = as_generator(rng_seed)
         routed = draw_index(self.plan.route[t - 1, :, j], rng)
         if routed is None or self.remaining[routed] <= 0:
             return None
@@ -417,10 +414,9 @@ class HorizonPolicyState:
 
 
 def run_horizon_trial(
-    plan: HorizonPlan, rng_seed: Union[int, np.random.Generator]
+    plan: HorizonPlan, rng: np.random.Generator
 ) -> float:
     """Simulate one sample path: draw the horizon walk, then step through."""
-    rng = as_generator(rng_seed)
     path = sample_horizon_path(plan.model, rng)
     state = HorizonPolicyState(plan=plan)
     for t, j in enumerate(path, start=1):

@@ -20,13 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .demand import (
-    CorrelDemandModel,
-    DemandDistribution,
-    IndepDemandModel,
-    Instance,
-    StochasticHorizonModel,
-)
+from .demand import Instance, StochasticHorizonModel
 from .linprog import LinearProgram, LpSolution, Tableau, reoptimize, solve_lp
 
 #: a subset-demand cut is violated when exceeded by more than this
@@ -35,21 +29,6 @@ CUT_TOL = 1e-9
 MAX_CUT_ROUNDS = 10_000
 #: the relaxations by name: expected demands, subset-tightened, conditional
 RELAXATIONS = ("fluid", "trunc", "cond")
-
-
-class UnsupportedDemandModel(TypeError):
-    """Raised when an LP builder is handed the wrong demand model kind."""
-
-
-def type_marginal(inst: Instance, j: int) -> DemandDistribution:
-    """Marginal demand distribution of type ``j`` (independent or correlated)."""
-    model = inst.demand
-    if isinstance(model, (IndepDemandModel, CorrelDemandModel)):
-        return model.marginal(j)
-    raise UnsupportedDemandModel(
-        "stochastic-horizon demand has no per-type marginal here; "
-        "use the conditional LP"
-    )
 
 
 @functools.lru_cache(maxsize=64)
@@ -89,12 +68,7 @@ def transportation_lp(inst: Instance, demand_rhs: Sequence[float]) -> LinearProg
 
 def build_fluid_lp(inst: Instance) -> LinearProgram:
     """Relaxation with capacity rows and expected-demand rows only."""
-    if isinstance(inst.demand, StochasticHorizonModel):
-        raise UnsupportedDemandModel(
-            "fluid LP needs per-type demand means; use the conditional LP "
-            "for stochastic horizons"
-        )
-    return transportation_lp(inst, [type_marginal(inst, j).mean() for j in range(inst.m)])
+    return transportation_lp(inst, [inst.demand.marginal(j).mean() for j in range(inst.m)])
 
 
 @dataclass(frozen=True)
@@ -110,7 +84,7 @@ class Cut:
 def _expectation_table(inst: Instance) -> np.ndarray:
     """``float(E[min(D_j, k)])`` for every type ``j`` and ``k = 0..total capacity``."""
     total_cap = sum(inst.capacities)
-    return np.array([type_marginal(inst, j).truncated_expectation_table(total_cap) for j in range(inst.m)])
+    return np.array([inst.demand.marginal(j).truncated_expectation_table(total_cap) for j in range(inst.m)])
 
 
 def _violated_cuts(x: Sequence[float], inst: Instance, table: np.ndarray) -> list[Cut]:
@@ -156,7 +130,7 @@ def enumerate_violated_cut(x: Sequence[float], inst: Instance) -> Optional[Cut]:
     n, m = inst.n, inst.m
     best: Optional[Cut] = None
     for j in range(m):
-        marginal = type_marginal(inst, j)
+        marginal = inst.demand.marginal(j)
         for mask in range(1, 1 << n):
             subset = tuple(i for i in range(n) if mask >> i & 1)
             load = sum(float(x[i * m + j]) for i in subset)
@@ -180,7 +154,7 @@ def truncated_lp_base(inst: Instance) -> LinearProgram:
     """Starting relaxation: capacity rows plus the full-set demand row per type."""
     total_cap = sum(inst.capacities)
     return transportation_lp(
-        inst, [type_marginal(inst, j).truncated_expectation(total_cap) for j in range(inst.m)]
+        inst, [inst.demand.marginal(j).truncated_expectation(total_cap) for j in range(inst.m)]
     )
 
 
@@ -249,14 +223,7 @@ def conditional_lp(model: StochasticHorizonModel, inst: Instance) -> LinearProgr
 
 def horizon_model_of(inst: Instance) -> StochasticHorizonModel:
     """The instance's horizon view (native, or converted from correlated)."""
-    model = inst.demand
-    if isinstance(model, StochasticHorizonModel):
-        return model
-    if isinstance(model, CorrelDemandModel):
-        return model.to_horizon()
-    raise UnsupportedDemandModel(
-        "independent demand has no canonical horizon view"
-    )
+    return inst.demand.to_horizon()
 
 
 def solve_relaxation(name: str, inst: Instance) -> tuple[LinearProgram, LpSolution]:
@@ -267,5 +234,5 @@ def solve_relaxation(name: str, inst: Instance) -> tuple[LinearProgram, LpSoluti
         return result.lp, result.solution
     if name not in RELAXATIONS:
         raise ValueError(f"unknown relaxation {name!r}; pick one of {RELAXATIONS}")
-    lp = build_fluid_lp(inst) if name == "fluid" else conditional_lp(horizon_model_of(inst), inst)
+    lp = build_fluid_lp(inst) if name == "fluid" else conditional_lp(inst.demand.to_horizon(), inst)
     return lp, solve_lp(lp)

@@ -53,11 +53,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .demand import DemandDistribution, Prob, as_generator, is_exact_number
+from .demand import DemandDistribution, Prob, is_exact_number
 
 FLOAT_TOL = 1e-12
 #: how far a float column may overshoot the residual demand: the cutting-plane
@@ -439,11 +439,10 @@ class RoutingDistribution:
         self._cache["branches"] = result
         return result
 
-    def sample(self, rng_seed: Union[int, np.random.Generator]) -> Routing:
+    def sample(self, rng: np.random.Generator) -> Routing:
         """Draw one routing: flip each stage coin and replay the decided coin
         (child weights 1 and 0), so each coin yields one child.  A coin that
         reads 1.0 or 0.0 as a float draws no uniform."""
-        rng = as_generator(rng_seed)
         if "coins" not in self._cache:
             self._cache["coins"] = tuple(float(d.lam) for d in self.decisions)
         decided = (

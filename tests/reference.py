@@ -23,7 +23,7 @@ from demandmatch.experiments import ExperimentConfig, _rewards, _rounded_probs, 
 from demandmatch.linprog import _BLOCK_CELLS, DEGENERATE_TOL, LinearProgram, Tableau
 from demandmatch.oracles import _advance, _step_table
 from demandmatch.policies import OCRS_TOL, HorizonPlan, IndepAdvPlan, OcrsPlan
-from demandmatch.relaxations import CUT_TOL, Cut, type_marginal
+from demandmatch.relaxations import CUT_TOL, Cut
 from demandmatch.rounding import COLUMN_SLACK, RoundingState, Routing, RoutingDistribution, _apply_decision
 
 
@@ -103,7 +103,7 @@ def knapsack_cuts(x, inst: Instance, tol: float = CUT_TOL) -> list[Cut]:
     total_cap = sum(caps)
     cuts = []
     for j in range(m):
-        marginal = type_marginal(inst, j)
+        marginal = inst.demand.marginal(j)
         values = [float(x[i * m + j]) for i in range(n)]
         dp = np.zeros(total_cap + 1)
         take = np.zeros((n, total_cap + 1), dtype=bool)
@@ -147,7 +147,7 @@ def density_prefix_cuts(x, inst: Instance, tol: float = CUT_TOL) -> list[Cut]:
     n, m, caps = inst.n, inst.m, inst.capacities
     cuts = []
     for j in range(m):
-        marginal = type_marginal(inst, j)
+        marginal = inst.demand.marginal(j)
         order = sorted(range(n), key=lambda i: float(x[i * m + j]) / caps[i], reverse=True)
         load, weight, best = 0.0, 0, None
         for size, i in enumerate(order, start=1):

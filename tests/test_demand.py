@@ -300,6 +300,12 @@ ONE_TYPE = dm.IndepDemandModel(per_type=(THREE_POINT,))
             "probs row 2 has inconsistent width",
         ),
         (
+            lambda: dm.StochasticHorizonModel(total=dm.DemandDistribution.point_mass(2), probs=((), ())),
+            ValueError,
+            "need at least one type",
+        ),
+        (lambda: RealizedDemand((0.5,)), ValueError, "counts[0] = 0.5 is not a nonnegative integer"),
+        (
             lambda: dm.Instance(rewards=(), capacities=(), demand=ONE_TYPE),
             ValueError,
             "instance needs at least one resource and one type",
@@ -316,7 +322,7 @@ ONE_TYPE = dm.IndepDemandModel(per_type=(THREE_POINT,))
         ),
     ],
     ids=["empty-support", "unsorted-support", "negative-cap", "negative-type-prob", "ragged-horizon",
-         "no-rewards", "ragged-rewards", "not-a-model"],
+         "horizon-no-types", "fractional-count", "no-rewards", "ragged-rewards", "not-a-model"],
 )
 def test_constructor_rejects_bad_input(call, error, message):
     with pytest.raises(error) as exc:
@@ -331,10 +337,9 @@ class TestExpandUnitCapacity:
             capacities=(2,),
             demand=dm.IndepDemandModel((THREE_POINT,)),
         )
-        unit, parent = dm.expand_unit_capacity(inst)
+        unit = dm.expand_unit_capacity(inst)
         assert unit.rewards == ((5.0,), (5.0,))
         assert unit.capacities == (1, 1)
-        assert parent == (0, 0)
 
     def test_copy_to_parent_map(self):
         inst = dm.Instance(
@@ -342,8 +347,7 @@ class TestExpandUnitCapacity:
             capacities=(1, 3),
             demand=dm.IndepDemandModel((THREE_POINT,)),
         )
-        unit, parent = dm.expand_unit_capacity(inst)
-        assert parent == (0, 1, 1, 1)
+        unit = dm.expand_unit_capacity(inst)
         assert unit.rewards == ((1.0,), (2.0,), (2.0,), (2.0,))
 
     def test_unit_instance_is_identity(self):
@@ -352,9 +356,7 @@ class TestExpandUnitCapacity:
             capacities=(1, 1),
             demand=dm.IndepDemandModel((THREE_POINT,)),
         )
-        unit, parent = dm.expand_unit_capacity(inst)
-        assert unit == inst
-        assert parent == (0, 1)
+        assert dm.expand_unit_capacity(inst) == inst
 
     def test_preserves_lp_and_oracle_values(self):
         from demandmatch.experiments import random_indep_instance
@@ -363,7 +365,7 @@ class TestExpandUnitCapacity:
             inst = random_indep_instance(
                 trial_rng(77, trial), max_n=3, max_m=3, max_support=3, max_total_capacity=6
             )
-            unit, _ = dm.expand_unit_capacity(inst)
+            unit = dm.expand_unit_capacity(inst)
             assert dm.solve_lp(dm.build_fluid_lp(inst)).objective_value == pytest.approx(
                 dm.solve_lp(dm.build_fluid_lp(unit)).objective_value, abs=1e-8
             )
@@ -380,7 +382,7 @@ class TestSampling:
         model = dm.CorrelDemandModel(
             total=dm.DemandDistribution.from_pmf({0: 1}), type_probs=(0.5, 0.5)
         )
-        assert dm.sample_demand(model, 1).counts == (0, 0)
+        assert dm.sample_demand(model, np.random.default_rng(1)).counts == (0, 0)
 
     def test_indep_point_masses(self):
         model = dm.IndepDemandModel(
@@ -389,7 +391,7 @@ class TestSampling:
                 dm.DemandDistribution.point_mass(5),
             )
         )
-        assert dm.sample_demand(model, 3).counts == (2, 5)
+        assert dm.sample_demand(model, np.random.default_rng(3)).counts == (2, 5)
 
     def test_correl_binomial_mean(self):
         model = dm.CorrelDemandModel(
@@ -475,11 +477,11 @@ def test_draw_past_float_mass(draw, expected):
 
 class TestRandomOrder:
     def test_single_arrangement(self):
-        order = dm.sample_random_order(RealizedDemand((1, 0)), 0)
+        order = dm.sample_random_order(RealizedDemand((1, 0)), np.random.default_rng(0))
         assert order.types == (0,)
 
     def test_empty(self):
-        assert dm.sample_random_order(RealizedDemand((0, 0, 0)), 0).types == ()
+        assert dm.sample_random_order(RealizedDemand((0, 0, 0)), np.random.default_rng(0)).types == ()
 
     def test_two_orders_are_equally_likely(self):
         rng = np.random.default_rng(21)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from demandmatch.demand import UnsupportedDemandModel
 from demandmatch.experiments import (
     BENCHMARKS,
     POLICIES,
@@ -20,7 +21,7 @@ from demandmatch.experiments import (
 from demandmatch.linprog import LinearProgram
 from demandmatch.oracles import horizon_policy_value, optimal_online_dp
 from demandmatch.policies import ocrs_plan, plan_horizon_policy
-from demandmatch.relaxations import RELAXATIONS, UnsupportedDemandModel, horizon_model_of, solve_relaxation
+from demandmatch.relaxations import RELAXATIONS, horizon_model_of, solve_relaxation
 from reference import config_from_generator
 
 

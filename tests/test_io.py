@@ -63,6 +63,7 @@ MALFORMED = [
     (_doc(_correl([0.5, 0.4])), "$.demand.type_probs", "type_probs sums to 0.9, expected 1"),
     (_doc(_horizon([])), "$.demand.probs", "expected a nonempty list of rows"),
     (_doc(_horizon([[]])), "$.demand.probs[0]", "expected a nonempty list"),
+    (_doc(_indep({"1": "1/2", "01": "1/2", "2": "1/2"})), PMF, "support value '01' repeats the value 1"),
 ]
 
 
@@ -121,6 +122,15 @@ class TestErrors:
     def test_syntax_error_carries_position(self):
         with pytest.raises(InstanceFormatError, match=r"line \d+"):
             loads_instance("{\n  broken\n}")
+
+    def test_repeated_key_is_rejected_not_overwritten(self):
+        with pytest.raises(InstanceFormatError, match=r"keys \['0', '1'\] repeats one of them"):
+            loads_instance(
+                """
+                {"rewards": [[1.0]], "capacities": [1],
+                 "demand": {"kind": "indep", "distributions": [{"0": 0.5, "1": 0.5, "1": 0.5}]}}
+                """
+            )
 
     def test_bad_pmf_mass_names_path(self):
         with pytest.raises(InstanceFormatError, match=r"distributions\[0\]"):

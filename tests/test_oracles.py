@@ -68,7 +68,7 @@ def brute_force_offline(inst, counts):
 class TestOfflineOptimum:
     def test_no_demand(self):
         inst = random_indep_instance(np.random.default_rng(0))
-        assert offline_optimum(inst, tuple(0 for _ in range(inst.m))) == 0.0
+        assert offline_optimum(inst, RealizedDemand(tuple(0 for _ in range(inst.m)))) == 0.0
 
     def test_small_assignment(self):
         dist = dm.DemandDistribution.point_mass(1)
@@ -77,13 +77,14 @@ class TestOfflineOptimum:
             capacities=(1, 1),
             demand=dm.IndepDemandModel((dist, dist)),
         )
-        assert offline_optimum(inst, (1, 1)) == pytest.approx(5.0, abs=1e-9)
+        assert offline_optimum(inst, RealizedDemand((1, 1))) == pytest.approx(5.0, abs=1e-9)
 
     def test_unsolvable_lp_raises(self):
-        # a negative count is a negative demand rhs, outside the LP normal form
+        # a negative count would be a negative demand rhs, outside the LP
+        # normal form; the realization rejects it before the LP is built
         inst = random_indep_instance(np.random.default_rng(0), max_m=1)
         with pytest.raises(ValueError, match="nonnegative"):
-            offline_optimum(inst, (-1,))
+            offline_optimum(inst, RealizedDemand((-1,)))
 
     @pytest.mark.parametrize("counts", [(0,), (1,), (1, 1, 1)])
     def test_rejects_a_realization_of_the_wrong_length(self, counts):
@@ -94,7 +95,7 @@ class TestOfflineOptimum:
             demand=dm.IndepDemandModel((dist, dist)),
         )
         with pytest.raises(ValueError, match=f"has {len(counts)} types but the instance has 2"):
-            offline_optimum(inst, counts)
+            offline_optimum(inst, RealizedDemand(counts))
 
     @pytest.mark.parametrize("trial", range(20))
     def test_warm_and_fresh_solves_match_a_cold_solve_bit_for_bit(self, trial):
@@ -103,7 +104,7 @@ class TestOfflineOptimum:
         inst = random_indep_instance(trial_rng(2200, trial))
         support = list(iter_demand_support(inst.demand))
         cold = [solve_lp(transportation_lp(inst, counts)).objective_value for counts, _ in support]
-        assert [offline_optimum(inst, counts) for counts, _ in support] == cold
+        assert [offline_optimum(inst, RealizedDemand(counts)) for counts, _ in support] == cold
         want = sum(float(p) * value for (_, p), value in zip(support, cold) if float(p) > 0.0)
         assert expected_offline(inst).value.hex() == want.hex()
 
@@ -112,7 +113,7 @@ class TestOfflineOptimum:
         rng = trial_rng(2100, trial)
         inst = random_indep_instance(rng, max_n=3, max_m=3, max_support=3, max_value=2)
         counts = tuple(int(rng.integers(0, 3)) for _ in range(inst.m))
-        assert offline_optimum(inst, counts) == pytest.approx(
+        assert offline_optimum(inst, RealizedDemand(counts)) == pytest.approx(
             brute_force_offline(inst, counts), abs=1e-8
         )
 
@@ -121,10 +122,10 @@ class TestOfflineOptimum:
         for _ in range(10):
             inst = random_indep_instance(rng, max_n=3, max_m=3, max_support=3, max_value=2)
             counts = tuple(int(rng.integers(0, 3)) for _ in range(inst.m))
-            base = offline_optimum(inst, counts)
+            base = offline_optimum(inst, RealizedDemand(counts))
             j = int(rng.integers(0, inst.m))
             bumped = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-            assert offline_optimum(inst, bumped) >= base - 1e-9
+            assert offline_optimum(inst, RealizedDemand(bumped)) >= base - 1e-9
             i = int(rng.integers(0, inst.n))
             more_cap = dm.Instance(
                 rewards=inst.rewards,
@@ -134,7 +135,7 @@ class TestOfflineOptimum:
                 demand=inst.demand,
                 arrival=inst.arrival,
             )
-            assert offline_optimum(more_cap, counts) >= base - 1e-9
+            assert offline_optimum(more_cap, RealizedDemand(counts)) >= base - 1e-9
 
 
 def cold_offline_values(inst, realizations) -> list[float]:
@@ -251,7 +252,7 @@ class TestExpectedOffline:
             demand=dm.IndepDemandModel((dist0, dist1)),
         )
         assert expected_offline(inst).value == pytest.approx(
-            offline_optimum(inst, (2, 1)), abs=1e-12
+            offline_optimum(inst, RealizedDemand((2, 1))), abs=1e-12
         )
 
     def test_monte_carlo_fallback_reports_mode(self, monkeypatch):

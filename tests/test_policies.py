@@ -460,18 +460,18 @@ class TestHorizonPolicy:
 
     def test_step_asserts_on_impossible_type(self):
         with pytest.raises(ValueError, match="cannot arrive"):
-            self._one_step_state().step(1, 1, 0)
+            self._one_step_state().step(1, 1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("t", [0, 2])
     def test_step_rejects_step_outside_horizon(self, t):
         # t = 0 would otherwise read the last step's row through probs[-1]
         with pytest.raises(ValueError, match="outside the horizon"):
-            self._one_step_state().step(t, 0, 0)
+            self._one_step_state().step(t, 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("j", [-1, 2])
     def test_step_rejects_unknown_type(self, j):
         with pytest.raises(ValueError, match="outside 0..1"):
-            self._one_step_state().step(1, j, 0)
+            self._one_step_state().step(1, j, np.random.default_rng(0))
 
     def test_full_ratio_routes_deterministically(self):
         model = dm.StochasticHorizonModel(
@@ -482,7 +482,7 @@ class TestHorizonPolicy:
         )
         plan = plan_horizon_policy(model, inst)
         assert plan.route[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
-        assert HorizonPolicyState(plan=plan).step(1, 0, 5) == 0
+        assert HorizonPolicyState(plan=plan).step(1, 0, np.random.default_rng(5)) == 0
 
 
 class TestSamplePathDominance:
@@ -541,7 +541,7 @@ class TestTraces:
                     accepted += plan.instance.rewards[accepted_by][j]
                 assert state.remaining == before
             assert state.collected == accepted
-            assert run_horizon_trial(plan, seed) == state.collected
+            assert run_horizon_trial(plan, np.random.default_rng(seed)) == state.collected
 
 
 class TestStaticThreshold:

@@ -14,7 +14,7 @@ from scipy.optimize import linprog as scipy_linprog
 import demandmatch as dm
 from demandmatch import relaxations
 from demandmatch.builtin import EXAMPLES
-from demandmatch.demand import trial_rng
+from demandmatch.demand import UnsupportedDemandModel, trial_rng
 from demandmatch.experiments import (
     gen_counterexample,
     random_horizon_instance,
@@ -24,7 +24,6 @@ from demandmatch.cli import main
 from demandmatch.linprog import LpStatus, solve_lp
 from demandmatch.policies import plan_horizon_policy
 from demandmatch.relaxations import (
-    UnsupportedDemandModel,
     build_fluid_lp,
     build_truncated_lp,
     conditional_lp,
@@ -83,6 +82,29 @@ class TestFluidLp:
         inst = random_horizon_instance(np.random.default_rng(0))
         with pytest.raises(UnsupportedDemandModel):
             build_fluid_lp(inst)
+
+
+NO_MARGINAL = "stochastic-horizon demand has no per-type marginal here; use the conditional LP"
+NO_HORIZON = "independent demand has no canonical horizon view"
+DEMAND_KINDS = {
+    "indep": (random_indep_instance, {"cond": NO_HORIZON}),
+    "correl": (random_correl_instance, {}),
+    "horizon": (random_horizon_instance, {"fluid": NO_MARGINAL, "trunc": NO_MARGINAL}),
+}
+
+
+@pytest.mark.parametrize("kind", DEMAND_KINDS)
+@pytest.mark.parametrize("name", relaxations.RELAXATIONS)
+def test_each_relaxation_solves_or_names_what_the_model_lacks(name, kind):
+    """Every relaxation and demand kind: an optimal solve, or the model's own refusal."""
+    make, refusals = DEMAND_KINDS[kind]
+    inst = make(np.random.default_rng(28))
+    if name in refusals:
+        with pytest.raises(UnsupportedDemandModel) as exc:
+            relaxations.solve_relaxation(name, inst)
+        assert str(exc.value) == refusals[name]
+    else:
+        assert relaxations.solve_relaxation(name, inst)[1].is_optimal
 
 
 class TestSeparationOracle:
@@ -163,7 +185,7 @@ class TestSeparationReference:
         x = rng.uniform(0.0, 1.0, size=caps.size) * caps * (rng.random(caps.size) < 0.6)
         cuts = {c.type_index: c for c in relaxations._violated_cuts(x, inst, relaxations._expectation_table(inst))}
         for j in range(inst.m):
-            marginal = relaxations.type_marginal(inst, j)
+            marginal = inst.demand.marginal(j)
             worst = max(
                 sum(x[i * inst.m + j] for i in subset)
                 - float(marginal.truncated_expectation(sum(inst.capacities[i] for i in subset)))

@@ -35,6 +35,27 @@ def test_no_warnings_or_logging(path):
     assert not found, f"{path.name} imports {found}"
 
 
+def _default_rng_owners(node: ast.AST, owner: str = "") -> list[str]:
+    """The innermost enclosing function of each reference to ``default_rng``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    names = {getattr(node, field, None) for field in ("attr", "id", "name")}
+    found = [owner] if "default_rng" in names else []
+    for child in ast.iter_child_nodes(node):
+        found += _default_rng_owners(child, owner)
+    return found
+
+
+def test_only_trial_rng_makes_a_generator():
+    """Every sampler takes a ready ``numpy.random.Generator``; turning a seed
+    into one happens only in ``demand.trial_rng``, so each random stream has
+    one derivation and no second seed form grows back."""
+    owners = [
+        (path.name, owner) for path in SOURCES for owner in _default_rng_owners(ast.parse(path.read_text()))
+    ]
+    assert owners == [("demand.py", "trial_rng")]
+
+
 def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
     """Every name a module reads or imports, and every attribute it reads."""
     names, attributes = set(), set()

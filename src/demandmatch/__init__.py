@@ -4,7 +4,8 @@ Library layout:
 
 * :mod:`demandmatch.demand` -- demand models, instances, sampling.  Survival
   and truncated expectations are methods of ``DemandDistribution``; each
-  demand model answers ``marginal(j)`` and ``to_horizon()`` for its own kind.
+  demand model answers five questions for its own kind: ``marginal(j)``,
+  ``to_horizon()``, ``sample(rng)``, ``support()`` and ``support_size()``.
 * :mod:`demandmatch.linprog` -- dense one-phase simplex in one normal form
   (``b >= 0``); every LP is numpy arrays ``(c, A, b)`` from builder to solver.
 * :mod:`demandmatch.relaxations` -- fluid, subset-tightened, and conditional

@@ -232,6 +232,25 @@ class IndepDemandModel:
     def to_horizon(self) -> "StochasticHorizonModel":
         raise UnsupportedDemandModel("independent demand has no canonical horizon view")
 
+    def sample(self, rng: np.random.Generator) -> "RealizedDemand":
+        """One draw per type."""
+        return RealizedDemand(tuple(dist.sample(rng) for dist in self.per_type))
+
+    def support(self) -> Iterator[tuple[tuple[int, ...], Prob]]:
+        """The product of per-type supports."""
+        supports = [dist.items for dist in self.per_type]
+        for combo in itertools.product(*supports):
+            prob: Prob = 1 if all(is_exact_number(p) for _, p in combo) else 1.0
+            for _, p in combo:
+                prob = prob * p
+            yield tuple(v for v, _ in combo), prob
+
+    def support_size(self) -> int:
+        size = 1
+        for dist in self.per_type:
+            size *= len(dist.items)
+        return size
+
 
 @dataclass(frozen=True)
 class CorrelDemandModel:
@@ -265,9 +284,8 @@ class CorrelDemandModel:
             one: Prob = 1 if exact else 1.0
             pmf: dict[int, Prob] = {}
             for total_value, total_prob in self.total.items:
-                q = one - p
                 for count in range(total_value + 1):
-                    w = math.comb(total_value, count) * p**count * q ** (total_value - count)
+                    w = _multinomial((count, total_value - count), (p, one - p), exact)
                     pmf[count] = pmf.get(count, 0) + total_prob * w
             marginals.append(DemandDistribution.from_pmf(pmf))
         return tuple(marginals)
@@ -276,6 +294,28 @@ class CorrelDemandModel:
         """Sequence view: constant per-step type distribution over T steps."""
         rows = tuple(self.type_probs for _ in range(max(self.total.max_support, 1)))
         return StochasticHorizonModel(total=self.total, probs=rows)
+
+    def sample(self, rng: np.random.Generator) -> "RealizedDemand":
+        """Draw the total, then that many categorical type draws."""
+        total = self.total.sample(rng)
+        counts = [0] * self.m
+        for _ in range(total):
+            j = draw_index(self.type_probs, rng)
+            counts[self.m - 1 if j is None else j] += 1  # past the float mass: the last type
+        return RealizedDemand(tuple(counts))
+
+    def support(self) -> Iterator[tuple[tuple[int, ...], Prob]]:
+        """Total values crossed with multinomial splits."""
+        m = self.m
+        exact = self.total.is_exact and all(is_exact_number(p) for p in self.type_probs)
+        for total_value, total_prob in self.total.items:
+            for split in _compositions(total_value, m):
+                yield split, total_prob * _multinomial(split, self.type_probs, exact)
+
+    def support_size(self) -> int:
+        return sum(
+            math.comb(v + self.m - 1, self.m - 1) for v, _ in self.total.items
+        )
 
 
 @dataclass(frozen=True)
@@ -322,6 +362,45 @@ class StochasticHorizonModel:
 
     def to_horizon(self) -> "StochasticHorizonModel":
         return self
+
+    def sample(self, rng: np.random.Generator) -> "RealizedDemand":
+        """Draw the total and walk the steps; a step whose row sums below one
+        may produce no query."""
+        path = sample_horizon_path(self, rng)
+        return RealizedDemand(tuple(path.count(j) for j in range(self.m)))
+
+    def support(self) -> Iterator[tuple[tuple[int, ...], Prob]]:
+        """A forward pass over steps, folding each step's type (or no-query)
+        outcome into a count-vector law."""
+        m = self.m
+        zero = tuple(0 for _ in range(m))
+        # distribution over count vectors after t steps
+        layer: dict[tuple[int, ...], Prob] = {zero: 1 if self.total.is_exact else 1.0}
+        acc: dict[tuple[int, ...], Prob] = {}
+        for t in range(0, self.horizon + 1):
+            p_stop = self.total.probability(t)
+            if p_stop != 0:
+                for counts, prob in layer.items():
+                    acc[counts] = acc.get(counts, 0) + p_stop * prob
+            if t == self.horizon:
+                break
+            row = self.probs[t]
+            nxt: dict[tuple[int, ...], Prob] = {}
+            residual = self.no_query_mass(t + 1)
+            for counts, prob in layer.items():
+                if residual != 0:
+                    nxt[counts] = nxt.get(counts, 0) + prob * residual
+                for j, p in enumerate(row):
+                    if p == 0:
+                        continue
+                    bumped = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                    nxt[bumped] = nxt.get(bumped, 0) + prob * p
+            layer = nxt
+        yield from acc.items()
+
+    def support_size(self) -> int:
+        # loose bound: count vectors reachable within the horizon
+        return math.comb(self.horizon + self.m, self.m)
 
     def no_query_mass(self, t: int) -> Prob:
         row = self.probs[t - 1]
@@ -420,25 +499,8 @@ def expand_unit_capacity(inst: Instance) -> Instance:
 
 
 def sample_demand(model: DemandModel, rng: np.random.Generator) -> RealizedDemand:
-    """Draw one demand vector.
-
-    Independent model: one draw per type.  Correlated model: draw the total,
-    then that many categorical type draws.  Horizon model: draw the total and
-    walk the steps; a step whose row sums below one may produce no query.
-    """
-    if isinstance(model, IndepDemandModel):
-        return RealizedDemand(tuple(dist.sample(rng) for dist in model.per_type))
-    if isinstance(model, CorrelDemandModel):
-        total = model.total.sample(rng)
-        counts = [0] * model.m
-        for _ in range(total):
-            j = draw_index(model.type_probs, rng)
-            counts[model.m - 1 if j is None else j] += 1  # past the float mass: the last type
-        return RealizedDemand(tuple(counts))
-    if isinstance(model, StochasticHorizonModel):
-        path = sample_horizon_path(model, rng)
-        return RealizedDemand(tuple(path.count(j) for j in range(model.m)))
-    raise TypeError(f"not a demand model: {model!r}")
+    """Draw one demand vector from the model's own law."""
+    return model.sample(rng)
 
 
 def sample_horizon_path(
@@ -467,81 +529,41 @@ def truncated_poisson(rate: float, cutoff_mass: float) -> DemandDistribution:
     ``cutoff_mass``, then renormalized.
 
     The bridge from unbounded textbook demand laws to the finite-support
-    distributions everything here requires.
+    distributions everything here requires.  Each term is computed in logs,
+    ``exp(v·log(rate) − rate − lgamma(v + 1))``, so that a large rate, whose
+    ``exp(-rate)`` underflows, keeps its mass; the rate must be positive and finite.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:  # also rejects NaN
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     if not 0 < cutoff_mass < 1:
         raise ValueError(f"cutoff_mass must lie in (0, 1), got {cutoff_mass}")
     pmf: dict[int, float] = {}
-    term = math.exp(-rate)
     cumulative = 0.0
     value = 0
     while 1.0 - cumulative >= cutoff_mass:
-        pmf[value] = term
-        cumulative += term
+        pmf[value] = math.exp(value * math.log(rate) - rate - math.lgamma(value + 1))
+        cumulative += pmf[value]
         value += 1
-        term *= rate / value
         if value > 10_000_000:
             raise RuntimeError("truncated_poisson failed to converge")
     return DemandDistribution.from_pmf({v: p / cumulative for v, p in pmf.items()})
 
 
 def iter_demand_support(model: DemandModel) -> Iterator[tuple[tuple[int, ...], Prob]]:
-    """Enumerate the joint support of the demand vector with probabilities.
+    """Enumerate the joint support of the demand vector with probabilities."""
+    yield from model.support()
 
-    Independent: the product of per-type supports.  Correlated: total values
-    crossed with multinomial splits.  Horizon: a forward pass over steps,
-    folding each step's type (or no-query) outcome into a count-vector law.
-    """
-    if isinstance(model, IndepDemandModel):
-        supports = [dist.items for dist in model.per_type]
-        for combo in itertools.product(*supports):
-            prob: Prob = 1 if all(is_exact_number(p) for _, p in combo) else 1.0
-            for _, p in combo:
-                prob = prob * p
-            yield tuple(v for v, _ in combo), prob
-        return
-    if isinstance(model, CorrelDemandModel):
-        m = model.m
-        exact = model.total.is_exact and all(is_exact_number(p) for p in model.type_probs)
-        for total_value, total_prob in model.total.items:
-            for split in _compositions(total_value, m):
-                w: Prob = math.factorial(total_value)
-                for c in split:
-                    w = w / (Fraction(math.factorial(c)) if exact else math.factorial(c))
-                for j, c in enumerate(split):
-                    w = w * model.type_probs[j] ** c
-                yield split, total_prob * w
-        return
-    if isinstance(model, StochasticHorizonModel):
-        m = model.m
-        zero = tuple(0 for _ in range(m))
-        # distribution over count vectors after t steps
-        layer: dict[tuple[int, ...], Prob] = {zero: 1 if model.total.is_exact else 1.0}
-        acc: dict[tuple[int, ...], Prob] = {}
-        for t in range(0, model.horizon + 1):
-            p_stop = model.total.probability(t)
-            if p_stop != 0:
-                for counts, prob in layer.items():
-                    acc[counts] = acc.get(counts, 0) + p_stop * prob
-            if t == model.horizon:
-                break
-            row = model.probs[t]
-            nxt: dict[tuple[int, ...], Prob] = {}
-            residual = model.no_query_mass(t + 1)
-            for counts, prob in layer.items():
-                if residual != 0:
-                    nxt[counts] = nxt.get(counts, 0) + prob * residual
-                for j, p in enumerate(row):
-                    if p == 0:
-                        continue
-                    bumped = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                    nxt[bumped] = nxt.get(bumped, 0) + prob * p
-            layer = nxt
-        yield from acc.items()
-        return
-    raise TypeError(f"not a demand model: {model!r}")
+
+def _multinomial(split: Sequence[int], probs: Sequence[Prob], exact: bool) -> Prob:
+    """Weight of the counts ``split`` under ``probs``: the exact integer coefficient
+    times the powers, or in floats ``exp(log(coef) + Σ c·log(p))``, which no large
+    total overflows.  A probability at or below 0 with a positive count weighs 0."""
+    coef = math.prod(math.comb(sum(split[: j + 1]), c) for j, c in enumerate(split))
+    if exact:
+        return math.prod((p**c for p, c in zip(probs, split)), start=coef)
+    if any(c and p <= 0 for p, c in zip(probs, split)):
+        return 0.0
+    return math.exp(math.log(coef) + sum(c * math.log(p) for p, c in zip(probs, split) if c))
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -551,19 +573,3 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
-
-
-def demand_support_size(model: DemandModel) -> int:
-    if isinstance(model, IndepDemandModel):
-        size = 1
-        for dist in model.per_type:
-            size *= len(dist.items)
-        return size
-    if isinstance(model, CorrelDemandModel):
-        return sum(
-            math.comb(v + model.m - 1, model.m - 1) for v, _ in model.total.items
-        )
-    if isinstance(model, StochasticHorizonModel):
-        # loose bound: count vectors reachable within the horizon
-        return math.comb(model.horizon + model.m, model.m)
-    raise TypeError(f"not a demand model: {model!r}")

@@ -27,7 +27,6 @@ from .demand import (
     Instance,
     RealizedDemand,
     StochasticHorizonModel,
-    demand_support_size,
     iter_demand_support,
     sample_demand,
     sample_random_order,
@@ -75,7 +74,7 @@ def _over_demand(
     realized counts at once: exact by enumerating a support that fits
     ``SUPPORT_CAP``, a seeded Monte-Carlo estimate beyond it, with every
     trial's counts drawn from its ``trial_rng`` stream before any is valued."""
-    if demand_support_size(model) <= SUPPORT_CAP:
+    if model.support_size() <= SUPPORT_CAP:
         support = [(c, p) for c, prob in iter_demand_support(model) if (p := float(prob)) > 0.0]
         total = 0.0
         for (_, p), value in zip(support, values_of([c for c, _ in support])):

@@ -93,6 +93,18 @@ class TestSolve:
         assert "fluid LP value: 1.000000" in out
         assert "subject to" in out
 
+    def test_fluid_value_of_large_float_correl_total(self, tmp_path, capsys):
+        doc = {
+            "rewards": [[1.0, 2.0]],
+            "capacities": [3],
+            "arrival": "random",
+            "demand": {"kind": "correl", "total": {"1040": 1.0}, "type_probs": [0.5, 0.5]},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(path), "--lp", "fluid"]) == 0
+        assert "fluid LP value: 6.000000" in capsys.readouterr().out
+
     def test_conditional_value(self, capsys):
         assert main(
             ["solve", "--generator", "rare_long_horizon", "--param", "N=5", "--lp", "cond"]

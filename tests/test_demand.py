@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 import demandmatch as dm
 from demandmatch.demand import (
     RealizedDemand,
-    demand_support_size,
     iter_demand_support,
     trial_rng,
 )
@@ -208,6 +208,11 @@ class TestModels:
             2: Fraction(1, 4),
         }
 
+    def test_correl_marginal_of_large_float_total(self):
+        # C(1040, 520) is past the float range; the binomial mean is T * p
+        model = dm.CorrelDemandModel(total=dm.DemandDistribution.from_pmf({1040: 1.0}), type_probs=(0.5, 0.5))
+        assert abs(float(model.marginal(0).mean()) - 520.0) < 1e-9 * 520.0
+
     def test_correl_marginal_is_built_once(self):
         model = dm.CorrelDemandModel(total=THREE_POINT, type_probs=(0.25, 0.75))
         assert model.marginal(0) is model.marginal(0)
@@ -320,9 +325,22 @@ ONE_TYPE = dm.IndepDemandModel(per_type=(THREE_POINT,))
             TypeError,
             f"not a demand model: {THREE_POINT!r}",
         ),
+        # PMF_TOL is 1e-12: 5e-12 of excess or missing mass is past it, and the
+        # 5e-13 of ``test_float_mass_above_one_clamps_at_zero`` within it
+        (
+            lambda: dm.DemandDistribution.from_pmf({0: 0.5, 1: 0.5 + 5e-12}),
+            ValueError,
+            "pmf sums to 1.000000000005, outside tolerance 1e-12",
+        ),
+        (
+            lambda: dm.CorrelDemandModel(total=THREE_POINT, type_probs=(0.5, 0.5 - 5e-12)),
+            ValueError,
+            "type_probs sums to 0.999999999995, expected 1",
+        ),
     ],
     ids=["empty-support", "unsorted-support", "negative-cap", "negative-type-prob", "ragged-horizon",
-         "horizon-no-types", "fractional-count", "no-rewards", "ragged-rewards", "not-a-model"],
+         "horizon-no-types", "fractional-count", "no-rewards", "ragged-rewards", "not-a-model",
+         "pmf-past-tolerance", "type-probs-past-tolerance"],
 )
 def test_constructor_rejects_bad_input(call, error, message):
     with pytest.raises(error) as exc:
@@ -526,6 +544,27 @@ class TestTruncatedPoisson:
         with pytest.raises(ValueError):
             dm.truncated_poisson(-1.0, 0.5)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match=f"rate must be positive and finite, got {rate}"):
+            dm.truncated_poisson(rate, 1e-6)
+
+    @pytest.mark.parametrize("rate", [740.0, 745.0, 800.0])
+    def test_large_rate_keeps_its_tail(self, rate):
+        # past rate ~708, exp(-rate) is subnormal or 0: the support must still
+        # end where the Poisson tail, summed in logs here, drops below the cutoff
+        cutoff = 1e-6
+        start = time.perf_counter()
+        dist = dm.truncated_poisson(rate, cutoff)
+        assert time.perf_counter() - start < 0.1
+        top = int(rate + 40 * math.sqrt(rate))
+        logs = [v * math.log(rate) - rate - math.lgamma(v + 1) for v in range(top + 1)]
+        tail = [0.0] * (top + 2)  # tail[v] = Pr[X >= v]
+        for v in range(top, -1, -1):
+            tail[v] = tail[v + 1] + math.exp(logs[v])
+        assert dist.max_support == next(v for v in range(top + 1) if tail[v + 1] < cutoff)
+        assert abs(float(dist.mean()) - rate) < 1e-3
+
 
 class TestSupportEnumeration:
     @pytest.mark.parametrize("kind", ["indep", "correl", "horizon"])
@@ -541,7 +580,13 @@ class TestSupportEnumeration:
             inst = maker(trial_rng(31, trial))
             pairs = list(iter_demand_support(inst.demand))
             assert abs(sum(float(p) for _, p in pairs) - 1.0) < 1e-9
-            assert len(pairs) <= demand_support_size(inst.demand)
+            assert len(pairs) <= inst.demand.support_size()
+
+    @pytest.mark.parametrize("total, type_probs", [(1040, (0.5, 0.5)), (650, (0.2, 0.3, 0.5))])
+    def test_large_float_correl_total(self, total, type_probs):
+        # multinomial coefficients past the float range: the mass still sums to one
+        model = dm.CorrelDemandModel(total=dm.DemandDistribution.from_pmf({total: 1.0}), type_probs=type_probs)
+        assert abs(sum(p for _, p in iter_demand_support(model)) - 1.0) < 1e-9
 
     def test_horizon_counts_match_simulation(self):
         model = dm.StochasticHorizonModel(

@@ -377,6 +377,16 @@ class TestFloatInvariants:
         problems = state.check_invariants()
         assert problems and problems[0].startswith("segment 0 idle mass sums to 1.000001")
 
+    def test_perturbed_branch_weight_is_flagged(self):
+        # FLOAT_TOL is 1e-12: a branch weight off by 1e-10 of itself is past it,
+        # and still within the COLUMN_SLACK of every other check
+        column = tuple(float(x) for x in DEMO3.column)
+        state, _ = self.float_state(column, DEMO3.dist.to_float())
+        assignment, weight = state.branches[0]
+        state.branches[0] = (assignment, weight * (1 + 1e-10))
+        problems = state.check_invariants()
+        assert len(problems) == 1 and problems[0].startswith("branch probabilities sum to")
+
     def test_perturbation_within_tolerance_passes(self):
         state, _ = self.float_state(self.FLOAT_COLUMN, self.FLOAT_DIST)
         nudge_idle_prob(state, 0, 1e-12)

@@ -114,3 +114,31 @@ def test_no_public_name_serves_only_the_tests():
         and not _is_criterion(node)
     ]
     assert not unused, f"public names no package or benchmark code uses: {unused}"
+
+
+DEMAND_MODELS = {"IndepDemandModel", "CorrelDemandModel", "StochasticHorizonModel", "DemandModel"}
+
+
+def _model_kind_checks(node: ast.AST, owner: str = "") -> list[str]:
+    """The enclosing ``Class.function`` of each ``isinstance`` call whose
+    class argument names a demand model class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owner = f"{owner}.{node.name}" if owner else node.name
+    found = []
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+        named = {getattr(n, "id", getattr(n, "attr", None)) for arg in node.args[1:] for n in ast.walk(arg)}
+        found += [owner] if named & DEMAND_MODELS else []
+    for child in ast.iter_child_nodes(node):
+        found += _model_kind_checks(child, owner)
+    return found
+
+
+def test_demand_kind_is_decided_by_the_models():
+    """Each demand model answers for its own kind through its methods, so no
+    ``isinstance`` chain over the model classes grows back.  Two checks stay:
+    ``Instance`` checks its input, and the threshold policy states that it
+    needs independent demand."""
+    checks = [
+        (path.name, owner) for path in SOURCES for owner in _model_kind_checks(ast.parse(path.read_text()))
+    ]
+    assert sorted(checks) == [("demand.py", "Instance.__post_init__"), ("policies.py", "_solve_threshold_lp")]

@@ -284,9 +284,9 @@ class CorrelDemandModel:
             one: Prob = 1 if exact else 1.0
             pmf: dict[int, Prob] = {}
             for total_value, total_prob in self.total.items:
-                for count in range(total_value + 1):
-                    w = _multinomial((count, total_value - count), (p, one - p), exact)
-                    pmf[count] = pmf.get(count, 0) + total_prob * w
+                for split, coef in _compositions(total_value, 2):
+                    w = _multinomial(coef, split, (p, one - p), exact)
+                    pmf[split[0]] = pmf.get(split[0], 0) + total_prob * w
             marginals.append(DemandDistribution.from_pmf(pmf))
         return tuple(marginals)
 
@@ -309,8 +309,8 @@ class CorrelDemandModel:
         m = self.m
         exact = self.total.is_exact and all(is_exact_number(p) for p in self.type_probs)
         for total_value, total_prob in self.total.items:
-            for split in _compositions(total_value, m):
-                yield split, total_prob * _multinomial(split, self.type_probs, exact)
+            for split, coef in _compositions(total_value, m):
+                yield split, total_prob * _multinomial(coef, split, self.type_probs, exact)
 
     def support_size(self) -> int:
         return sum(
@@ -554,11 +554,11 @@ def iter_demand_support(model: DemandModel) -> Iterator[tuple[tuple[int, ...], P
     yield from model.support()
 
 
-def _multinomial(split: Sequence[int], probs: Sequence[Prob], exact: bool) -> Prob:
-    """Weight of the counts ``split`` under ``probs``: the exact integer coefficient
-    times the powers, or in floats ``exp(log(coef) + Σ c·log(p))``, which no large
-    total overflows.  A probability at or below 0 with a positive count weighs 0."""
-    coef = math.prod(math.comb(sum(split[: j + 1]), c) for j, c in enumerate(split))
+def _multinomial(coef: int, split: Sequence[int], probs: Sequence[Prob], exact: bool) -> Prob:
+    """Weight of the counts ``split``, whose multinomial coefficient is ``coef``,
+    under ``probs``: the exact coefficient times the powers, or in floats
+    ``exp(log(coef) + Σ c·log(p))``, which no large total overflows.  A
+    probability at or below 0 with a positive count weighs 0."""
     if exact:
         return math.prod((p**c for p, c in zip(probs, split)), start=coef)
     if any(c and p <= 0 for p, c in zip(probs, split)):
@@ -566,10 +566,15 @@ def _multinomial(split: Sequence[int], probs: Sequence[Prob], exact: bool) -> Pr
     return math.exp(math.log(coef) + sum(c * math.log(p) for p, c in zip(probs, split) if c))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every split of ``total`` into ``parts`` counts, in lexicographic order,
+    with its multinomial coefficient: ``C(total, head)``, a binomial running
+    along the heads, times the tail's coefficient."""
     if parts == 1:
-        yield (total,)
+        yield (total,), 1
         return
+    binom = 1
     for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+        for tail, coef in _compositions(total - head, parts - 1):
+            yield (head,) + tail, binom * coef
+        binom = binom * (total - head) // (head + 1)

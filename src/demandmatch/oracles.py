@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -145,14 +145,23 @@ def expected_offline(inst: Instance, trials: int = 10**5, seed: int = 0) -> Orac
 
 @dataclass(frozen=True)
 class DpResult:
-    """Optimal online value plus the optimal decision table.
+    """Optimal online value plus the optimal decision table, built on first read.
 
     ``table[(t, caps)][j]`` is the resource chosen when type ``j`` arrives at
-    step ``t`` with remaining capacities ``caps`` (None means reject).
+    step ``t`` with remaining capacities ``caps`` (None means reject); the first
+    read reruns the induction on ``model`` and ``instance``.  Equality and
+    ``repr`` read ``value`` only.
     """
 
     value: float
-    table: dict[tuple[int, tuple[int, ...]], tuple[Optional[int], ...]]
+    model: StochasticHorizonModel = field(repr=False, compare=False)
+    instance: Instance = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def table(self) -> dict[tuple[int, tuple[int, ...]], tuple[Optional[int], ...]]:
+        table: dict = {}
+        _online_dp(self.model, self.instance, table)
+        return table
 
 
 def _capacity_lattice(capacities: Sequence[int]) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -173,7 +182,13 @@ def optimal_online_dp(model: StochasticHorizonModel, inst: Instance) -> DpResult
     and the fact that the horizon has survived; continuation is weighted by
     the one-step survival odds Pr[D > t | D >= t].  Each step's values are a
     list over the integer-indexed capacity lattice of `_capacity_lattice`.
+    The result's decision table is built when it is first read.
     """
+    return DpResult(_online_dp(model, inst, None), model, inst)
+
+
+def _online_dp(model: StochasticHorizonModel, inst: Instance, table: Optional[dict]) -> float:
+    """`optimal_online_dp`'s value, recording each state's choices in ``table`` if given."""
     horizon = model.horizon
     cap_space = math.prod(k + 1 for k in inst.capacities)
     if cap_space * max(horizon, 1) > STATE_CAP:
@@ -183,7 +198,6 @@ def optimal_online_dp(model: StochasticHorizonModel, inst: Instance) -> DpResult
     # per state: (resource, index of the state after using one of its units)
     arcs = [[(i, s - stride) for i, stride in enumerate(strides) if caps[i] > 0] for s, caps in enumerate(states)]
     value_next = [0.0] * len(states)
-    table: dict[tuple[int, tuple[int, ...]], tuple[Optional[int], ...]] = {}
     for t in range(horizon, 0, -1):
         s_t = float(model.total.survival(t))
         s_next = float(model.total.survival(t + 1))
@@ -194,7 +208,7 @@ def optimal_online_dp(model: StochasticHorizonModel, inst: Instance) -> DpResult
         value_next = []
         for caps, moves, cont in zip(states, arcs, conts):
             total = no_query * cont
-            actions: list[Optional[int]] = []
+            actions: Optional[list[Optional[int]]] = None if table is None else []
             for pj, r in zip(probs, rewards):
                 best = cont
                 pick: Optional[int] = None
@@ -203,12 +217,13 @@ def optimal_online_dp(model: StochasticHorizonModel, inst: Instance) -> DpResult
                     if gain > best + 1e-12:
                         best = gain
                         pick = i
-                actions.append(pick)
+                if actions is not None:
+                    actions.append(pick)
                 total += pj * best
             value_next.append(total)
-            table[(t, caps)] = tuple(actions)
-    opening = float(model.total.survival(1))
-    return DpResult(value=opening * value_next[-1], table=table)
+            if actions is not None:
+                table[(t, caps)] = tuple(actions)
+    return float(model.total.survival(1)) * value_next[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,29 @@ class TestOptimalOnlineDp:
         assert result.value == pytest.approx(5.0, abs=1e-12)
         assert result.table[(1, (1,))] == (0,)
 
+    def test_near_tie_takes_the_larger_reward(self):
+        # rewards 1e-9 apart: the choice margin (1e-12) must be finer than that
+        model = dm.StochasticHorizonModel(total=dm.DemandDistribution.point_mass(1), probs=((1.0,),))
+        inst = dm.Instance(
+            rewards=((1.0,), (1.0 + 1e-9,)), capacities=(1, 1), demand=model, arrival=dm.Arrival.RANDOM_ORDER
+        )
+        result = optimal_online_dp(model, inst)
+        assert result.value.hex() == "0x1.000000044b830p+0"
+        assert result.table[(1, (1, 1))] == (1,)
+
+    def test_table_is_built_on_first_read(self):
+        inst = lattice_cases()[-2]
+        result = optimal_online_dp(inst.demand, inst)
+        assert "table" not in vars(result)
+        value, table = tuple_online_dp(inst.demand, inst)
+        assert list(result.table.items()) == list(table.items())
+        assert vars(result)["table"] is result.table
+        # the value alone decides equality and repr
+        other = dataclasses.replace(result, model=lattice_cases()[0].demand, instance=lattice_cases()[0])
+        assert other == result and hash(other) == hash(result)
+        assert repr(result) == f"DpResult(value={value!r})"
+        assert result != dataclasses.replace(result, value=value + 1.0)
+
     def test_escalating_family_floor(self):
         inst = gen_counterexample("escalating_rewards", {"T": 3, "eps": 0.1})
         model = horizon_model_of(inst)

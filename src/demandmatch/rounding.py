@@ -36,7 +36,8 @@ zero-probability rank, splits each branch on the stage coin and merges the two
 segments.  The branch set tracked while rounding, the support expansion
 (``RoutingDistribution.branches``) and the marginal check go through it, and
 so does the draw of a single routing (``RoutingDistribution.sample``), which
-replays each coin as decided, so each coin yields one child.
+replays each coin as decided, so each coin yields one child.  The stage
+invariants are checked on the tracked branch set, after a stage only where it changed.
 
 Arithmetic is exact when the law and the column are rational: the rounded
 distribution is in `fractions.Fraction`, so the worked examples reproduce
@@ -162,6 +163,9 @@ class RoundingState:
         self.branches: Optional[list[tuple[list[Optional[int]], Prob]]] = (
             [([None] * self.real_length, 1 if self.exact else 1.0)] if track_branches else None
         )
+        # the last stage's change (segments, rank span, resources) and the last checked stage
+        self._changed: tuple[range, tuple[int, int], tuple[int, ...]] = (range(0), (1, 0), ())
+        self._checked: Optional[int] = None
 
     # -- queries ---------------------------------------------------------
 
@@ -197,15 +201,14 @@ class RoundingState:
         x = self._coerce(x_next)
         if x < -self.slack:
             raise InfeasibleColumnError(f"negative marginal {x} for resource {resource}")
-        if x > 0:
-            self._route(resource, x)
+        self._changed = self._route(resource, x) if x > 0 else (range(0), (1, 0), ())
         self.targets[resource] = x
         self.stage += 1
 
-    def _route(self, resource: int, x: Prob) -> None:
-        """Route ``resource`` into the latest segment whose combined arrival
-        covers ``x = p / q`` or into the next one, and merge the two.  The walk
-        cross-multiplies and stops at ``g / den < x <= h / den + slack``, over the
+    def _route(self, resource: int, x: Prob) -> tuple[range, tuple[int, int], tuple[int, ...]]:
+        """Route ``resource`` into the latest segment whose combined arrival covers
+        ``x = p / q`` or into the next one, merge the two and return what changed.  The
+        walk cross-multiplies and stops at ``g / den < x <= h / den + slack``, over the
         survivals' ``den``: with no slack the coin ``(p·den − g·q) / (q·(h − g))``
         is in ``(0, 1]``.  It passes every segment of survival 0 but segment 0,
         where a float ``x`` within the slack stops at ``h = g = 0`` with the coin 1."""
@@ -257,6 +260,7 @@ class RoundingState:
             idle[k] = kept * idle[k]
         survivals[chosen : chosen + 2] = [self.segment_survival(chosen)]
         self.decisions.append(decision)
+        return range(chosen, chosen + 1), (lo_a, hi_b), (resource,)
 
     def distribution(self) -> "RoutingDistribution":
         """The rounded distribution: the recorded coins and the rank table.
@@ -290,21 +294,35 @@ class RoundingState:
         * separated routing: a routed resource sits in one fixed segment on
           every branch.
 
-        One pass visits each rank of each branch once.  In exact mode the branch
-        weights, survivals and idle probabilities are integer numerators over the
-        state's denominators and each target is compared over its own, so every
-        sum runs in integers and every comparison is a cross-multiplication:
-        an error below the smallest float is still reported, and a `Fraction`
-        is built only to format a problem.  Float mode runs the same sums,
-        branch by branch, in floats and compares within its slack.
+        The checks run over one of two scopes.  The full scope, every rank,
+        segment and resource, runs on a state's first check, on the first and
+        the last stage, and on any check that does not follow exactly one
+        ``advance`` since the previous one.  Every other check runs in the stage
+        scope: on every branch, the segment that the last stage merged, its rank
+        span and the resource it routed (none for a zero marginal).  The rest is
+        unchanged up to a common denominator, and the last stage reads it again.
+
+        In exact mode the branch weights, survivals and idle probabilities are
+        integer numerators over the state's denominators and each target is
+        compared over its own, so every sum runs in integers and every
+        comparison is a cross-multiplication: an error below the smallest
+        float is still reported, and a `Fraction` is built only to format a
+        problem.  Float mode runs the same sums, branch by branch, in floats
+        and compares within its slack.
         """
         if self.branches is None:
             raise ValueError("invariant checking needs track_branches=True")
-        seg_of = [-1]  # rank -> segment; an empty span, or one not at the next rank, adds a None
-        for idx, (lo, hi) in enumerate(self.segments):
-            seg_of += [idx] * (hi + 1 - lo) if lo == len(seg_of) <= hi else [None]
-        if len(seg_of) != self.universe + 1 or None in seg_of:
-            return [f"segments {self.segments} do not tile ranks 1..{self.universe}"]
+        if self._checked == self.stage - 1 and 1 < self.stage < len(self.order):
+            segs, (first, last), resources = self._changed
+        else:
+            segs, (first, last), resources = range(len(self.segments)), (1, self.universe), range(len(self.order))
+        self._checked = self.stage
+        seg_at: list[Optional[int]] = []  # segment per rank from `first`; a span off the next rank adds a None
+        for idx in segs:
+            lo, hi = self.segments[idx]
+            seg_at += [idx] * (hi + 1 - lo) if lo == first + len(seg_at) <= hi else [None]
+        if len(seg_at) != last + 1 - first or None in seg_at:
+            return [f"segments {self.segments} do not tile ranks {first}..{last}"]
         exact = self.exact
         problems: list[str] = []
 
@@ -313,55 +331,58 @@ class RoundingState:
             return a * bden != b * aden if exact else abs(a / aden - b / bden) > tol
 
         wden, surv, sden, idle, iden = self.branch_den, self.surv_num, self.surv_den, self.idle_num, self.idle_den
-        mden = wden * sden
-        nseg = len(self.segments)
-        every_segment = list(range(nseg))
-        processed = set(self.targets)
-        homes: dict[int, set[int]] = {r: set() for r in processed if self.targets[r] != 0}
+        start, nseg = first - 1, len(segs)
+        mden, window_surv = wden * sden, surv[start:last]
+        homes: dict[int, set[int]] = {r: set() for r in resources if self.targets.get(r, 0) != 0}
         mass = [0] * len(self.order)  # per resource, over mden
-        direct = [0] * nseg  # per ℓ: arrival mass of the ℓ-th idle rank, over mden
+        direct = [0] * nseg  # per ℓ: arrival mass of the ℓ-th idle rank of the scope, over mden
         bad_idle: dict[int, int] = {}  # segment -> its idle ranks in the first bad branch
-        bad_count: dict[int, int] = {}  # resource -> its ranks in the first bad branch
-        watched = set(homes)  # routed resources not yet seen at a bad count
-        checked = nseg  # segments whose ℓ-th idle rank exists on every branch
+        bad_count: dict[int, int] = {}  # routed resource -> its ranks in the first bad branch
+        checked, total = nseg, 0  # the segments whose ℓ-th idle rank is on every branch; the weights' sum
+        ells, distinct = list(enumerate(segs)), len(seg_at) - nseg + 1  # the values of a tiled window, none repeated
+        placed = [(r, homes.get(r)) for r in resources]  # each resource with its segments, if routed
         for assignment, w in self.branches:
-            idles = []
-            count, at = [0] * len(mass), [0] * len(mass)  # per resource: its ranks, its last one
-            for rank, res in enumerate(assignment, start=1):
-                if res is None:
-                    idles.append(rank)
-                else:
-                    mass[res] += w * surv[rank - 1]
-                    count[res] += 1
-                    at[res] = rank
-            if [seg_of[k] for k in idles] != every_segment:
-                counts = Counter(seg_of[k] for k in idles)
-                for s in every_segment:
+            total += w
+            window = assignment[start:last]  # read by C-level scans
+            idles, k = window.count(None), -1
+            tiled = idles == nseg  # each ℓ-th idle rank in the ℓ-th segment
+            for ell, seg in ells[:idles]:
+                k = window.index(None, k + 1)
+                direct[ell] += w * window_surv[k]
+                tiled = tiled and seg_at[k] == seg
+            if not tiled:
+                counts = Counter(seg for seg, r in zip(seg_at, window) if r is None)
+                for s in segs:
                     if counts[s] != 1:
                         bad_idle.setdefault(s, counts[s])
-            checked = min(checked, len(idles))
-            for ell, k in enumerate(idles[:nseg]):
-                direct[ell] += w * surv[k - 1]
-            for res in watched:
-                if count[res] == 1:
-                    homes[res].add(seg_of[at[res]])
-                else:  # the running loop keeps the set it started with
-                    bad_count[res] = count[res]
-                    watched = homes.keys() - bad_count.keys()
+                checked = min(checked, idles)
+            present = set(window)
+            unique = tiled and len(present) == distinct  # no resource on two ranks
+            for res, home in placed:
+                if res in present and (unique or window.count(res) == 1):
+                    k = window.index(res)
+                    mass[res] += w * window_surv[k]
+                    if home is not None:
+                        home.add(seg_at[k])
+                elif (count := window.count(res)) or home is not None:  # on no rank or on several
+                    mass[res] = sum((w * s for r, s in zip(window, window_surv) if r == res), mass[res])
+                    if home is not None and res not in bad_count:
+                        bad_count[res] = count
+                        homes[res] = set(home)  # the segments before its first bad branch; later ones go to `home`
 
-        total = sum(w for _, w in self.branches)
         if differ(total, wden, 1, 1, FLOAT_TOL):
             problems.append(f"branch probabilities sum to {float(_ratio(total, wden, exact))!r}")
 
-        for res in range(len(self.order)):
-            if res not in processed and mass[res] != 0:
+        for res in resources:
+            if res not in self.targets and mass[res] != 0:
                 problems.append(f"unprocessed resource {res} already has mass {_ratio(mass[res], mden, exact)}")
             elif differ(mass[res], mden, *_over(self.targets.get(res, 0), exact)):
                 achieved, want = float(_ratio(mass[res], mden, exact)), float(self.targets.get(res, 0))
                 problems.append(f"resource {res} achieves {achieved!r}, wants {want!r}")
 
-        arrival = []  # per segment: its idle-weighted survival, over iden * sden
-        for seg_idx, (lo, hi) in enumerate(self.segments):
+        arrival = []  # per segment of the scope: its idle-weighted survival, over iden * sden
+        for seg_idx in segs:
+            lo, hi = self.segments[seg_idx]
             if seg_idx in bad_idle:
                 problems.append(
                     f"segment {seg_idx} span {(lo, hi)} has {bad_idle[seg_idx]} idle ranks in a branch"
@@ -374,16 +395,14 @@ class RoundingState:
                 problems.append(f"segment {seg_idx} idle mass sums to {float(_ratio(union, iden, exact))!r}")
 
         # residual survival: ℓ-th idle arrival across branches (both over sden)
-        for seg_idx in range(checked):
-            if differ(direct[seg_idx], wden, arrival[seg_idx], iden):
+        for ell, seg_idx in enumerate(segs[:checked]):
+            if differ(direct[ell], wden, arrival[ell], iden):
                 problems.append(
-                    f"segment {seg_idx} survival {float(_ratio(arrival[seg_idx], iden * sden, exact))!r} "
-                    f"!= branch-side value {float(_ratio(direct[seg_idx], mden, exact))!r}"
+                    f"segment {seg_idx} survival {float(_ratio(arrival[ell], iden * sden, exact))!r} "
+                    f"!= branch-side value {float(_ratio(direct[ell], mden, exact))!r}"
                 )
 
-        for res in processed:
-            if res not in homes:
-                continue  # never routed anywhere; no segment to pin down
+        for res in homes:  # a resource never routed has no segment to pin down
             if res in bad_count:
                 problems.append(f"resource {res} appears {bad_count[res]} times in a branch")
             if len(homes[res]) > 1:
@@ -521,10 +540,10 @@ def _apply_decision(
 
 def _unique_idle(assignment: list[Optional[int]], span: tuple[int, int]) -> int:
     lo, hi = span
-    idle = [rank for rank in range(lo, hi + 1) if assignment[rank - 1] is None]
-    if len(idle) != 1:
-        raise ValueError(f"span {span} holds {len(idle)} idle ranks; the decisions do not replay")
-    return idle[0]
+    window = assignment[lo - 1 : hi]
+    if (idle := window.count(None)) != 1:
+        raise ValueError(f"span {span} holds {idle} idle ranks; the decisions do not replay")
+    return lo + window.index(None)
 
 
 def typeround(x_col: Sequence[Prob], dist: DemandDistribution) -> RoutingDistribution:

@@ -589,6 +589,22 @@ class TestStaticThreshold:
         assert opt >= 6 * 0.9**6 - 1e-9
         assert value < opt
 
+    def test_picks_a_bar_better_by_one_part_in_a_billion(self):
+        """Accepting everything first takes the reward-1 query of step 1
+        (probability 1e-3); the higher bar waits for step 2's reward 1 + 1e-6.
+        The higher bar is better by 1e-3 · 1e-6 = 1e-9, far above the scan's
+        1e-12 tie margin, so the scan must move to it."""
+        model = dm.StochasticHorizonModel(
+            total=dm.DemandDistribution.point_mass(2), probs=((1e-3, 0.0), (0.0, 1.0))
+        )
+        inst = dm.Instance(
+            rewards=((1.0, 1.0 + 1e-6),), capacities=(1,), demand=model,
+            arrival=dm.Arrival.RANDOM_ORDER,
+        )
+        accept_all = static_threshold_value(model, inst, 0.0)
+        assert 0.9e-9 < (1.0 + 1e-6) - accept_all < 1.1e-9
+        assert best_static_threshold(model, inst) == (1.0 + 1e-6, 1.0 + 1e-6)
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_matches_the_out_of_place_recursion(self, k):
         """Bit for bit the reference recursion's value at every distinct bar,

@@ -4,6 +4,7 @@ feasibility rejection, and sampling consistency."""
 import dataclasses
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -393,6 +394,131 @@ class TestFloatInvariants:
         assert state.check_invariants() == []
 
 
+class TestStageScope:
+    """A check that follows exactly one ``advance`` at a middle stage reads
+    only what that stage changed.  DEMO5 is rounded in the order 0, 1, 2, 4,
+    3: stage 3 routes resource 2 and merges segment 0 into ranks 1..3, as in
+    ``TestBrokenStates``; stage 4 is resource 4's zero marginal, which changes
+    nothing; stage 5, the last, routes resource 3."""
+
+    ORDER = (0, 1, 2, 4, 3)
+
+    def checked_through(self, stages):
+        """The state after ``stages`` stages, each checked clean."""
+        state = RoundingState(DEMO5.dist, 5, order=self.ORDER, track_branches=True)
+        for _ in range(stages):
+            state.advance(DEMO5.column[state.order[state.stage]])
+            assert state.check_invariants() == []
+        return state
+
+    def stage_three(self):
+        """Stage 3 advanced after a clean check at stage 2: the next check is
+        in the stage scope, segment 0 over ranks 1..3 and resource 2."""
+        state = self.checked_through(2)
+        state.advance(DEMO5.column[2])
+        return state
+
+    @staticmethod
+    def swap(assignment, a, b):
+        """Swap the entries of 1-based ranks ``a`` and ``b``."""
+        assignment[a - 1], assignment[b - 1] = assignment[b - 1], assignment[a - 1]
+
+    @staticmethod
+    def drop_resource_two(state):
+        state.branches[0][0][0] = None  # resource 2 leaves rank 1: ranks 1 and 3 idle
+
+    @staticmethod
+    def move_resource_two(state):
+        TestStageScope.swap(state.branches[0][0], 1, 3)  # to idle rank 3, of survival 1/4
+
+    @staticmethod
+    def shift_idle_mass(state):
+        # idle mass moves from rank 3 to rank 1: the segment's sum stays 1
+        nudge_idle_prob(state, 0, Fraction(1, 10))
+        nudge_idle_prob(state, 2, -Fraction(1, 10))
+
+    @pytest.mark.parametrize(
+        "plant, expected",
+        [
+            (
+                drop_resource_two,
+                [
+                    "resource 2 achieves 0.475, wants 0.875",
+                    "segment 0 span (1, 3) has 2 idle ranks in a branch",
+                    "segment 0 survival 0.5 != branch-side value 0.8",
+                    "resource 2 appears 0 times in a branch",
+                ],
+            ),
+            (
+                move_resource_two,
+                ["resource 2 achieves 0.575, wants 0.875", "segment 0 survival 0.5 != branch-side value 0.8"],
+            ),
+            (shift_idle_mass, ["segment 0 survival 0.575 != branch-side value 0.5"]),
+            (
+                lambda state: nudge_idle_prob(state, 0, Fraction(1, 7)),
+                [
+                    "segment 0 idle mass sums to 1.1428571428571428",
+                    "segment 0 survival 0.6428571428571429 != branch-side value 0.5",
+                ],
+            ),
+            (
+                lambda state: nudge_first_branch(state, Fraction(1, 1000)),
+                [
+                    "branch probabilities sum to 1.001",
+                    "resource 2 achieves 0.876, wants 0.875",
+                    "segment 0 survival 0.5 != branch-side value 0.50025",
+                ],
+            ),
+        ],
+        ids=["idle-count", "routed-mass", "segment-survival", "idle-mass", "branch-weight"],
+    )
+    def test_break_in_the_merged_segment_is_reported_as_the_full_check_does(self, plant, expected):
+        state = self.stage_three()
+        plant(state)
+        stage, full = state.check_invariants(), state.check_invariants()  # the second reads every rank
+        assert stage == expected
+        assert [p for p in full if p in stage] == stage
+
+    def test_merged_segment_off_its_span_is_the_one_problem(self):
+        state = self.stage_three()
+        state.segments = [(1, 2), (3, 5)]  # tiles ranks 1..5, but not the span that stage 3 merged
+        assert state.check_invariants() == ["segments [(1, 2), (3, 5)] do not tile ranks 1..3"]
+
+    def test_break_outside_the_scope_is_reported_at_the_last_stage(self):
+        state = self.checked_through(3)
+        self.swap(state.branches[0][0], 4, 5)  # resource 0 to rank 5, outside the next two scopes
+        state.advance(DEMO5.column[4])
+        assert state.check_invariants() == []
+        state.advance(DEMO5.column[3])
+        assert state.check_invariants() == [
+            "resource 0 achieves 0.1, wants 0.125",
+            "resource 3 achieves 0.2642857142857143, wants 0.25",
+            "segment 0 survival 0.3125 != branch-side value 0.32321428571428573",
+        ]
+
+    def test_the_first_stage_reads_every_rank_after_a_check_before_it(self):
+        state = RoundingState(DEMO5.dist, 5, order=self.ORDER, track_branches=True)
+        assert state.check_invariants() == []
+        state.advance(DEMO5.column[0])  # merges ranks 4..5 for resource 0
+        state.branches[0][0][0] = 3  # unprocessed resource 3 on rank 1
+        assert state.check_invariants() == [
+            "unprocessed resource 3 already has mass 1",
+            "segment 0 span (1, 1) has 0 idle ranks in a branch",
+            "segment 0 survival 1.0 != branch-side value 0.5",
+            "segment 1 survival 0.5 != branch-side value 0.25",
+            "segment 2 survival 0.25 != branch-side value 0.0625",
+        ]
+
+    def test_a_second_check_of_a_stage_reads_every_rank(self):
+        state = self.stage_three()
+        self.swap(state.branches[0][0], 4, 5)
+        assert state.check_invariants() == []
+        assert state.check_invariants() == [
+            "resource 0 achieves 0.1, wants 0.125",
+            "segment 1 survival 0.0625 != branch-side value 0.0875",
+        ]
+
+
 def hexes(values):
     return [v.hex() for v in values]
 
@@ -751,10 +877,17 @@ class TestSampling:
         assert rd.sample(rng).assignment == routed
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("assignment", [[0, None, None], [0, 1, 2]])
-    def test_replay_rejects_span_without_one_idle_rank(self, assignment):
-        with pytest.raises(ValueError, match="idle ranks"):
+    @pytest.mark.parametrize(
+        "assignment, idle", [([0, None, None], 2), ([0, 1, 2], 0)], ids=["assignment0", "assignment1"]
+    )
+    def test_replay_rejects_span_without_one_idle_rank(self, assignment, idle):
+        message = f"span (1, 3) holds {idle} idle ranks; the decisions do not replay"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _unique_idle(assignment, (1, 3))
+
+    @pytest.mark.parametrize("span, rank", [((1, 1), 1), ((1, 3), 1), ((2, 4), 4), ((4, 4), 4)])
+    def test_replay_finds_the_one_idle_rank_of_a_span(self, span, rank):
+        assert _unique_idle([None, 0, 1, None], span) == rank
 
 
 class TestRoutingType:

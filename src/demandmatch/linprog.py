@@ -13,12 +13,12 @@ pivots suggests cycling, then Bland's rule, whose termination guarantee makes
 the solver total on degenerate inputs.  The problems are small, so no
 factorization machinery is attempted.  The tableau is one augmented array
 (reduced costs in row 0, basic values in column 0), so a pivot is one row
-division and one rank-1 update: of the whole array for a tableau of at most
-``_BLOCK_CELLS`` cells, and of each row with a nonzero entry in the entering
-column, in place, for a larger one.
+division and one rank-1 update: of the whole array up to ``_WHOLE_CELLS``
+cells, of the changed rows as one gathered block up to ``_BLOCK_CELLS``, and
+of each changed row in place above that.
 
-An optimal ``Tableau`` is reoptimized in place after ``add_row`` (a cutting
-plane) or ``set_rhs`` (a new demand realization): both leave its basis dual
+An optimal ``Tableau`` is reoptimized in place after ``add_row`` (cutting
+planes) or ``set_rhs`` (a new demand realization): both leave its basis dual
 feasible, so ``reoptimize`` runs dual-simplex pivots until the basic values
 are nonnegative again, then primal pivots, with the same pivot routine and
 switch to Bland's rule in both phases.
@@ -42,8 +42,10 @@ DEGENERATE_TOL = 1e-12
 FEAS_TOL = 1e-12
 
 _MAX_PIVOTS = 200_000
-#: tableaux of at most this many cells (128 KiB of floats) are updated whole;
-#: a larger one row by row, skipping the rows the pivot leaves unchanged
+#: a pivot updates a tableau of at most this many cells (32 KiB) whole; up to
+#: ``_BLOCK_CELLS`` (128 KiB) its changed rows as one gathered block; above
+#: that each changed row in place, which is cheaper than copying them twice
+_WHOLE_CELLS = 4_096
 _BLOCK_CELLS = 16_384
 
 
@@ -128,9 +130,10 @@ class Tableau:
     ``cost`` and column 0 the basic values ``rhs``, around the constraint
     rows ``T`` over [vars | slacks], whose slack columns hold the basis
     inverse.  ``T``, ``rhs`` and ``cost`` are views, so a pivot is one row
-    division and one rank-1 update.  Above ``_BLOCK_CELLS`` cells that update
-    runs row by row, in place, over the rows whose entry in the entering
-    column is nonzero.  The array is a view into a buffer with spare rows, so
+    division and one rank-1 update: of the whole array up to ``_WHOLE_CELLS``
+    cells; up to ``_BLOCK_CELLS``, of the rows whose entry in the entering
+    column is nonzero, gathered as one block; above that, of each such row in
+    place.  The array is a view into a buffer with spare rows, so
     ``add_row`` rarely copies.
     """
 
@@ -147,26 +150,34 @@ class Tableau:
     def _view(self, aug: np.ndarray) -> None:
         self._aug, self.T, self.rhs, self.cost = aug, aug[1:, 1:], aug[1:, 0], aug[0, 1:]
 
-    def add_row(self, a: np.ndarray, b: float) -> None:
-        """Append ``a.x <= b`` with its slack basic; an optimal basis stays dual feasible."""
-        a, b = np.asarray(a, dtype=float).reshape(-1), _checked_rhs([b])[0]
-        if a.size != self.objective.size:
-            raise ValueError(f"row has {a.size} coefficients, expected {self.objective.size}")
-        r, cols = self.T.shape
-        if r + 1 == self._buffer.shape[0]:
-            # room for r + 1 more rows, each with its slack column
-            self._buffer = np.zeros((2 * r + 2, cols + r + 2))
+    def add_row(self, a: np.ndarray, b) -> None:
+        """Append ``a.x <= b``, or each row of a ``(k, n)`` block ``a`` with its
+        entry of ``b``, with a basic slack; an optimal basis stays dual feasible."""
+        a, b, n = np.asarray(a, dtype=float), _checked_rhs(b), self.objective.size
+        block = a if a.ndim == 2 else a.reshape(1, -1)
+        if block.shape[1] != n:
+            raise ValueError(f"row has {block.shape[1]} coefficients, expected {n}")
+        if len(block) != b.size:
+            raise ValueError(f"{len(block)} rows but {b.size} rhs entries")
+        if not (finite := np.isfinite(a)).all():
+            idx = np.unravel_index(np.argmin(finite), a.shape)
+            raise ValueError(f"a[{', '.join(map(str, idx))}] = {a[idx]} is not finite")
+        (r, cols), k, basis = self.T.shape, len(block), self.basis
+        if r + k >= self._buffer.shape[0]:
+            # twice the r + k rows needed, each constraint row with its slack column
+            self._buffer = np.zeros((2 * (r + k), n + 2 * (r + k)))
             self._buffer[: r + 1, : cols + 1] = self._aug
-        self._view(self._buffer[: r + 2, : cols + 2])
+        self._view(self._buffer[: r + k + 1, : cols + k + 1])
         T = self.T
-        T[r, : self.objective.size] = a
-        T[r, cols] = 1.0
-        # zero the new row on the basic columns, where T[:r] is an identity
-        coef = T[r, self.basis]
-        nz = np.nonzero(coef)[0]
-        T[r] -= coef[nz] @ T[nz]
-        self.rhs[r] = b - coef[nz] @ self.rhs[nz]
-        self.basis.append(cols)
+        T[r:, :n], T[r:, cols:].flat[:: k + 1] = block, 1.0
+        for i in range(k):
+            # zero row r + i on the old basic columns (an identity in T[:r]) at the
+            # width a one-row append has, as a product's bits can depend on it
+            coef, width = T[r + i, basis], cols + i + 1
+            nz = np.nonzero(coef)[0]
+            T[r + i, :width] -= coef[nz] @ T[nz, :width]
+            self.rhs[r + i] = b[i] - coef[nz] @ self.rhs[nz]
+        basis.extend(range(cols, cols + k))
 
     def set_rhs(self, b) -> None:
         """Replace ``b``: the basic values become B^-1 b."""
@@ -193,7 +204,7 @@ class Tableau:
         near = rows[ratios <= ratios.min() + 1e-12]
         if near.size == 1:
             return int(near[0])
-        return int(min(near, key=self.basis.__getitem__))
+        return min(near.tolist(), key=self.basis.__getitem__)
 
     def _infeasible_row(self) -> int:
         """Dual leaving row: the most negative basic value (Bland: lowest basic index)."""
@@ -221,10 +232,13 @@ class Tableau:
         factors[r] = 0.0
         prow = A[r]
         gain = factors[0] * prow[0]
-        if A.size <= _BLOCK_CELLS:
-            A -= np.outer(factors, prow)
-        else:
+        if A.size <= _WHOLE_CELLS:
+            A -= factors[:, None] * prow
+        elif A.size <= _BLOCK_CELLS:
             # only rows with a nonzero factor change
+            nz = np.nonzero(factors)[0]
+            A[nz] -= np.multiply.outer(factors[nz], prow)
+        else:
             scratch = np.empty_like(prow)
             for k in np.nonzero(factors)[0]:
                 A[k] -= np.multiply(prow, factors[k], out=scratch)

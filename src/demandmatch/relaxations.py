@@ -163,8 +163,8 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
 
     Alternates solve / separate until the oracle certifies feasibility.  One
     tableau lives across the rounds: each round appends every violated type's
-    most violated cut, in type order, and one dual-simplex reoptimization
-    from the previous optimal basis handles them all.  The float
+    most violated cut, in type order, as one block, and one dual-simplex
+    reoptimization from the previous optimal basis handles them all.  The float
     ``E[min(D_j, k)]`` table is built once per solve, and ``lp`` once at the
     end from the base rows and the cuts.  Terminates because each (type,
     subset) pair is added at most once; a cut already added means the loop
@@ -175,7 +175,7 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
     tab = Tableau(base)
     pool: list[Cut] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    rows = []
+    blocks = []
     rounds = 0
     while True:
         rounds += 1
@@ -189,14 +189,15 @@ def build_truncated_lp(inst: Instance) -> TruncatedLpResult:
             if (cut.type_index, cut.subset) in seen:
                 raise ValueError(f"duplicate cut for type {cut.type_index}, subset {cut.subset}")
             seen.add((cut.type_index, cut.subset))
-            pool.append(cut)
-            row = np.zeros(base.num_vars)
+        block = np.zeros((len(cuts), base.num_vars))
+        for row, cut in zip(block, cuts):
             row[[i * inst.m + cut.type_index for i in cut.subset]] = 1.0
-            rows.append(row)
-            tab.add_row(row, cut.rhs)
+        tab.add_row(block, [cut.rhs for cut in cuts])
+        pool.extend(cuts)
+        blocks.append(block)
     lp = LinearProgram(
         objective=base.objective,
-        rows=np.vstack([base.rows, *rows]),
+        rows=np.vstack([base.rows, *blocks]),
         rhs=np.append(base.rhs, [c.rhs for c in pool]),
     )
     return TruncatedLpResult(solution=solution, pool=tuple(pool), lp=lp, rounds=rounds)

@@ -1,8 +1,9 @@
 """One-phase simplex: statuses, golden values and pivot counts, the
 vertex-enumeration cross-check for random programs, warm reoptimization
-after a new row or a new right-hand side against cold solves and HiGHS, and
-the row-by-row update of large tableaux against the blocked update it
-replaced."""
+after a new row or a new right-hand side against cold solves and HiGHS, a
+block of rows appended at once against the same rows one by one, and the
+gathered and row-by-row updates of larger tableaux against the blocked
+update they replaced."""
 
 import itertools
 
@@ -328,8 +329,10 @@ class TestStats:
 
 
 class TestRowwiseUpdate:
-    """Above ``_BLOCK_CELLS`` cells a pivot updates each changed row in place;
-    every answer is bit for bit that of the blocked update it replaced."""
+    """Above ``_WHOLE_CELLS`` cells a pivot updates only the rows it changes:
+    as one gathered block up to ``_BLOCK_CELLS`` cells, each row in place
+    above that.  Every answer is bit for bit that of the blocked update those
+    replaced, which updates every tableau of at most ``_BLOCK_CELLS`` whole."""
 
     @staticmethod
     def answers(monkeypatch, pivot, solve) -> tuple[list, list[int]]:
@@ -351,32 +354,109 @@ class TestRowwiseUpdate:
         solve()
         return answers, sizes
 
-    def assert_same_as_blocked(self, monkeypatch, solve) -> list:
+    def assert_same_as_blocked(self, monkeypatch, solve) -> tuple[list, list[int]]:
         (old, old_sizes), (new, new_sizes) = (
             self.answers(monkeypatch, pivot, solve) for pivot in (blocked_pivot, Tableau._pivot)
         )
         assert new_sizes == old_sizes
-        assert min(new_sizes) > linprog._BLOCK_CELLS
         assert len(new) == len(old)
         for a, b in zip(old, new):
             assert a.values.tobytes() == b.values.tobytes()
             assert a.basis == b.basis
             assert a.objective_value.hex() == b.objective_value.hex()
             assert a.stats == b.stats
-        return new
+        return new, new_sizes
 
     @pytest.mark.parametrize("shape", LADDER_SHAPES.values(), ids=LADDER_SHAPES.keys())
     def test_conditional_lp(self, monkeypatch, shape):
         lp = ladder_horizon_lp(np.random.default_rng((5224, *shape)), *shape)
-        (sol,) = self.assert_same_as_blocked(monkeypatch, lambda: solve_lp(lp))
+        (sol,), sizes = self.assert_same_as_blocked(monkeypatch, lambda: solve_lp(lp))
+        assert min(sizes) > linprog._BLOCK_CELLS
         assert sol.stats.primal_pivots > 100
 
     def test_truncated_lp_with_cuts(self, monkeypatch):
         inst = ladder_truncated_instance(np.random.default_rng((5225, 50)), n=50)
-        sols = self.assert_same_as_blocked(monkeypatch, lambda: build_truncated_lp(inst))
+        sols, sizes = self.assert_same_as_blocked(monkeypatch, lambda: build_truncated_lp(inst))
+        assert min(sizes) > linprog._BLOCK_CELLS
         # the cuts after the first solve bring dual pivots
         assert len(sols) > 2
         assert sum(s.stats.dual_pivots for s in sols[1:]) > 0
+
+    @pytest.mark.parametrize("n, regime", [(10, "whole"), (15, "gathered"), (20, "gathered")])
+    def test_truncated_lp_at_trunc_plan_sizes(self, monkeypatch, n, regime):
+        # the trunc-plan rungs: n = 10 pivots only on tableaux updated whole,
+        # n = 15 and 20 only on tableaux updated as one gathered block
+        inst = ladder_truncated_instance(np.random.default_rng((5226, n)), n=n)
+        sols, sizes = self.assert_same_as_blocked(monkeypatch, lambda: build_truncated_lp(inst))
+        whole, block = linprog._WHOLE_CELLS, linprog._BLOCK_CELLS
+        assert {"whole" if s <= whole else "gathered" if s <= block else "rowwise" for s in sizes} == {regime}
+        assert len(sizes) > 15
+        assert sum(s.stats.dual_pivots for s in sols[1:]) > 0
+
+
+class TestBlockAppend:
+    """``add_row`` with a ``(k, n)`` block gives the tableau that ``k`` one-row
+    calls give, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_block_matches_rows_one_by_one(self, seed):
+        rng = np.random.default_rng((7304, seed))
+        lp = random_bounded_lp(rng, n=int(rng.integers(3, 9)), m=int(rng.integers(1, 5)))
+        by_block, by_row = Tableau(lp), Tableau(lp)
+        for tab in (by_block, by_row):
+            reoptimize(tab)
+        for _ in range(5):
+            k = int(rng.integers(1, 7))
+            a, b = rng.uniform(-1, 2, size=(k, lp.num_vars)), rng.uniform(0.0, 3.0, size=k)
+            by_block.add_row(a, b)
+            for row, bound in zip(a, b):
+                by_row.add_row(row, bound)
+            assert by_block.T.tobytes() == by_row.T.tobytes()
+            assert by_block.rhs.tobytes() == by_row.rhs.tobytes()
+            assert by_block.basis == by_row.basis
+            x, y = reoptimize(by_block), reoptimize(by_row)
+            assert x.values.tobytes() == y.values.tobytes()
+            assert x.basis == y.basis
+            assert x.objective_value.hex() == y.objective_value.hex()
+            assert x.stats == y.stats
+
+    def test_block_that_outgrows_the_spare_rows(self):
+        # a block longer than the spare rows left by an earlier one
+        lp = random_bounded_lp(np.random.default_rng(7305), n=4, m=2)
+        by_block, by_row = Tableau(lp), Tableau(lp)
+        a = np.random.default_rng(7306).uniform(-1, 2, size=(10, 4))
+        by_block.add_row(a[:2], [1.0, 2.0])
+        spare = by_block._buffer.shape[0] - by_block._aug.shape[0]
+        buffer = by_block._buffer
+        by_block.add_row(a[2:], np.arange(8.0))
+        assert spare < 8 and by_block._buffer is not buffer
+        for row, bound in zip(a, [1.0, 2.0, *np.arange(8.0)]):
+            by_row.add_row(row, bound)
+        assert by_block._aug.tobytes() == by_row._aug.tobytes()
+        assert by_block.basis == by_row.basis
+        x, y = reoptimize(by_block), reoptimize(by_row)
+        assert x.values.tobytes() == y.values.tobytes()
+        assert x.stats == y.stats
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (np.ones((2, 2)), [1.0, 1.0], "^row has 2 coefficients, expected 3$"),
+            (np.ones((2, 3)), [1.0], "^2 rows but 1 rhs entries$"),
+            (np.ones((2, 3)), [1.0, -0.5], r"^rhs\[1\] = -0.5 is not finite and nonnegative$"),
+            (np.ones((2, 3)), [np.inf, 1.0], r"^rhs\[0\] = inf is not finite and nonnegative$"),
+            (np.array([1.0, np.nan, 1.0]), 1.0, r"^a\[1\] = nan is not finite$"),
+            (np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -np.inf]]), [1.0, 1.0], r"^a\[1, 2\] = -inf is not finite$"),
+        ],
+    )
+    def test_bad_rows_rejected_untouched(self, a, b, message):
+        tab = Tableau(LinearProgram(objective=(1.0, 1.0, 1.0), rows=np.eye(3), rhs=(1.0, 1.0, 1.0)))
+        assert reoptimize(tab).objective_value == 3.0
+        before = tab._aug.copy()
+        with pytest.raises(ValueError, match=message):
+            tab.add_row(a, b)
+        assert tab._aug.tobytes() == before.tobytes() and len(tab.basis) == 3
+        assert reoptimize(tab).objective_value == 3.0
 
 
 class TestReoptimizeFailures:

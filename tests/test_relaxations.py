@@ -338,11 +338,22 @@ class TestTruncatedLp:
         assert all(table is tables[0] for table in tables)
 
     def test_repeated_cut_raises(self, monkeypatch):
-        # a round oracle stuck on a row already in the pool is an error, not a point
+        # a round oracle stuck on a row already in the pool is an error, not a
+        # point, and the round's other cut is not appended either
         cut = relaxations.Cut(type_index=0, subset=(0, 1), rhs=0.5, violation=1.0)
-        monkeypatch.setattr(relaxations, "_violated_cuts", lambda x, inst, table: [cut])
-        with pytest.raises(ValueError, match="duplicate cut"):
+        fresh = relaxations.Cut(type_index=0, subset=(2,), rhs=0.5, violation=1.0)
+        rounds = iter([[cut], [fresh, cut]])
+        monkeypatch.setattr(relaxations, "_violated_cuts", lambda x, inst, table: next(rounds))
+        appended, add_row = [], relaxations.Tableau.add_row
+
+        def spy(tab, a, b):
+            appended.append(len(b))
+            add_row(tab, a, b)
+
+        monkeypatch.setattr(relaxations.Tableau, "add_row", spy)
+        with pytest.raises(ValueError, match=r"^duplicate cut for type 0, subset \(0, 1\)$"):
             build_truncated_lp(single_type_instance(3, THREE_POINT))
+        assert appended == [1]
 
     def test_float_mass_above_one_solves_to_zero(self):
         # atoms a hair above one on zero: survivals clamp at 0.0, so every
